@@ -3,7 +3,7 @@ emission (CSV, structured text, optional SVG) funneled through here.
 
 Numbers are serialized with 17 significant digits so every artifact
 round-trips to the exact double. Reruns with the same config and seed are
-byte-identical regardless of the worker count.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import analysis, density, diagram, model, render, zeros
 from .errors import NumericalError, PfzError, ValidationError
 
 ENV_OUT_DIR = "PFZEROS_OUT_DIR"
+ZEROS_HEADER = "re_z,im_z,multiplicity,residual,method"
 
 
 def _g17(x: float) -> str:
@@ -33,7 +34,6 @@ class RunConfig:
     command: str
     model_path: str
     out_dir: str
-    workers: int = 1
     emit_svg: bool = False
     options: dict = field(default_factory=dict)
 
@@ -50,7 +50,7 @@ def _write(path: Path, text: str) -> Path:
 
 
 def zeros_csv(zs: zeros.ZeroSet) -> str:
-    lines = ["re_z,im_z,multiplicity,residual,method"]
+    lines = [ZEROS_HEADER]
     for w in zs.zeros:
         lines.append(
             f"{_g17(w.z.real)},{_g17(w.z.imag)},{w.multiplicity},{_g17(w.residual)},{w.method}"
@@ -61,8 +61,11 @@ def zeros_csv(zs: zeros.ZeroSet) -> str:
 def read_zeros_csv(path) -> list[zeros.Zero]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        assert header.strip() == "re_z,im_z,multiplicity,residual,method"
+        header = fh.readline().strip()
+        if header != ZEROS_HEADER:
+            raise ValidationError(
+                f"{path}: expected zeros CSV header {ZEROS_HEADER!r}, got {header!r}"
+            )
         for line in fh:
             re_z, im_z, mult, res, method = line.strip().split(",")
             out.append(
@@ -210,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("model", help="model definition file (JSON)")
         sp.add_argument("--out-dir", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--emit-svg", action="store_true")
 
     def volume(sp):
@@ -299,13 +301,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     options = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "model", "out_dir", "workers", "emit_svg")
+        if k not in ("command", "model", "out_dir", "emit_svg")
     }
     return RunConfig(
         command=args.command,
         model_path=args.model,
         out_dir=out_dir,
-        workers=args.workers,
         emit_svg=getattr(args, "emit_svg", False),
         options=options,
     )
@@ -402,9 +403,7 @@ def run(config: RunConfig) -> list[Path]:
     elif config.command == "find-zeros":
         fvm = _fvm_from_options(spec, opts)
         box = _parse_box(opts["box"])
-        zs = zeros.find_zeros_region(
-            fvm, box, max_depth=opts["max_depth"], workers=config.workers
-        )
+        zs = zeros.find_zeros_region(fvm, box, max_depth=opts["max_depth"])
         written.append(_write(out / f"zeros_brute_L{fvm.L}d{fvm.d}.csv", zeros_csv(zs)))
         if config.emit_svg:
             written.append(_write(out / "zeros.svg", render.emit_svg(None, [zs], box)))
@@ -428,9 +427,7 @@ def run(config: RunConfig) -> list[Path]:
         predicted = zeros.ZeroSet.build(
             [w for w in predicted_all.zeros if box.contains(w.z)], box, fvm.L, fvm.d
         )
-        located = zeros.find_zeros_region(
-            fvm, box, max_depth=opts["max_depth"], workers=config.workers
-        )
+        located = zeros.find_zeros_region(fvm, box, max_depth=opts["max_depth"])
         gamma = opts["gamma_scale"] * math.log(fvm.N) / fvm.N
         # the theoretical tolerance can undercut double-precision localization;
         # floor it at the polishing resolution so reports flag real violations
@@ -463,7 +460,7 @@ def run(config: RunConfig) -> list[Path]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows = density.density_convergence(
-                spec, m, n, z, eps_list, l_list, opts["d"], tau=opts["tau"], workers=config.workers
+                spec, m, n, z, eps_list, l_list, opts["d"], tau=opts["tau"]
             )
         written.append(_write(out / "density.csv", density_csv(rows)))
 
@@ -474,9 +471,7 @@ def run(config: RunConfig) -> list[Path]:
         rho = opts["rho_scale"] * math.log(N) / N
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            zs = zeros.predict_multipoint(
-                spec, mp, opts["L"], opts["d"], rho, workers=config.workers
-            )
+            zs = zeros.predict_multipoint(spec, mp, opts["L"], opts["d"], rho)
         written.append(_write(out / f"zeros_multipoint_L{opts['L']}d{opts['d']}.csv", zeros_csv(zs)))
         fvm = _fvm_from_options(spec, opts)
         wind = zeros.winding_number(fvm, (mp.z, rho))
@@ -513,7 +508,7 @@ def run(config: RunConfig) -> list[Path]:
         else:
             fvm = _fvm_from_options(spec, opts)
         box = _parse_box(opts["box"])
-        zs = zeros.find_zeros_region(fvm, box, workers=config.workers)
+        zs = zeros.find_zeros_region(fvm, box)
         rep = analysis.lee_yang_audit(fvm, zs, opts["plus"], opts["minus"])
         text = (
             f"zeros_checked: {rep.zeros_checked}\n"

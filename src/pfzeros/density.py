@@ -101,7 +101,6 @@ def density_convergence(
     L_list,
     d: int,
     tau: float = 1.0,
-    workers: int = 1,
 ) -> list[DensitySample]:
     """Tabulate counted vs limiting density over a grid of (eps, L).
 
@@ -131,7 +130,7 @@ def density_convergence(
                 raise ValidationError(f"disc of radius {eps} at {z} leaves the model domain")
         for L in L_list:
             fvm = finite_volume(model, L, d, tau=tau)
-            located = find_zeros_region(fvm, box, workers=workers)
+            located = find_zeros_region(fvm, box)
             predicted = predict_two_phase(model, m, n, curve, L=L, d=d)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,33 @@ METHOD_TWO_PHASE = "two_phase_eq"
 METHOD_MULTIPOINT = "multipoint_eq"
 
 
+# Zeros closer than this are one zero in a ZeroSet.
+_DEDUP_TOL = 1e-12
+
+
+def _neighbours(points: np.ndarray, tol: float) -> dict[int, list[int]]:
+    """Indices of the other points within tol, for each point that has any.
+
+    Such points lie in the same or adjacent cells of a grid of spacing tol;
+    the cells are found by binary search on the sorted (complex, so
+    lexicographic) cell keys, which keeps the cost O(n log n).
+    """
+    key = np.round(points.real / tol) + 1j * np.round(points.imag / tol)
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    near: dict[int, list[int]] = {}
+    for dx in (-1.0, 0.0, 1.0):
+        lo = np.searchsorted(skey, skey + complex(dx, -1.0), side="left")
+        hi = np.searchsorted(skey, skey + complex(dx, 1.0), side="right")
+        own = 1 if dx == 0.0 else 0  # the point's own cell row holds the point
+        for a in np.flatnonzero(hi - lo > own):
+            i = int(order[a])
+            for j in order[lo[a] : hi[a]]:
+                if j != i and abs(points[j] - points[i]) <= tol:
+                    near.setdefault(i, []).append(int(j))
+    return near
+
+
 @dataclass(frozen=True)
 class Zero:
     z: complex
@@ -65,12 +91,19 @@ class ZeroSet:
 
     @classmethod
     def build(cls, zeros, region, L, d) -> "ZeroSet":
-        ordered = sorted(zeros, key=lambda w: (w.z.real, w.z.imag))
-        unique: list[Zero] = []
-        for w in ordered:
-            if unique and abs(w.z - unique[-1].z) <= 1e-12:
-                continue
-            unique.append(w)
+        zeros = list(zeros)
+        pts = np.array([w.z for w in zeros], dtype=complex)
+        # Sorting on the rounded key first keeps zeros on a common vertical
+        # line in order of Im z even when their real parts differ by ulps.
+        order = np.lexsort(
+            (pts.imag, pts.real, np.round(pts.imag / _DEDUP_TOL), np.round(pts.real / _DEDUP_TOL))
+        )
+        near = _neighbours(pts[order], _DEDUP_TOL)
+        dropped: set[int] = set()
+        for i in sorted(near):
+            if any(j < i and j not in dropped for j in near[i]):
+                dropped.add(i)
+        unique = [zeros[k] for i, k in enumerate(order) if i not in dropped]
         return cls(zeros=tuple(unique), region=region, L=int(L), d=int(d), N=int(L) ** int(d))
 
     def __len__(self) -> int:
@@ -335,7 +368,7 @@ def _polish(es: _ExpSum, z: complex, tol: float, max_iter: int = 80):
         if abs(dz) <= 1e-16 * (1.0 + abs(z)):
             break
     res = abs(complex(es.value_normalized(z)))
-    if res > tol:
+    if not res <= tol:  # also rejects a NaN from a diverged iterate
         raise NoConvergenceError(f"polish stalled at residual {res:.3e}", z)
     return z, res
 
@@ -373,11 +406,29 @@ def _subdivide(es: _ExpSum, rect: Rectangle, parent_winding: int):
     )
 
 
-def _collect_cells(es, rect, wind, min_cell, max_depth, depth, out):
+def _collect_zeros(es, rect, wind, min_cell, max_depth, depth, tol, out):
+    """Candidate zeros of a cell whose boundary winding is `wind`.
+
+    Appends (z, residual, multiplicity) to out, with multiplicity None when
+    it still has to be counted by a small circle. A winding-1 cell from whose
+    centre Newton converges inside the cell holds exactly that zero, simple,
+    so its descent stops there; every other cell is subdivided down to
+    min_cell and its terminal cells are polished from their centres.
+    """
     if wind == 0:
         return
+    if wind == 1:
+        try:
+            z, res = _polish(es, rect.center, tol)
+        except NoConvergenceError:
+            pass
+        else:
+            if rect.contains(z):
+                out.append((z, res, 1))
+                return
     if max(rect.width, rect.height) < min_cell:
-        out.append((rect, wind))
+        z, res = _polish(es, rect.center, tol)
+        out.append((z, res, None))
         return
     if depth >= max_depth:
         raise UnresolvedClusterError(
@@ -385,7 +436,7 @@ def _collect_cells(es, rect, wind, min_cell, max_depth, depth, out):
         )
     children, windings = _subdivide(es, rect, wind)
     for child, w in zip(children, windings):
-        _collect_cells(es, child, w, min_cell, max_depth, depth + 1, out)
+        _collect_zeros(es, child, w, min_cell, max_depth, depth + 1, tol, out)
 
 
 def _find_zeros_expsum(
@@ -393,44 +444,38 @@ def _find_zeros_expsum(
     box: Rectangle,
     char_scale: float,
     max_depth: int = 40,
-    workers: int = 1,
     residual_tol: float = 1e-10,
 ):
     """All zeros of an exponential sum in a box, with multiplicities.
 
     char_scale is the natural zero-spacing scale (1/N for volume sums); the
     terminal cell size is 1e-3 of it and the multiplicity circle 1e-2 of it.
+    A simple zero is usually certified by the winding of its own quadtree
+    cell once Newton stays inside that cell. Candidates closer than half the
+    circle radius are merged, and every merged or terminal-cell zero has its
+    multiplicity counted by the circle, so a multiple zero that rounding
+    splits across a cell edge is still counted in full.
     """
     min_cell = 1e-3 * char_scale
     r_mult = 1e-2 * char_scale
     total = _box_winding(es, box)
-    cells: list[tuple[Rectangle, int]] = []
+    cands: list[tuple[complex, float, int | None]] = []
     if total > 0:
-        if workers > 1:
-            children, windings = _subdivide(es, box, total)
-            lists: list[list] = [[] for _ in children]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [
-                    pool.submit(_collect_cells, es, c, w, min_cell, max_depth, 1, lst)
-                    for c, w, lst in zip(children, windings, lists)
-                ]
-                for f in futs:
-                    f.result()
-            for lst in lists:
-                cells.extend(lst)
-        else:
-            _collect_cells(es, box, total, min_cell, max_depth, 0, cells)
+        _collect_zeros(es, box, total, min_cell, max_depth, 0, residual_tol, cands)
 
+    near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
+    kept: set[int] = set()
     found: list[tuple[complex, int, float]] = []
-    for rect, _ in cells:
-        z, res = _polish(es, rect.center, residual_tol)
+    for i, (z, res, mult) in enumerate(cands):
         if not box.contains(z, pad=min_cell):
             continue
-        if any(abs(z - z0) < 0.5 * r_mult for z0, _, _ in found):
+        if not kept.isdisjoint(near.get(i, ())):
             continue
-        mult = _multiplicity(es, z, r_mult)
-        if mult < 1:
-            continue
+        if mult is None or i in near:
+            mult = _multiplicity(es, z, r_mult)
+            if mult < 1:
+                continue
+        kept.add(i)
         found.append((z, mult, res))
     if sum(m for _, m, _ in found) != total:
         raise UnresolvedClusterError(
@@ -462,20 +507,21 @@ def find_zeros_region(
     fvm: FiniteVolumeModel,
     box: Rectangle,
     max_depth: int = 40,
-    workers: int = 1,
 ) -> ZeroSet:
     """All zeros of the normalized partition function inside a box.
 
-    Quadtree subdivision of the box by boundary winding numbers, Newton
-    polishing of each terminal cell, and a small-circle winding per zero for
-    its multiplicity; the multiplicities are required to add up to the
-    winding of the whole box.
+    Quadtree subdivision of the box by boundary winding numbers. A cell of
+    winding 1 stops descending as soon as Newton from its centre converges
+    inside it: that point is its only zero, simple by the cell's winding.
+    Cells of higher winding descend to 1e-3/N and each terminal cell is
+    polished, with a small-circle winding for its multiplicity. The
+    multiplicities are required to add up to the winding of the whole box.
     """
     for corner in box.corners():
         if not fvm.domain.contains(corner):
             raise ValidationError(f"box {box} not contained in domain {fvm.domain}")
     es = _ExpSum.from_fvm(fvm)
-    found = _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth, workers=workers)
+    found = _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth)
     zeros = [Zero(z, mult, res, METHOD_BRUTE) for z, mult, res in found]
     return ZeroSet.build(zeros, box, fvm.L, fvm.d)
 
@@ -614,7 +660,6 @@ def predict_multipoint(
     d: int,
     rho_L: float,
     max_depth: int = 40,
-    workers: int = 1,
 ) -> ZeroSet:
     """Solutions of the rescaled exponential-sum equation near a multiple point.
 
@@ -641,7 +686,7 @@ def predict_multipoint(
         vs.append(mp.v_values[k])
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
-    found = _find_zeros_expsum(es, box, 1.0, max_depth=max_depth, workers=workers)
+    found = _find_zeros_expsum(es, box, 1.0, max_depth=max_depth)
     zeros = [
         Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)
         for zf, mult, res in found

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import pfzeros.zeros as zeros_mod
 from pfzeros import (
     DomainError,
+    ModelSpec,
+    PhaseSpec,
     Rectangle,
     ValidationError,
+    Zero,
+    ZeroSet,
     eval_logZ_normalized,
     find_zeros_region,
     finite_volume,
     winding_number,
 )
+from pfzeros.cli import zeros_csv
 
 from conftest import two_phase_model
 
@@ -117,14 +123,11 @@ def test_find_zeros_spacing_law(m2):
     assert np.abs(np.diff(ys) - math.pi / 100).max() <= 1e-10
 
 
-def test_find_zeros_workers_deterministic(m2):
+def test_find_zeros_rerun_deterministic(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
     box = Rectangle(-0.1, 0.1, 0.0, 0.2)
-    a = find_zeros_region(fvm, box, workers=1)
-    b = find_zeros_region(fvm, box, workers=4)
-    assert len(a) == len(b)
-    for wa, wb in zip(a.zeros, b.zeros):
-        assert wa.z == wb.z and wa.multiplicity == wb.multiplicity
+    # the CSV text the CLI writes, compared character for character
+    assert zeros_csv(find_zeros_region(fvm, box)) == zeros_csv(find_zeros_region(fvm, box))
 
 
 def test_find_zeros_perturbed_stays_close(m2):
@@ -146,3 +149,73 @@ def test_winding_argument_principle_consistency(m2):
     box = Rectangle(-0.11, 0.13, -0.07, 0.31)
     zs = find_zeros_region(fvm, box)
     assert zs.total_multiplicity() == winding_number(fvm, box)
+
+
+def test_find_zeros_double_zeros_split_by_rounding():
+    # W = e^{2z} - 2 e^z + 1 = (e^z - 1)^2: double zeros at 0 and 2 pi i. Rounding
+    # splits the one at 0 across a cell edge into two winding-1 cells; the
+    # merged candidates must still be counted as one zero of multiplicity 2.
+    model = ModelSpec(
+        phases=(
+            PhaseSpec("a", 1, (0j, 2 + 0j)),
+            PhaseSpec("b", 2, (1j * math.pi, 1 + 0j)),
+            PhaseSpec("c", 1, (0j,)),
+        ),
+        domain=Rectangle(-2.0, 2.0, -2.0, 8.0),
+    )
+    fvm = finite_volume(model, L=1, d=1, tau=1.0)
+    zs = find_zeros_region(fvm, Rectangle(-1.0, 1.1, -1.0, 7.0))
+    assert [w.multiplicity for w in zs.zeros] == [2, 2]
+    # a double root is resolved to about sqrt(machine epsilon)
+    for w, want in zip(sorted(zs.zeros, key=lambda w: w.z.imag), (0j, 2j * math.pi)):
+        assert abs(w.z - want) <= 1e-7
+
+
+def test_find_zeros_windings_per_zero(m2, monkeypatch):
+    # winding-1 cells stop as soon as Newton stays inside them
+    calls = []
+    winding = zeros_mod._winding_adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return winding(*args, **kwargs)
+
+    monkeypatch.setattr(zeros_mod, "_winding_adaptive", counted)
+    fvm = finite_volume(m2, L=1000, d=1, tau=1.0)
+    zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
+    assert len(zs) == len(axis_zeros(1000)) == 64
+    assert len(calls) <= 8 * len(zs)
+
+
+def test_zeroset_order_ignores_ulp_noise_in_real_part():
+    x = math.log(2) / 2e4
+    low = Zero(complex(x + 1e-17, 0.1), 1, 0.0, "t")
+    high = Zero(complex(x, 0.2), 1, 0.0, "t")
+    box = Rectangle(-1, 1, -1, 1)
+    for given in ([low, high], [high, low]):
+        assert ZeroSet.build(given, box, 1, 1).zeros == (low, high)
+
+
+def test_zeroset_dedups_non_adjacent_pairs():
+    # p and r are 2.2e-13 apart but q sorts between them by (re, im)
+    p = Zero(0j, 1, 0.0, "t")
+    q = Zero(complex(1e-13, 1.0), 1, 0.0, "t")
+    r = Zero(complex(2e-13, 1e-13), 1, 0.0, "t")
+    zs = ZeroSet.build([p, q, r], Rectangle(-1, 2, -1, 2), 1, 1)
+    assert zs.zeros == (p, q)
+
+
+def test_neighbours_match_brute_force():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        n = int(rng.integers(0, 60))
+        # clustered on a coarse lattice so many pairs sit near the tolerance
+        pts = 0.3 * (rng.integers(0, 8, n) + 1j * rng.integers(0, 8, n))
+        pts = pts + 0.5 * (rng.random(n) + 1j * rng.random(n))
+        want = {}
+        for i in range(n):
+            close = [j for j in range(n) if j != i and abs(pts[i] - pts[j]) <= 0.4]
+            if close:
+                want[i] = close
+        got = {i: sorted(js) for i, js in zeros_mod._neighbours(pts, 0.4).items()}
+        assert got == want
