@@ -10,70 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolationError, SingularityError, ValidationError
+from .diagram import find_multiple_points
+from .errors import DomainError, HypothesisViolationError, SingularityError, ValidationError
 from .model import (
     FiniteVolumeModel,
     ModelSpec,
     Rectangle,
     _polyval,
+    _volume,
     in_coexistence_strip,
     in_stability_region,
     in_two_phase_region,
 )
 from .zeros import ZeroSet
-
-
-# ---------------------------------------------------------------------------
-# Small dense Hermitian eigensolver (cyclic complex Jacobi). The matrices here
-# are q x q with q <= 6; precision matters more than speed.
-
-
-def _hermitian_eigenvalues(a: np.ndarray, sweeps: int = 100) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= 1e-16 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(a[p, q])
-                if b <= 1e-18 * scale:
-                    continue
-                phase = a[p, q] / b
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0)) if tau != 0 else 1.0
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                u = np.eye(n, dtype=complex)
-                u[p, p] = c
-                u[q, q] = c
-                u[p, q] = s * phase
-                u[q, p] = -s * phase.conjugate()
-                a = u.conj().T @ a @ u
-    return np.sort(a.diagonal().real)
-
-
-def _det_abs(matrix: np.ndarray) -> float:
-    """|det| by Gaussian elimination with partial pivoting."""
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-        det *= abs(a[k, k])
-        a[k + 1 :, k:] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k:])
-    return det
 
 
 @dataclass
@@ -100,9 +49,10 @@ def vandermonde_report(fvm: FiniteVolumeModel, Q, z: complex) -> VandermondeRepo
     """Condition the power matrix of finite-volume logarithmic derivatives.
 
     Builds M[l, m] = b_m(z)^l for the phases of Q, computes |det M| both
-    directly and as the pairwise product of gaps, and compares the spectral
-    norm of the inverse against the norm^{q-1}/|det| bound. Requires every
-    phase of Q to be almost stable at z on the kappa/L scale.
+    from the singular values of M and as the pairwise product of gaps, and
+    compares the spectral norm of the inverse, 1/sigma_min, against the
+    norm^{q-1}/|det| bound. Requires every phase of Q to be almost stable at
+    z on the kappa/L scale.
     """
     Q = tuple(sorted(fvm.base.check_phase(k) for k in Q))
     if len(Q) < 2 or len(set(Q)) != len(Q):
@@ -110,8 +60,6 @@ def vandermonde_report(fvm: FiniteVolumeModel, Q, z: complex) -> VandermondeRepo
     if not fvm.domain.contains(z):
         raise ValidationError(f"{z} outside domain")
     if not in_stability_region(fvm.base, z, fvm.kappa / fvm.L, Q):
-        from .errors import DomainError
-
         raise DomainError(
             f"{z} is not in the joint almost-stable region of {Q} at eps=kappa/L"
         )
@@ -126,23 +74,22 @@ def vandermonde_report(fvm: FiniteVolumeModel, Q, z: complex) -> VandermondeRepo
                     f"(gap {abs(vals[i] - vals[j]):.3e}); the power matrix is singular"
                 )
     m = np.array([[v**l for v in vals] for l in range(qn)], dtype=complex)
-    det_direct = _det_abs(m)
+    sv = np.linalg.svd(m, compute_uv=False)  # descending
+    det_abs = float(np.prod(sv))
     det_pairwise = 1.0
     for i in range(qn):
         for j in range(i + 1, qn):
             det_pairwise *= abs(vals[j] - vals[i])
-    lam = _hermitian_eigenvalues(m @ m.conj().T)
-    norm = math.sqrt(float(lam[-1]))
-    inverse_norm = 1.0 / math.sqrt(float(lam[0]))
+    norm = float(sv[0])
     return VandermondeReport(
         Q=Q,
         z=complex(z),
         b_values=b,
-        det_abs=det_direct,
+        det_abs=det_abs,
         det_pairwise=det_pairwise,
         norm=norm,
-        inverse_norm=inverse_norm,
-        inverse_bound=norm ** (qn - 1) / det_direct,
+        inverse_norm=float(1.0 / sv[-1]),
+        inverse_bound=norm ** (qn - 1) / det_abs,
     )
 
 
@@ -259,33 +206,24 @@ def covering_check(
     rho_L of a multiple point. The report lists uncovered points and the
     smallest rho_L/gamma_L ratio that would have covered everything.
     """
-    if omega_L > gamma_L * L**d:
-        raise ValidationError(
-            f"omega_L={omega_L:.3g} must not exceed gamma_L*N={gamma_L * L ** d:.3g}"
-        )
+    N = _volume(L, d)
+    if gamma_L <= 0:
+        raise ValidationError(f"gamma_L must be positive, got {gamma_L:.3g}")
+    if omega_L > gamma_L * N:
+        raise ValidationError(f"omega_L={omega_L:.3g} must not exceed gamma_L*N={gamma_L * N:.3g}")
     if multiple_points is None:
-        from .diagram import find_multiple_points
-
         multiple_points = find_multiple_points(model, grid)
     mp_locs = [mp.z for mp in multiple_points]
-    N = int(L) ** int(d)
-    eps_strip = omega_L / N
-    pairs = [(m, n) for m in range(model.r) for n in range(m + 1, model.r)]
-    mesh = domain.grid(*grid)
-    checked = 0
-    in_strip = 0
+    mesh = domain.grid(*grid).ravel()
+    mesh = mesh[model.domain.contains(mesh)]
+    strip = mesh[in_coexistence_strip(model, mesh, omega_L / N)]
+    two_phase = np.zeros(len(strip), dtype=bool)
+    for m in range(model.r):
+        for n in range(m + 1, model.r):
+            two_phase |= in_two_phase_region(model, strip, gamma_L, (m, n))
     uncovered: list[complex] = []
     required_rho = 0.0
-    for z in mesh.ravel():
-        z = complex(z)
-        if not model.domain.contains(z):
-            continue
-        checked += 1
-        if not in_coexistence_strip(model, z, eps_strip):
-            continue
-        in_strip += 1
-        if any(in_two_phase_region(model, z, gamma_L, q) for q in pairs):
-            continue
+    for z in strip[~two_phase].tolist():
         dist = min((abs(z - zm) for zm in mp_locs), default=math.inf)
         required_rho = max(required_rho, dist)
         if dist >= rho_L:
@@ -294,8 +232,8 @@ def covering_check(
         warnings.warn("strip points needed a multiple-point disc but none was found", stacklevel=2)
     chi = required_rho / gamma_L if math.isfinite(required_rho) else math.inf
     return CoveringReport(
-        checked=checked,
-        in_strip=in_strip,
+        checked=len(mesh),
+        in_strip=len(strip),
         uncovered=uncovered,
         chi_empirical=chi,
         required_rho=required_rho,

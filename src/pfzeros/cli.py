@@ -318,7 +318,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _fvm_from_options(spec, opts) -> model.FiniteVolumeModel:
     perturbation = None
-    if opts.get("perturb_seed") is not None:
+    if opts.get("symmetric_seed") is not None:
+        perturbation = [(0j,)] * spec.r
+        up, un = model.symmetric_pair_perturbation(opts["symmetric_seed"])
+        perturbation[opts["plus"]] = up
+        perturbation[opts["minus"]] = un
+    elif opts.get("perturb_seed") is not None:
         perturbation = model.random_perturbation(
             spec, opts["perturb_seed"], degree=opts.get("perturb_degree", 3)
         )
@@ -411,7 +416,7 @@ def run(config: RunConfig) -> list[Path]:
     elif config.command == "predict-zeros":
         m, n = _parse_pair(opts["pair"])
         box = _parse_box(opts["box"])
-        N = opts["L"] ** opts["d"]
+        N = model._volume(opts["L"], opts["d"])
         curve = _curve_for_pair(spec, m, n, N, box)
         zs = zeros.predict_two_phase(spec, m, n, curve, L=opts["L"], d=opts["d"])
         kept = [w for w in zs.zeros if box.contains(w.z)]
@@ -466,8 +471,8 @@ def run(config: RunConfig) -> list[Path]:
 
     elif config.command == "multipoint":
         triple = _parse_triple(opts["triple"])
+        N = model._volume(opts["L"], opts["d"])
         mp = diagram.find_multiple_point(spec, triple, _parse_point(opts["seed_point"]))
-        N = opts["L"] ** opts["d"]
         rho = opts["rho_scale"] * math.log(N) / N
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -490,23 +495,9 @@ def run(config: RunConfig) -> list[Path]:
         written.append(_write(out / "asymptotes.csv", asymptotes_csv(lines)))
 
     elif config.command == "lee-yang":
-        if opts.get("symmetric_seed") is not None:
-            up, un = model.symmetric_pair_perturbation(opts["symmetric_seed"])
-            perturbation = [None] * spec.r
-            perturbation[opts["plus"]] = up
-            perturbation[opts["minus"]] = un
-            perturbation = [p if p is not None else (0j,) for p in perturbation]
-            fvm = model.finite_volume(
-                spec,
-                L=opts["L"],
-                d=opts["d"],
-                tau=opts["tau"],
-                kappa=opts["kappa"],
-                perturbation=perturbation,
-                xi_strength=opts["theta"],
-            )
-        else:
-            fvm = _fvm_from_options(spec, opts)
+        spec.check_phase(opts["plus"])
+        spec.check_phase(opts["minus"])
+        fvm = _fvm_from_options(spec, opts)
         box = _parse_box(opts["box"])
         zs = zeros.find_zeros_region(fvm, box)
         rep = analysis.lee_yang_audit(fvm, zs, opts["plus"], opts["minus"])
@@ -521,7 +512,7 @@ def run(config: RunConfig) -> list[Path]:
         written.append(_write(out / "lee_yang.txt", text))
 
     elif config.command == "covering":
-        N = opts["L"] ** opts["d"]
+        N = model._volume(opts["L"], opts["d"])
         ln_n = math.log(N)
         rep = analysis.covering_check(
             spec,

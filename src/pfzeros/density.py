@@ -6,8 +6,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .diagram import find_coexistence_point, trace_curve
 from .errors import CoverageError, ValidationError
-from .model import ModelSpec, Rectangle, eval_v, finite_volume
+from .model import ModelSpec, Rectangle, _volume, eval_v, finite_volume
 from .zeros import ZeroSet, find_zeros_region, predict_two_phase
 
 
@@ -25,7 +26,7 @@ class DensitySample:
 
     @property
     def N(self) -> int:
-        return self.L**self.d
+        return _volume(self.L, self.d)
 
     @property
     def abs_error(self) -> float:
@@ -69,7 +70,7 @@ def empirical_density(
         raise CoverageError(
             f"disc of radius {epsilon} at {z} is not contained in the covered region {reg}"
         )
-    N = int(L) ** int(d)
+    N = _volume(L, d)
     count = zeros.count_in_disc(z, epsilon)
     warned = count <= 1
     if warned:
@@ -109,13 +110,11 @@ def density_convergence(
     row records |empirical - theoretical| against the expected envelope.
     The limit is taken volume-first, so rows are grouped by eps.
     """
-    from .diagram import find_coexistence_point, trace_curve
-
     if not eps_list or not L_list:
         raise ValidationError("eps_list and L_list must be non-empty")
+    n_max = max(_volume(L, d) for L in L_list)
     z0 = find_coexistence_point(model, m, n, z, radius=0.1 * model.domain.min_side)
     eps_max = max(eps_list)
-    n_max = max(int(L) ** d for L in L_list)
     v_gap = abs(eval_v(model, m, z0) - eval_v(model, n, z0))
     step = min(0.01 * model.domain.min_side, math.pi / (2.0 * n_max * v_gap))
     max_steps = int(math.ceil(1.3 * eps_max / step)) + 4

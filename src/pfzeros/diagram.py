@@ -18,7 +18,7 @@ from .errors import (
     SpuriousRootError,
     ValidationError,
 )
-from .model import ModelSpec, _require_finite, eval_v, stability
+from .model import ModelSpec, _pair_gap, _require_finite, eval_v, stability
 
 # Residual kept on the level set by re-projection.
 TOL_PROJECT = 1e-12
@@ -87,22 +87,6 @@ class PhaseDiagram:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _pair_funcs(model: ModelSpec, m: int, n: int):
-    model.check_phase(m)
-    model.check_phase(n)
-    if m == n:
-        raise ValidationError("phase pair must be distinct")
-    pm, pn = model.phases[m], model.phases[n]
-
-    def phi(z):
-        return (pm.log_weight(z) - pn.log_weight(z)).real
-
-    def dh(z):
-        return pm.log_weight_deriv(z) - pn.log_weight_deriv(z)
-
-    return phi, dh
-
-
 def find_coexistence_point(
     model: ModelSpec,
     m: int,
@@ -122,13 +106,13 @@ def find_coexistence_point(
     seed = _require_finite(seed, "seed")
     if not model.domain.contains(seed, pad=radius):
         raise ValidationError(f"seed {seed} too far outside domain")
-    phi, dh = _pair_funcs(model, m, n)
+    h, dh = _pair_gap(model, m, n)
     g = dh(seed)
     # d phi/dx = Re h', d phi/dy = -Im h'
     axis = 1.0 if abs(g.real) >= abs(g.imag) else 1.0j
 
     def f(t: float) -> float:
-        return phi(seed + t * axis)
+        return h(seed + t * axis).real
 
     ts = np.linspace(-radius, radius, 17)
     vals = [f(t) for t in ts]
@@ -167,10 +151,11 @@ def find_coexistence_point(
     )
 
 
-def _project_onto_level(phi, dh, z: complex, target: float = 0.0, tol: float = TOL_PROJECT):
-    """Full 2D Newton transverse to the level set phi = target."""
+def _project_onto_level(h, dh, z: complex, target: float = 0.0, tol: float = TOL_PROJECT):
+    """Full 2D Newton transverse to the level set Re h = target, for an
+    exponent gap h with derivative dh."""
     for _ in range(12):
-        r = phi(z) - target
+        r = h(z).real - target
         if abs(r) <= tol:
             return z
         g = dh(z)
@@ -178,7 +163,7 @@ def _project_onto_level(phi, dh, z: complex, target: float = 0.0, tol: float = T
         if g2 < 1e-24:
             raise NoConvergenceError("vanishing exponent-gap gradient during projection", z)
         z = z - r * g.conjugate() / g2
-    if abs(phi(z) - target) <= 100 * tol:
+    if abs(h(z).real - target) <= 100 * tol:
         return z
     raise NoConvergenceError("projection onto the coexistence level set stalled", z)
 
@@ -196,7 +181,7 @@ def _third_phase(model: ModelSpec, pair, z: complex, eps: float):
 
 def _trace_one_direction(model, m, n, z0, step, max_steps, sign, eps_mp):
     """Integrate the level-set ODE one way; returns (points, termination)."""
-    phi, dh = _pair_funcs(model, m, n)
+    h, dh = _pair_gap(model, m, n)
 
     def tangent(z):
         g = dh(z)
@@ -214,7 +199,7 @@ def _trace_one_direction(model, m, n, z0, step, max_steps, sign, eps_mp):
             k3 = tangent(z + 0.5 * step * k2)
             k4 = tangent(z + step * k3)
             z_new = z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            z_new = _project_onto_level(phi, dh, z_new)
+            z_new = _project_onto_level(h, dh, z_new)
         except NoConvergenceError as exc:
             return pts, Termination(TERM_PROJECTION, mp_seed=exc.last_iterate)
         if not model.domain.contains(z_new):
@@ -250,12 +235,11 @@ def trace_curve(
         raise ValidationError(f"step must be positive, got {step}")
     if not model.domain.contains(z0):
         raise ValidationError(f"z0 {z0} outside domain")
-    phi, dh = _pair_funcs(model, m, n)
-    if abs(phi(z0)) > TOL_CURVE:
-        raise ValidationError(
-            f"z0 is not a coexistence point of ({m},{n}): |phi|={abs(phi(z0)):.3e}"
-        )
-    z0 = _project_onto_level(phi, dh, z0)
+    h, dh = _pair_gap(model, m, n)
+    phi0 = abs(h(z0).real)
+    if phi0 > TOL_CURVE:
+        raise ValidationError(f"z0 is not a coexistence point of ({m},{n}): |phi|={phi0:.3e}")
+    z0 = _project_onto_level(h, dh, z0)
 
     fwd, term_fwd = _trace_one_direction(model, m, n, z0, step, max_steps, +1.0, eps_mp)
     if term_fwd.kind == TERM_LOOP:
@@ -297,15 +281,16 @@ def find_multiple_point(
     z = _require_finite(seed, "seed")
     if not model.domain.contains(z):
         raise ValidationError(f"seed {seed} outside domain")
-    pa, pb, pc = model.phases[a], model.phases[b], model.phases[c]
+    h1, dh1 = _pair_gap(model, a, b)
+    h2, dh2 = _pair_gap(model, a, c)
 
     for _ in range(max_iter):
-        f1 = (pa.log_weight(z) - pb.log_weight(z)).real
-        f2 = (pa.log_weight(z) - pc.log_weight(z)).real
+        f1 = h1(z).real
+        f2 = h2(z).real
         if max(abs(f1), abs(f2)) <= tol:
             break
-        g1 = pa.log_weight_deriv(z) - pb.log_weight_deriv(z)
-        g2 = pa.log_weight_deriv(z) - pc.log_weight_deriv(z)
+        g1 = dh1(z)
+        g2 = dh2(z)
         # Jacobian of (f1, f2) in (x, y)
         j11, j12 = g1.real, -g1.imag
         j21, j22 = g2.real, -g2.imag
@@ -321,8 +306,7 @@ def find_multiple_point(
     else:
         raise NoConvergenceError(f"multiple-point Newton stalled for {triple}", z)
 
-    rep = stability(model, z) if model.domain.contains(z) else None
-    if rep is None:
+    if not model.domain.contains(z):
         raise NoConvergenceError("multiple-point Newton left the domain", z)
     re_p = np.real(model.log_weights(z))
     log_max = float(re_p.max())
@@ -338,23 +322,68 @@ def find_multiple_point(
     )
 
 
-def find_multiple_points(model: ModelSpec, grid=(41, 41)) -> list[MultiplePoint]:
-    """Scan a grid for triple ties and polish each into a multiple point."""
-    from .model import _multipoint_seeds
-
+def _scan_mesh(model: ModelSpec, grid):
+    """Seed-scan mesh of the domain, its cell size, and the slack within
+    which a triple tie is detectable: the exponent spread across a few cells."""
     nx, ny = grid
+    if nx < 4 or ny < 4:
+        raise ValidationError("need at least 4 grid points per axis")
     mesh = model.domain.grid(nx, ny)
     cell = max(model.domain.width / (nx - 1), model.domain.height / (ny - 1))
     v_scale = float(np.abs(model.v_values(model.domain.center)).max()) + 1.0
-    found: list[MultiplePoint] = []
-    for seed, triple in _multipoint_seeds(model, mesh, slack=3.0 * cell * v_scale):
+    return mesh, cell, 3.0 * cell * v_scale
+
+
+def _coexistence_points(model: ModelSpec, m: int, n: int, mesh: np.ndarray, cell: float):
+    """Coexistence points of (m, n), each solved within one cell of the
+    midpoint of a mesh edge on which Re(P_m - P_n) changes sign; seeds that
+    do not converge are skipped."""
+    h, _ = _pair_gap(model, m, n)
+    sgn = np.signbit(h(mesh).real)
+    flip_h = np.nonzero(sgn[:, 1:] != sgn[:, :-1])
+    flip_v = np.nonzero(sgn[1:, :] != sgn[:-1, :])
+    seeds = [0.5 * (mesh[i, j] + mesh[i, j + 1]) for i, j in zip(*flip_h)]
+    seeds += [0.5 * (mesh[i, j] + mesh[i + 1, j]) for i, j in zip(*flip_v)]
+    for seed in seeds:
+        try:
+            z = find_coexistence_point(model, m, n, seed, radius=cell)
+        except NoConvergenceError:
+            continue
+        yield z
+
+
+def _multiple_points(model: ModelSpec, mesh: np.ndarray, cell: float, slack: float):
+    """Multiple points solved from the mesh points where at least three
+    exponents tie to within slack, each seeded with its top three phases.
+
+    Yields (z, MultiplePoint) per new solution and (seed, None) per seed whose
+    tie is degenerate (SingularityError or SpuriousRootError); seeds that do
+    not converge are skipped. A solution within 1e-8, or a degenerate seed
+    within two cells, of a point already yielded is a repeat.
+    """
+    re_p = np.real(model.log_weights(mesh))
+    near = np.sum(re_p >= np.max(re_p, axis=0) - slack, axis=0)
+    seen: list[complex] = []
+    for i, j in zip(*np.nonzero(near >= 3)):
+        seed = complex(mesh[i, j])
+        triple = tuple(int(k) for k in np.argsort(re_p[:, i, j])[::-1][:3])
         try:
             mp = find_multiple_point(model, triple, seed)
-        except (NoConvergenceError, SingularityError, SpuriousRootError, ValidationError):
+            z, radius = mp.z, 1e-8
+        except NoConvergenceError:
             continue
-        if any(abs(mp.z - other.z) < 1e-8 for other in found):
+        except (SingularityError, SpuriousRootError):
+            mp, z, radius = None, seed, 2.0 * cell
+        if any(abs(z - p) < radius for p in seen):
             continue
-        found.append(mp)
+        seen.append(z)
+        yield z, mp
+
+
+def find_multiple_points(model: ModelSpec, grid=(41, 41)) -> list[MultiplePoint]:
+    """Scan a grid for triple ties and polish each into a multiple point."""
+    mesh, cell, slack = _scan_mesh(model, grid)
+    found = [mp for _, mp in _multiple_points(model, mesh, cell, slack) if mp is not None]
     found.sort(key=lambda p: (p.z.real, p.z.imag))
     return found
 
@@ -387,11 +416,7 @@ def build_phase_diagram(
 ) -> PhaseDiagram:
     """Seed curves from grid-edge sign changes, trace, deduplicate, and
     attach arcs to multiple points, checking the expected local topology."""
-    from .model import _coexistence_seeds
-
-    nx, ny = grid
-    mesh = model.domain.grid(nx, ny)
-    cell = max(model.domain.width / (nx - 1), model.domain.height / (ny - 1))
+    mesh, cell, _ = _scan_mesh(model, grid)
     if step is None:
         step = 1e-2 * model.domain.min_side
     if max_steps is None:
@@ -402,11 +427,7 @@ def build_phase_diagram(
     for m in range(model.r):
         for n in range(m + 1, model.r):
             traced_pts: list[np.ndarray] = []
-            for seed in _coexistence_seeds(model, m, n, mesh):
-                try:
-                    z = find_coexistence_point(model, m, n, seed, radius=cell)
-                except NoConvergenceError:
-                    continue
+            for z in _coexistence_points(model, m, n, mesh, cell):
                 rep = stability(model, z, eps_list=(TOL_CURVE,))
                 if not {m, n} <= rep.eps_stable_sets[TOL_CURVE]:
                     continue  # on the level set but not on the phase diagram

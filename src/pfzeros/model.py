@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoConvergenceError,
-    SingularityError,
-    SpuriousRootError,
-    ValidationError,
-)
+from .errors import DomainError, ValidationError
 
 # Stability tolerance, relative to log_max. Exact ties occur only on
 # measure-zero sets; symmetry-aware tests cover the cases we assert.
@@ -70,10 +64,14 @@ class Rectangle:
     def center(self) -> complex:
         return complex(0.5 * (self.re_lo + self.re_hi), 0.5 * (self.im_lo + self.im_hi))
 
-    def contains(self, z: complex, pad: float = 0.0) -> bool:
+    def contains(self, z, pad: float = 0.0):
+        """Whether z lies in the closed rectangle grown by pad; elementwise
+        for an array z."""
         return (
-            self.re_lo - pad <= z.real <= self.re_hi + pad
-            and self.im_lo - pad <= z.imag <= self.im_hi + pad
+            (self.re_lo - pad <= z.real)
+            & (z.real <= self.re_hi + pad)
+            & (self.im_lo - pad <= z.imag)
+            & (z.imag <= self.im_hi + pad)
         )
 
     def corners(self) -> list[complex]:
@@ -93,11 +91,15 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One phase: a name, an integer degeneracy, and exponent coefficients c_0..c_k."""
+    """One phase: a name, an integer degeneracy, and exponent coefficients c_0..c_k.
+
+    The derivative coefficients are formed once, at construction.
+    """
 
     name: str
     degeneracy: int
     exponent: tuple[complex, ...]
+    derivative: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degeneracy < 1:
@@ -107,6 +109,7 @@ class PhaseSpec:
         object.__setattr__(self, "exponent", tuple(complex(c) for c in self.exponent))
         for c in self.exponent:
             _require_finite(c, f"phase {self.name!r} coefficient")
+        object.__setattr__(self, "derivative", _polyder(self.exponent))
 
     def log_weight(self, z):
         """P(z), scalar or elementwise on arrays."""
@@ -114,12 +117,18 @@ class PhaseSpec:
 
     def log_weight_deriv(self, z):
         """P'(z)."""
-        return _polyval(_polyder(self.exponent), z)
+        return _polyval(self.derivative, z)
 
 
-def _polyval(coeffs: tuple[complex, ...], z):
-    acc = 0j if np.isscalar(z) else np.zeros(np.shape(z), dtype=complex)
-    for c in reversed(coeffs):
+def _polyval(coeffs, z):
+    """sum_j coeffs[j] z^j by Horner's rule: the one exponent kernel.
+
+    z is a scalar or an array; the coefficients are scalars or arrays that
+    broadcast against z (a coefficient matrix evaluates several polynomials
+    at once).
+    """
+    acc = 0j * z + coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
 
@@ -128,6 +137,37 @@ def _polyder(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     if len(coeffs) == 1:
         return (0j,)
     return tuple(j * c for j, c in enumerate(coeffs) if j > 0)
+
+
+def _pair_gap(source, m: int, n: int):
+    """The exponent gap h = P_m - P_n of two distinct phases and its
+    derivative h', as two functions of a scalar or array z.
+
+    source is a ModelSpec, or a FiniteVolumeModel whose finite-volume
+    exponents P_m + e^{-tau L} u_m are used. Each side is its own Horner
+    evaluation, so h(z) equals the difference of the two log weights.
+    """
+    source.check_phase(m)
+    source.check_phase(n)
+    if m == n:
+        raise ValidationError("phase pair must be distinct")
+    cm, cn = source.exponents[m], source.exponents[n]
+    dm, dn = source.derivatives[m], source.derivatives[n]
+
+    def h(z):
+        return _polyval(cm, z) - _polyval(cn, z)
+
+    def dh(z):
+        return _polyval(dm, z) - _polyval(dn, z)
+
+    return h, dh
+
+
+def _volume(L: int, d: int) -> int:
+    """The volume N = L^d of a side L >= 1 in dimension d >= 1."""
+    if L < 1 or d < 1:
+        raise ValidationError(f"L and d must be positive integers, got L={L}, d={d}")
+    return int(L) ** int(d)
 
 
 @dataclass(frozen=True)
@@ -164,6 +204,14 @@ class ModelSpec:
     @property
     def degeneracies(self) -> tuple[int, ...]:
         return tuple(p.degeneracy for p in self.phases)
+
+    @property
+    def exponents(self) -> tuple[tuple[complex, ...], ...]:
+        return tuple(p.exponent for p in self.phases)
+
+    @property
+    def derivatives(self) -> tuple[tuple[complex, ...], ...]:
+        return tuple(p.derivative for p in self.phases)
 
     def log_weights(self, z) -> np.ndarray:
         """All P_m(z) stacked along the first axis."""
@@ -218,7 +266,8 @@ class FiniteVolumeModel:
 
     The finite-volume exponent of phase m is P_m(z) + e^{-tau L} u_m(z) with
     sup |u_m| <= 1 over the domain, so the log-ratio bound holds by
-    construction. The synthetic error term is
+    construction. Its coefficients, padded to a common length, and their
+    derivatives are formed once, at construction. The synthetic error term is
     Xi(z) = xi_strength * e^{-tau L} * N * sum_m q_m zeta_m^{(L)}(z)^N,
     analytic and within the admissible envelope.
     """
@@ -231,6 +280,21 @@ class FiniteVolumeModel:
     kappa: float
     perturbations: tuple[tuple[complex, ...], ...]
     xi_strength: float
+    exponents: tuple[tuple[complex, ...], ...] = field(init=False, repr=False, compare=False)
+    derivatives: tuple[tuple[complex, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eps = self.perturbation_scale()
+        deg = max(len(c) for c in self.base.exponents + tuple(self.perturbations))
+        rows = []
+        for c, u in zip(self.base.exponents, self.perturbations):
+            row = np.zeros(deg, dtype=complex)
+            row[: len(c)] += np.asarray(c)
+            if any(u):
+                row[: len(u)] += eps * np.asarray(u)
+            rows.append(tuple(row.tolist()))
+        object.__setattr__(self, "exponents", tuple(rows))
+        object.__setattr__(self, "derivatives", tuple(_polyder(row) for row in rows))
 
     @property
     def phases(self):
@@ -244,28 +308,21 @@ class FiniteVolumeModel:
     def degeneracies(self) -> tuple[int, ...]:
         return self.base.degeneracies
 
+    def check_phase(self, m: int) -> int:
+        return self.base.check_phase(m)
+
     def perturbation_scale(self) -> float:
         return math.exp(-self.tau * self.L)
 
     def log_weight_L(self, m: int, z):
         """log zeta_m^{(L)}(z) = P_m(z) + e^{-tau L} u_m(z)."""
-        self.base.check_phase(m)
-        val = self.base.phases[m].log_weight(z)
-        u = self.perturbations[m]
-        if any(u):
-            val = val + self.perturbation_scale() * _polyval(u, z)
-        return val
+        return _polyval(self.exponents[self.check_phase(m)], z)
 
     def log_weight_L_deriv(self, m: int, z):
-        self.base.check_phase(m)
-        val = self.base.phases[m].log_weight_deriv(z)
-        u = self.perturbations[m]
-        if any(u):
-            val = val + self.perturbation_scale() * _polyval(_polyder(u), z)
-        return val
+        return _polyval(self.derivatives[self.check_phase(m)], z)
 
     def log_weights_L(self, z) -> np.ndarray:
-        return np.stack([self.log_weight_L(m, np.asarray(z)) for m in range(self.base.r)])
+        return np.stack([_polyval(c, np.asarray(z)) for c in self.exponents])
 
 
 # ---------------------------------------------------------------------------
@@ -322,58 +379,28 @@ def in_stability_region(model: ModelSpec, z: complex, eps: float, q_set) -> bool
     return all(re_p[m] > log_max - eps for m in q_set)
 
 
-def in_two_phase_region(model: ModelSpec, z: complex, eps: float, q_set) -> bool:
+def in_two_phase_region(model: ModelSpec, z, eps: float, q_set):
     """True if z lies in the region where exactly the phases of q_set are
     almost stable: all of q_set within eps of the top, everything else
-    strictly below the top by more than eps/2."""
-    q_set = frozenset(q_set)
+    strictly below the top by more than eps/2. Elementwise for an array z."""
     re_p = np.real(model.log_weights(z))
-    log_max = re_p.max()
-    for m in range(model.r):
-        if m in q_set:
-            if not re_p[m] > log_max - eps:
-                return False
-        elif re_p[m] >= log_max - eps / 2:
-            return False
-    return True
+    log_max = re_p.max(axis=0)
+    in_q = np.isin(np.arange(model.r), list(q_set))
+    return np.all(re_p[in_q] > log_max - eps, axis=0) & np.all(
+        re_p[~in_q] < log_max - eps / 2, axis=0
+    )
 
 
-def in_coexistence_strip(model: ModelSpec, z: complex, eps: float) -> bool:
+def in_coexistence_strip(model: ModelSpec, z, eps: float):
     """True where no single phase dominates by more than eps/2, i.e. the
-    second-largest exponent real part is within eps/2 of the largest."""
-    re_p = np.sort(np.real(model.log_weights(z)))
-    return bool(re_p[-2] >= re_p[-1] - eps / 2)
+    second-largest exponent real part is within eps/2 of the largest.
+    Elementwise for an array z."""
+    re_p = np.sort(np.real(model.log_weights(z)), axis=0)
+    return re_p[-2] >= re_p[-1] - eps / 2
 
 
 # ---------------------------------------------------------------------------
 # Assumption checks
-
-
-def _coexistence_seeds(model: ModelSpec, m: int, n: int, grid: np.ndarray):
-    """Midpoints of grid edges on which Re(P_m - P_n) changes sign."""
-    phi = np.real(model.phases[m].log_weight(grid) - model.phases[n].log_weight(grid))
-    seeds = []
-    sgn = np.signbit(phi)
-    flip_h = sgn[:, 1:] != sgn[:, :-1]
-    flip_v = sgn[1:, :] != sgn[:-1, :]
-    for i, j in zip(*np.nonzero(flip_h)):
-        seeds.append(0.5 * (grid[i, j] + grid[i, j + 1]))
-    for i, j in zip(*np.nonzero(flip_v)):
-        seeds.append(0.5 * (grid[i, j] + grid[i + 1, j]))
-    return seeds
-
-
-def _multipoint_seeds(model: ModelSpec, grid: np.ndarray, slack: float):
-    """Grid points where at least three exponents tie to within slack."""
-    re_p = np.real(model.log_weights(gr := grid))
-    top = np.max(re_p, axis=0)
-    near = np.sum(re_p >= top - slack, axis=0)
-    out = []
-    for i, j in zip(*np.nonzero(near >= 3)):
-        re_here = re_p[:, i, j]
-        triple = tuple(int(k) for k in np.argsort(re_here)[::-1][:3])
-        out.append((complex(gr[i, j]), triple))
-    return out
 
 
 def convexity_margin(points: list[complex]) -> float:
@@ -401,14 +428,10 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
     """Sample the domain and test positivity, pairwise non-degeneracy of the
     logarithmic derivatives on coexistence sets, and strict convexity of the
     derivative polygon at multiple points."""
-    from .diagram import find_coexistence_point, find_multiple_point
+    # diagram imports this module, so its seed scans are imported on use
+    from .diagram import _coexistence_points, _multiple_points, _scan_mesh
 
-    nx, ny = grid
-    if nx < 4 or ny < 4:
-        raise ValidationError("need at least 4 grid points per axis")
-    mesh = model.domain.grid(nx, ny)
-    cell = max(model.domain.width / (nx - 1), model.domain.height / (ny - 1))
-
+    mesh, cell, slack = _scan_mesh(model, grid)
     log_max_grid = np.max(np.real(model.log_weights(mesh)), axis=0)
     positivity_min = float(np.exp(log_max_grid.min()))
     positivity_ok = positivity_min > 0.0
@@ -419,11 +442,7 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
     for m in range(model.r):
         for n in range(m + 1, model.r):
             pts: list[complex] = []
-            for seed in _coexistence_seeds(model, m, n, mesh):
-                try:
-                    z = find_coexistence_point(model, m, n, seed, radius=cell)
-                except NoConvergenceError:
-                    continue
+            for z in _coexistence_points(model, m, n, mesh, cell):
                 if any(abs(z - p) < 0.5 * cell for p in pts):
                     continue
                 pts.append(z)
@@ -434,29 +453,14 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
             pair_samples[(m, n)] = pts
 
     convexity_results: list[tuple[complex, bool, float]] = []
-    seen_mp: list[complex] = []
-    # Slack scaled to the grid: a triple tie is detectable once the exponent
-    # spread across one cell exceeds it.
-    v_scale = float(np.abs(model.v_values(model.domain.center)).max()) + 1.0
-    for seed, triple in _multipoint_seeds(model, mesh, slack=3.0 * cell * v_scale):
-        try:
-            mp = find_multiple_point(model, triple, seed)
-            z_mp = mp.z
-        except NoConvergenceError:
-            continue
-        except (SingularityError, SpuriousRootError):
+    for z_mp, mp in _multiple_points(model, mesh, cell, slack):
+        if mp is None:
             # the tie structure itself is the diagnostic: a degenerate tie
             # set cannot carry a strictly convex derivative polygon
-            if not any(abs(seed - p) < 2.0 * cell for p in seen_mp):
-                seen_mp.append(seed)
-                convexity_results.append((seed, False, 0.0))
-                violations.append(AssumptionViolation(seed, "A4", 0.0))
+            convexity_results.append((z_mp, False, 0.0))
+            violations.append(AssumptionViolation(z_mp, "A4", 0.0))
             continue
-        if any(abs(z_mp - p) < 1e-8 for p in seen_mp):
-            continue
-        seen_mp.append(z_mp)
-        vs = [eval_v(model, k, z_mp) for k in sorted(mp.stable_set)]
-        margin = convexity_margin(vs)
+        margin = convexity_margin([mp.v_values[k] for k in mp.stable_set])
         ok = margin > 0.0
         convexity_results.append((z_mp, ok, margin))
         if not ok:
@@ -493,8 +497,7 @@ def finite_volume(
     u_m; each non-zero u_m is rescaled so its sup over the domain grid
     equals 1, which keeps the log-ratio within e^{-tau L} by construction.
     """
-    if L < 1 or d < 1:
-        raise ValidationError(f"L and d must be positive integers, got L={L}, d={d}")
+    N = _volume(L, d)
     if tau <= 0:
         raise ValidationError(f"tau must be positive, got {tau}")
     if kappa <= 0:
@@ -520,7 +523,7 @@ def finite_volume(
         base=model,
         L=int(L),
         d=int(d),
-        N=int(L) ** int(d),
+        N=N,
         tau=float(tau),
         kappa=float(kappa),
         perturbations=tuple(scaled),
@@ -549,15 +552,19 @@ def symmetric_pair_perturbation(seed: int, degree: int = 3):
     return u_plus, u_minus
 
 
-def xi_normalized(fvm: FiniteVolumeModel, z) -> complex:
-    """Synthetic error term divided by zeta(z)^N, evaluated in log space."""
-    logw = fvm.log_weights_L(np.asarray(z))
-    log_max = np.max(np.real(fvm.base.log_weights(np.asarray(z))), axis=0)
+def _dominant_sum(fvm: FiniteVolumeModel, z):
+    """sum_m q_m zeta_m^{(L)}(z)^N / zeta(z)^N, with zeta(z) = max_m |zeta_m(z)|
+    of the infinite-volume weights, evaluated in log space."""
+    z = np.asarray(z)
+    log_max = np.max(np.real(fvm.base.log_weights(z)), axis=0)
     q = np.asarray(fvm.degeneracies, dtype=float)
-    terms = np.exp(fvm.N * (logw - log_max))
-    s = np.tensordot(q, terms, axes=(0, 0))
-    out = fvm.xi_strength * math.exp(-fvm.tau * fvm.L) * fvm.N * s
-    return complex(out) if np.isscalar(z) or np.shape(z) == () else out
+    return np.tensordot(q, np.exp(fvm.N * (fvm.log_weights_L(z) - log_max)), axes=(0, 0))
+
+
+def xi_normalized(fvm: FiniteVolumeModel, z):
+    """Synthetic error term divided by zeta(z)^N, evaluated in log space."""
+    out = fvm.xi_strength * math.exp(-fvm.tau * fvm.L) * fvm.N * _dominant_sum(fvm, z)
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,15 @@ from .model import (
     FiniteVolumeModel,
     ModelSpec,
     Rectangle,
+    _dominant_sum,
+    _pair_gap,
     _polyder,
+    _polyval,
     _require_finite,
+    _volume,
+    almost_stable_set,
     convexity_margin,
+    in_coexistence_strip,
     in_two_phase_region,
 )
 
@@ -104,7 +110,7 @@ class ZeroSet:
             if any(j < i and j not in dropped for j in near[i]):
                 dropped.add(i)
         unique = [zeros[k] for i, k in enumerate(order) if i not in dropped]
-        return cls(zeros=tuple(unique), region=region, L=int(L), d=int(d), N=int(L) ** int(d))
+        return cls(zeros=tuple(unique), region=region, L=int(L), d=int(d), N=_volume(L, d))
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -170,6 +176,12 @@ class AsymptoteLine:
 # Exponential sums
 
 
+def _polyval_rows(cols: np.ndarray, z):
+    """All polynomials of a (D+1, K) coefficient matrix at z: shape (K,) + z.shape."""
+    z = np.asarray(z)
+    return _polyval(cols.reshape(cols.shape + (1,) * z.ndim), z)
+
+
 class _ExpSum:
     """value(z) = scale * sum_k weights[k] * exp(poly_k(z)); zeros do not
     depend on the positive scale, which is kept only for faithful values."""
@@ -177,27 +189,16 @@ class _ExpSum:
     def __init__(self, weights, coeff_cols, scale: float = 1.0):
         self.w = np.asarray(weights, dtype=complex)
         c = np.asarray(coeff_cols, dtype=complex)  # (K, D+1)
-        self.c = c.T.copy()  # polyval wants coefficients along the first axis
+        self.c = c.T.copy()  # coefficients along the first axis
         dc = np.array([_polyder(tuple(row)) for row in c], dtype=complex)
         self.dc = dc.T.copy()
         self.scale = float(scale)
 
     @classmethod
     def from_fvm(cls, fvm: FiniteVolumeModel) -> "_ExpSum":
-        eps = fvm.perturbation_scale()
-        deg = max(
-            max(len(p.exponent) for p in fvm.phases),
-            max(len(u) for u in fvm.perturbations),
-        )
-        rows = []
-        for p, u in zip(fvm.phases, fvm.perturbations):
-            row = np.zeros(deg, dtype=complex)
-            row[: len(p.exponent)] += np.asarray(p.exponent)
-            if any(u):
-                row[: len(u)] += eps * np.asarray(u)
-            rows.append(fvm.N * row)
-        scale = 1.0 + fvm.xi_strength * fvm.N * eps
-        return cls(np.asarray(fvm.degeneracies, dtype=float), np.array(rows), scale)
+        rows = fvm.N * np.array(fvm.exponents, dtype=complex)
+        scale = 1.0 + fvm.xi_strength * fvm.N * fvm.perturbation_scale()
+        return cls(np.asarray(fvm.degeneracies, dtype=float), rows, scale)
 
     @classmethod
     def from_multipoint(cls, qs, phis, vs) -> "_ExpSum":
@@ -206,12 +207,11 @@ class _ExpSum:
         return cls(weights, np.array(rows, dtype=complex))
 
     def exponents(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z), self.c, tensor=True)
+        return _polyval_rows(self.c, z)
 
     def deriv_bound(self, pts) -> float:
         """max_k |g_k'| over sample points, the smooth phase-rate scale."""
-        gp = np.polynomial.polynomial.polyval(np.asarray(pts), self.dc, tensor=True)
-        return float(np.abs(gp).max())
+        return float(np.abs(_polyval_rows(self.dc, pts)).max())
 
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
@@ -223,7 +223,7 @@ class _ExpSum:
     def newton_step(self, z: complex) -> complex:
         """value / derivative with the shared normalization cancelled."""
         g = self.exponents(z)
-        gp = np.polynomial.polynomial.polyval(z, self.dc, tensor=True)
+        gp = _polyval_rows(self.dc, z)
         m = np.max(g.real, axis=0)
         e = np.exp(g - m)
         num = np.dot(self.w, e)
@@ -332,12 +332,11 @@ def winding_number(fvm: FiniteVolumeModel, contour) -> int:
     es = _ExpSum.from_fvm(fvm)
     if isinstance(contour, Rectangle):
         mp, length = _rect_contour(contour)
-    elif isinstance(contour, tuple) and len(contour) == 2 and np.isscalar(contour[1]):
+    elif isinstance(contour, tuple) and len(contour) == 2 and np.ndim(contour[1]) == 0:
         mp, length = _circle_contour(complex(contour[0]), float(contour[1]))
     else:
         mp, length = _polyline_contour(contour)
-    probe = mp(np.linspace(0.0, 1.0, 64))
-    if not all(fvm.domain.contains(complex(z)) for z in probe):
+    if not fvm.domain.contains(mp(np.linspace(0.0, 1.0, 64))).all():
         raise ValidationError(f"contour leaves the model domain {fvm.domain}")
     return _winding_adaptive(es.value_normalized, mp, _initial_nodes(es, mp, length))
 
@@ -495,12 +494,8 @@ def eval_logZ_normalized(fvm: FiniteVolumeModel, z: complex) -> complex:
     z = _require_finite(z)
     if not fvm.domain.contains(z):
         raise DomainError(f"{z} outside model domain")
-    log_max = float(np.max(np.real(fvm.base.log_weights(z))))
-    acc = 0j
-    for m in range(fvm.base.r):
-        g = complex(fvm.log_weight_L(m, z))
-        acc += fvm.degeneracies[m] * cmath.exp(fvm.N * (g - log_max))
-    return acc * (1.0 + fvm.xi_strength * fvm.N * fvm.perturbation_scale())
+    scale = 1.0 + fvm.xi_strength * fvm.N * fvm.perturbation_scale()
+    return complex(_dominant_sum(fvm, z)) * scale
 
 
 def find_zeros_region(
@@ -530,37 +525,6 @@ def find_zeros_region(
 # Predicted zeros: two-phase balance equations
 
 
-def _source_weights(source, m, n, L, d):
-    if isinstance(source, FiniteVolumeModel):
-        base = source.base
-        L = source.L if L is None else L
-        d = source.d if d is None else d
-
-        def h(z):
-            return source.log_weight_L(m, z) - source.log_weight_L(n, z)
-
-        def dh(z):
-            return source.log_weight_L_deriv(m, z) - source.log_weight_L_deriv(n, z)
-
-    elif isinstance(source, ModelSpec):
-        base = source
-        if L is None or d is None:
-            raise ValidationError("L and d are required when predicting from a bare model")
-        pm, pn = base.phases[m], base.phases[n]
-
-        def h(z):
-            return pm.log_weight(z) - pn.log_weight(z)
-
-        def dh(z):
-            return pm.log_weight_deriv(z) - pn.log_weight_deriv(z)
-
-    else:
-        raise ValidationError(f"expected ModelSpec or FiniteVolumeModel, got {type(source)}")
-    base.check_phase(m)
-    base.check_phase(n)
-    return base, h, dh, int(L), int(d)
-
-
 def predict_two_phase(
     source,
     m: int,
@@ -581,22 +545,25 @@ def predict_two_phase(
     """
     if curve.pair != (m, n) and curve.pair != (n, m):
         raise ValidationError(f"curve belongs to pair {curve.pair}, not ({m},{n})")
-    base, h, dh, L, d = _source_weights(source, m, n, L, d)
-    N = L**d
-    q = base.degeneracies
+    if isinstance(source, FiniteVolumeModel):
+        L = source.L if L is None else L
+        d = source.d if d is None else d
+    elif not isinstance(source, ModelSpec):
+        raise ValidationError(f"expected ModelSpec or FiniteVolumeModel, got {type(source)}")
+    elif L is None or d is None:
+        raise ValidationError("L and d are required when predicting from a bare model")
+    N = _volume(L, d)
+    h, dh = _pair_gap(source, m, n)
+    q = source.degeneracies
     target_mod = math.log(q[n] / q[m]) / N
 
-    def phi_mod(z):
-        return h(z).real
-
-    shifted = []
-    for s in curve.samples:
-        z = _project_onto_level(phi_mod, dh, s.z, target=target_mod, tol=1e-13)
-        shifted.append(z)
+    shifted = [
+        _project_onto_level(h, dh, s.z, target=target_mod, tol=1e-13) for s in curve.samples
+    ]
     theta = [N * h(z).imag for z in shifted]
 
     def theta_at(za: complex, zb: complex, s: float) -> tuple[float, complex]:
-        z = _project_onto_level(phi_mod, dh, za + s * (zb - za), target=target_mod, tol=1e-13)
+        z = _project_onto_level(h, dh, za + s * (zb - za), target=target_mod, tol=1e-13)
         return N * h(z).imag, z
 
     zeros: list[Zero] = []
@@ -671,7 +638,7 @@ def predict_multipoint(
         raise ValidationError("multipoint prediction needs at least three coexisting phases")
     if rho_L <= 0:
         raise ValidationError("rho_L must be positive")
-    N = int(L) ** int(d)
+    N = _volume(L, d)
     R = N * rho_L
     if R < 10.0:
         warnings.warn(
@@ -759,7 +726,7 @@ def delta_L(
     Q = tuple(Q)
     if len(Q) != 2:
         raise ValidationError(f"delta_L needs a two-phase set, got {Q}")
-    N = int(L) ** int(d)
+    N = _volume(L, d)
     if N * gamma_L / math.log(max(L, 2)) <= 4 * d:
         warnings.warn(
             f"gamma_L={gamma_L:.3g} fails the growth condition at L={L} "
@@ -843,8 +810,6 @@ def degeneracy_audit(
     set Q at eps = kappa/L, and must not sit where one phase dominates all
     others by more than omega_L/(2N).
     """
-    from .model import almost_stable_set
-
     if omega_L is None:
         omega_L = math.log(fvm.N)
     eps_q = fvm.kappa / fvm.L
@@ -858,8 +823,7 @@ def degeneracy_audit(
             bound = min(bound, len(tuple(region_Q)) - 1)
         mult_ok = w.multiplicity <= max(bound, 0)
         isolated = None
-        re_p = np.sort(np.real(fvm.base.log_weights(w.z)))
-        if re_p[-2] < re_p[-1] - 0.5 * eps_single:
+        if not in_coexistence_strip(fvm.base, w.z, eps_single):
             isolated = int(np.argmax(np.real(fvm.base.log_weights(w.z))))
         entries.append(DegeneracyEntry(w.z, w.multiplicity, q_set, mult_ok, isolated))
         if not mult_ok:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from pfzeros import (
@@ -12,6 +11,7 @@ from pfzeros import (
     SingularityError,
     ValidationError,
     covering_check,
+    find_multiple_points,
     find_zeros_region,
     finite_volume,
     lee_yang_audit,
@@ -19,20 +19,9 @@ from pfzeros import (
     symmetric_pair_perturbation,
     vandermonde_report,
 )
-from pfzeros.analysis import _hermitian_eigenvalues
+from pfzeros.model import in_coexistence_strip, in_two_phase_region
 
-from conftest import lee_yang_model
-
-
-def test_jacobi_eigenvalues_match_numpy():
-    rng = np.random.default_rng(5)
-    for n in (2, 3, 4, 6):
-        for _ in range(5):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = a @ a.conj().T + np.eye(n)  # Hermitian positive definite
-            got = _hermitian_eigenvalues(h)
-            want = np.sort(np.linalg.eigvalsh(h))
-            assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
+from conftest import lee_yang_model, three_phase_model
 
 
 def test_vandermonde_two_phase(m2):
@@ -167,6 +156,47 @@ def test_covering_rho_zero_uncovers_multiple_point(m3):
     assert not rep.covered
     assert all(abs(z) <= 0.05 for z in rep.uncovered)
     assert any(abs(z) <= 1e-12 for z in rep.uncovered)
+
+
+def covering_reference(model, domain, N, omega_L, gamma_L, rho_L, grid, multiple_points):
+    """The covering check as a loop over grid points with the scalar predicates:
+    (checked, in_strip, uncovered, required_rho)."""
+    pairs = [(m, n) for m in range(model.r) for n in range(m + 1, model.r)]
+    checked = in_strip = 0
+    uncovered, required_rho = [], 0.0
+    for z in domain.grid(*grid).ravel():
+        z = complex(z)
+        if not model.domain.contains(z):
+            continue
+        checked += 1
+        if not in_coexistence_strip(model, z, omega_L / N):
+            continue
+        in_strip += 1
+        if any(in_two_phase_region(model, z, gamma_L, q) for q in pairs):
+            continue
+        dist = min((abs(z - mp.z) for mp in multiple_points), default=math.inf)
+        required_rho = max(required_rho, dist)
+        if dist >= rho_L:
+            uncovered.append(z)
+    return checked, in_strip, uncovered, required_rho
+
+
+@pytest.mark.parametrize(
+    "model, domain, rho_scale",
+    [
+        (three_phase_model(), Rectangle(-1, 1, -1, 1), 1.0),
+        (three_phase_model(), Rectangle(-1, 1, -1, 1), 0.0),
+        (three_phase_model(qs=(1, 2, 1), shift=0.1 + 0.05j), Rectangle(-0.6, 1.4, -0.55, 1.45), 0.5),
+    ],
+)
+def test_covering_check_matches_point_loop(model, domain, rho_scale):
+    N = 1000
+    ln = math.log(N)
+    scales = dict(omega_L=ln, gamma_L=5 * ln / N, rho_L=rho_scale * ln / N, grid=(41, 41))
+    mps = find_multiple_points(model, (41, 41))
+    rep = covering_check(model, domain, L=N, d=1, multiple_points=mps, **scales)
+    want = covering_reference(model, domain, N, multiple_points=mps, **scales)
+    assert (rep.checked, rep.in_strip, rep.uncovered, rep.required_rho) == want
 
 
 def test_covering_validates_scales(m3):

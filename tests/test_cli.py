@@ -68,6 +68,29 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
         assert a.multiplicity == b.multiplicity
 
 
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ("two", ["predict-zeros", "--pair", "0,1", "--L", "0", "--box=-0.1,0.1,0,0.2"]),
+        ("two", ["predict-zeros", "--pair", "0,1", "--L", "100", "--d", "-1", "--box=-0.1,0.1,0,0.2"]),
+        ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1", "--L-list", "0"]),
+        ("three", ["covering", "--L", "0"]),
+        ("three", ["covering", "--L", "1"]),
+        ("three", ["multipoint", "--triple", "0,1,2", "--L", "0"]),
+        ("lee-yang", ["lee-yang", "--L", "10", "--minus", "5", "--box=-0.05,0.05,0,1",
+                      "--symmetric-seed", "3"]),
+        ("two", ["trace-diagram", "--grid", "1"]),
+    ],
+)
+def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
+    models = {"two": two_phase_model(), "three": three_phase_model(), "lee-yang": lee_yang_model()}
+    out = tmp_path / "out"
+    rc = main([argv[0], write_model(tmp_path, models[model]), *argv[1:], "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_read_zeros_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("re,im\n0.1,0.2\n")

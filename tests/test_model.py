@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfzeros as pfz
 from pfzeros import (
@@ -18,7 +20,7 @@ from pfzeros import (
     stability,
     xi_normalized,
 )
-from pfzeros.model import in_coexistence_strip, in_two_phase_region
+from pfzeros.model import _pair_gap, in_coexistence_strip, in_two_phase_region
 
 from conftest import OMEGA, collinear_model, three_phase_model, two_phase_model
 
@@ -85,6 +87,56 @@ def test_stability_shift_invariance(m3):
         for q in ({0, 1}, {0, 2}, {1, 2}):
             assert in_two_phase_region(m3, z, 0.3, q) == in_two_phase_region(shifted, z, 0.3, q)
         assert in_coexistence_strip(m3, z, 0.1) == in_coexistence_strip(shifted, z, 0.1)
+
+
+def test_array_predicates_match_scalar_calls(m3):
+    mesh = m3.domain.grid(41, 41)
+    strip = in_coexistence_strip(m3, mesh, 0.1)
+    assert strip.shape == mesh.shape and strip.any() and not strip.all()
+    for idx, z in np.ndenumerate(mesh):
+        assert strip[idx] == in_coexistence_strip(m3, complex(z), 0.1)
+    for q in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        region = in_two_phase_region(m3, mesh, 0.3, q)
+        assert region.shape == mesh.shape and region.any() and not region.all()
+        for idx, z in np.ndenumerate(mesh):
+            assert region[idx] == in_two_phase_region(m3, complex(z), 0.3, q)
+
+
+_coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(st.lists(_coeff, min_size=1, max_size=5), min_size=2, max_size=4),
+    zs=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**31),
+)
+def test_pair_gap_is_the_difference_of_log_weights(coeffs, zs, seed):
+    model = ModelSpec(
+        phases=tuple(PhaseSpec(f"p{k}", 1, tuple(c)) for k, c in enumerate(coeffs)),
+        domain=Rectangle(-1, 1, -1, 1),
+    )
+    fvm = finite_volume(model, L=2, d=1, tau=1.0, perturbation=pfz.random_perturbation(model, seed))
+    polyder = np.polynomial.polynomial.polyder
+    for p in model.phases:
+        assert p.derivative == tuple(polyder(np.array(p.exponent)))
+    for c, dc in zip(fvm.exponents, fvm.derivatives):
+        assert dc == tuple(polyder(np.array(c)))
+    points = [complex(z) for z in zs] + [np.array(zs, dtype=complex)]
+    for m in range(model.r):
+        for n in range(model.r):
+            if m == n:
+                continue
+            h, dh = _pair_gap(model, m, n)
+            h_L, dh_L = _pair_gap(fvm, m, n)
+            pm, pn = model.phases[m], model.phases[n]
+            for z in points:
+                assert np.all(h(z) == pm.log_weight(z) - pn.log_weight(z))
+                assert np.all(dh(z) == pm.log_weight_deriv(z) - pn.log_weight_deriv(z))
+                assert np.all(h_L(z) == fvm.log_weight_L(m, z) - fvm.log_weight_L(n, z))
+                assert np.all(
+                    dh_L(z) == fvm.log_weight_L_deriv(m, z) - fvm.log_weight_L_deriv(n, z)
+                )
 
 
 def test_m2_stable_sets_partition_plane(m2):

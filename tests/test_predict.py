@@ -11,11 +11,14 @@ from pfzeros import (
     PhaseSpec,
     Rectangle,
     ResolutionError,
+    ValidationError,
     Zero,
     ZeroSet,
     asymptote_lines,
+    covering_check,
     degeneracy_audit,
     delta_L,
+    density_convergence,
     find_multiple_point,
     find_zeros_region,
     finite_volume,
@@ -41,6 +44,20 @@ def m2_curve(model, N, span=0.25):
     v_gap = 2.0
     step = min(0.005, math.pi / (2 * N * v_gap))
     return trace_curve(model, 0, 1, 0j, step=step, max_steps=int(span / step))
+
+
+@pytest.mark.parametrize("L, d", [(0, 1), (10, 0), (10, -1)])
+def test_volume_functions_reject_nonpositive_L_and_d(m2, m3, L, d):
+    curve = m2_curve(m2, 100)
+    mp = find_multiple_point(m3, (0, 1, 2), 0.05 + 0.05j)
+    with pytest.raises(ValidationError):
+        predict_two_phase(m2, 0, 1, curve, L=L, d=d)
+    with pytest.raises(ValidationError):
+        predict_multipoint(m3, mp, L=L, d=d, rho_L=0.1)
+    with pytest.raises(ValidationError):
+        covering_check(m3, m3.domain, L=L, d=d, omega_L=1.0, gamma_L=0.1, rho_L=0.1)
+    with pytest.raises(ValidationError):
+        density_convergence(m2, 0, 1, 0j, [0.1], [L], d)
 
 
 def test_predict_two_phase_symmetric(m2):
