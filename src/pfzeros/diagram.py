@@ -35,7 +35,7 @@ TERM_MAXSTEPS = "max_steps"
 TERM_PROJECTION = "projection_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveSample:
     t: float
     z: complex
@@ -168,7 +168,55 @@ def _project_onto_level(h, dh, z: complex, target: float = 0.0, tol: float = TOL
     raise NoConvergenceError("projection onto the coexistence level set stalled", z)
 
 
+def _project_onto_level_array(h, dh, z, target: float = 0.0, tol: float = TOL_PROJECT):
+    """_project_onto_level applied to every point of a 1-D array at once.
+
+    Each point keeps its own iterates under the same Newton update, the same
+    12-iteration cap and the same 100*tol acceptance, so the result equals
+    the scalar projection point by point. The first failing point, in array
+    order, raises the scalar form's error with its own iterate.
+    """
+    z = np.array(z, dtype=complex)
+    flat = np.zeros(z.shape, dtype=bool)  # gradient vanished
+    act = np.arange(z.size)
+    for _ in range(12):
+        if not act.size:
+            break
+        r = h(z[act]).real - target
+        keep = ~(np.abs(r) <= tol)
+        act, r = act[keep], r[keep]
+        # the scalar update z - r * conj(g) / g2 in real operations, rounded
+        # as Python rounds it (numpy's complex product and quotient differ)
+        g = dh(z[act])
+        cr, ci = g.real, -g.imag  # conj(g)
+        g2 = cr * cr - g.imag * ci
+        low = g2 < 1e-24
+        flat[act[low]] = True
+        keep = ~low
+        act, r, cr, ci, g2 = act[keep], r[keep], cr[keep], ci[keep], g2[keep]
+        sr, si = r * cr - 0.0 * ci, r * ci + 0.0 * cr
+        za = z[act]
+        za.real -= (sr + si * 0.0) / g2
+        za.imag -= (si - sr * 0.0) / g2
+        z[act] = za
+    stalled = np.zeros(z.shape, dtype=bool)
+    stalled[act] = ~(np.abs(h(z[act]).real - target) <= 100 * tol)
+    bad = np.flatnonzero(flat | stalled)
+    if bad.size:
+        k = bad[0]
+        if flat[k]:
+            raise NoConvergenceError(
+                "vanishing exponent-gap gradient during projection", complex(z[k])
+            )
+        raise NoConvergenceError(
+            "projection onto the coexistence level set stalled", complex(z[k])
+        )
+    return z
+
+
 def _third_phase(model: ModelSpec, pair, z: complex, eps: float):
+    if model.r == 2:
+        return None  # the pair is every phase
     re_p = np.real(model.log_weights(z))
     log_max = float(re_p.max())
     for k in range(model.r):
@@ -215,6 +263,15 @@ def _trace_one_direction(model, m, n, z0, step, max_steps, sign, eps_mp):
     return pts, Termination(TERM_MAXSTEPS)
 
 
+def _samples(model: ModelSpec, m: int, n: int, ts, zs) -> list[CurveSample]:
+    """Curve samples at the points zs, with v_m and v_n from one array pass
+    per phase (the same values as eval_v at each point)."""
+    pts = np.array(zs, dtype=complex)
+    v_m = model.phases[m].log_weight_deriv(pts).tolist()
+    v_n = model.phases[n].log_weight_deriv(pts).tolist()
+    return [CurveSample(*s) for s in zip(ts, zs, v_m, v_n)]
+
+
 def trace_curve(
     model: ModelSpec,
     m: int,
@@ -245,20 +302,14 @@ def trace_curve(
     if term_fwd.kind == TERM_LOOP:
         zs = [z0] + fwd + [z0]
         ts = [k * step for k in range(len(fwd) + 1)] + [(len(fwd) + 1) * step]
-        samples = [
-            CurveSample(t, z, eval_v(model, m, z), eval_v(model, n, z))
-            for t, z in zip(ts, zs)
-        ]
+        samples = _samples(model, m, n, ts, zs)
         return CoexistenceCurve((m, n), samples, Termination(TERM_LOOP), Termination(TERM_LOOP))
 
     bwd, term_bwd = _trace_one_direction(model, m, n, z0, step, max_steps, -1.0, eps_mp)
     zs = list(reversed(bwd)) + [z0] + fwd
     t0 = -len(bwd) * step
     ts = [t0 + k * step for k in range(len(zs))]
-    samples = [
-        CurveSample(t, z, eval_v(model, m, z), eval_v(model, n, z)) for t, z in zip(ts, zs)
-    ]
-    return CoexistenceCurve((m, n), samples, term_bwd, term_fwd)
+    return CoexistenceCurve((m, n), _samples(model, m, n, ts, zs), term_bwd, term_fwd)
 
 
 def find_multiple_point(

@@ -113,11 +113,11 @@ class PhaseSpec:
 
     def log_weight(self, z):
         """P(z), scalar or elementwise on arrays."""
-        return _polyval(self.exponent, z)
+        return _polyval_unfused(self.exponent, z)
 
     def log_weight_deriv(self, z):
         """P'(z)."""
-        return _polyval(self.derivative, z)
+        return _polyval_unfused(self.derivative, z)
 
 
 def _polyval(coeffs, z):
@@ -131,6 +131,34 @@ def _polyval(coeffs, z):
     for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
+
+
+def _polyval_unfused(coeffs, z):
+    """_polyval at a point, or at each point of an array with exactly the
+    value it has at that point alone.
+
+    A scalar z takes Python's complex arithmetic, which rounds each product
+    as four real products and two sums; numpy's complex product on arrays
+    may fuse a multiply-add instead and differ in the last bit. So a 0-d
+    array is evaluated as a scalar, and on other arrays the same real
+    operations are spelled out. This is the evaluation for
+    exponents, derivatives and pair gaps, which are compared between single
+    points and arrays; the exponential-sum kernel keeps _polyval.
+    """
+    if not isinstance(z, np.ndarray):
+        return _polyval(coeffs, z)
+    if z.ndim == 0:
+        return _polyval(coeffs, complex(z))
+    zr, zi = z.real, z.imag
+    c = complex(coeffs[-1])
+    ar = 0.0 * zr - 0.0 * zi + c.real  # 0j * z + c
+    ai = 0.0 * zi + 0.0 * zr + c.imag
+    for c in coeffs[-2::-1]:
+        c = complex(c)
+        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = ar, ai
+    return out
 
 
 def _polyder(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -154,10 +182,15 @@ def _pair_gap(source, m: int, n: int):
     cm, cn = source.exponents[m], source.exponents[n]
     dm, dn = source.derivatives[m], source.derivatives[n]
 
+    # the scalar branch is the curve tracer's inner loop
     def h(z):
+        if isinstance(z, np.ndarray):
+            return _polyval_unfused(cm, z) - _polyval_unfused(cn, z)
         return _polyval(cm, z) - _polyval(cn, z)
 
     def dh(z):
+        if isinstance(z, np.ndarray):
+            return _polyval_unfused(dm, z) - _polyval_unfused(dn, z)
         return _polyval(dm, z) - _polyval(dn, z)
 
     return h, dh
@@ -316,13 +349,13 @@ class FiniteVolumeModel:
 
     def log_weight_L(self, m: int, z):
         """log zeta_m^{(L)}(z) = P_m(z) + e^{-tau L} u_m(z)."""
-        return _polyval(self.exponents[self.check_phase(m)], z)
+        return _polyval_unfused(self.exponents[self.check_phase(m)], z)
 
     def log_weight_L_deriv(self, m: int, z):
-        return _polyval(self.derivatives[self.check_phase(m)], z)
+        return _polyval_unfused(self.derivatives[self.check_phase(m)], z)
 
     def log_weights_L(self, z) -> np.ndarray:
-        return np.stack([_polyval(c, np.asarray(z)) for c in self.exponents])
+        return np.stack([_polyval_unfused(c, np.asarray(z)) for c in self.exponents])
 
 
 # ---------------------------------------------------------------------------

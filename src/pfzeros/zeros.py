@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CoexistenceCurve, MultiplePoint, _project_onto_level
+from .diagram import CoexistenceCurve, MultiplePoint, _project_onto_level_array
 from .errors import (
     ContourDegeneracyError,
     ConvexityError,
@@ -455,6 +455,8 @@ def _find_zeros_expsum(
     multiplicity counted by the circle, so a multiple zero that rounding
     splits across a cell edge is still counted in full.
     """
+    if max_depth < 0:
+        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     min_cell = 1e-3 * char_scale
     r_mult = 1e-2 * char_scale
     total = _box_winding(es, box)
@@ -539,9 +541,11 @@ def predict_two_phase(
     Each curve sample is shifted transversally onto the level set where the
     degeneracy-weighted moduli balance; the accumulated phase difference
     theta = N Im(log zeta_m - log zeta_n) is then walked along the shifted
-    curve, emitting one solution per crossing of pi mod 2 pi, located by
-    bisection. The curve must be sampled finely enough that theta advances
-    by less than pi per segment, otherwise a ResolutionError names the gap.
+    curve, emitting one solution per crossing of pi mod 2 pi. All samples
+    are shifted, and all crossings bisected, in one array pass, each
+    crossing on its own bracket. The curve must be sampled finely enough
+    that theta advances by less than pi per segment, otherwise a
+    ResolutionError names the first such gap.
     """
     if curve.pair != (m, n) and curve.pair != (n, m):
         raise ValidationError(f"curve belongs to pair {curve.pair}, not ({m},{n})")
@@ -557,61 +561,69 @@ def predict_two_phase(
     q = source.degeneracies
     target_mod = math.log(q[n] / q[m]) / N
 
-    shifted = [
-        _project_onto_level(h, dh, s.z, target=target_mod, tol=1e-13) for s in curve.samples
-    ]
-    theta = [N * h(z).imag for z in shifted]
+    def level(z):
+        return _project_onto_level_array(h, dh, z, target=target_mod, tol=1e-13)
 
-    def theta_at(za: complex, zb: complex, s: float) -> tuple[float, complex]:
-        z = _project_onto_level(h, dh, za + s * (zb - za), target=target_mod, tol=1e-13)
-        return N * h(z).imag, z
+    shifted = level([s.z for s in curve.samples])
+    theta = N * h(shifted).imag
+    jumps = np.flatnonzero(np.abs(np.diff(theta)) >= math.pi)
+    if jumps.size:
+        k = jumps[0]
+        raise ResolutionError(
+            f"phase advances by {abs(theta[k + 1] - theta[k]):.3f} between samples "
+            f"t={curve.samples[k].t:.6g} and t={curve.samples[k + 1].t:.6g}; "
+            "trace the curve with a smaller step"
+        )
 
-    zeros: list[Zero] = []
+    # lattice points pi + 2 pi j touching each span; rounding at the
+    # endpoints is caught by the inclusive check and the emitted set
+    lo, hi = np.minimum(theta[:-1], theta[1:]), np.maximum(theta[:-1], theta[1:])
+    j0 = np.ceil((lo - math.pi) / (2.0 * math.pi) - 1e-12)
+    j1 = np.floor((hi - math.pi) / (2.0 * math.pi) + 1e-12)
+    seg: list[int] = []
+    tgt_list: list[float] = []
     emitted: set[int] = set()  # theta is strictly monotone, each index hits once
-    for k in range(len(shifted) - 1):
-        ta, tb = theta[k], theta[k + 1]
-        if abs(tb - ta) >= math.pi:
-            raise ResolutionError(
-                f"phase advances by {abs(tb - ta):.3f} between samples "
-                f"t={curve.samples[k].t:.6g} and t={curve.samples[k + 1].t:.6g}; "
-                "trace the curve with a smaller step"
-            )
-        lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-        # lattice points pi + 2 pi j touching the span; rounding at the
-        # endpoints is caught by the inclusive check and the emitted set
-        j0 = math.ceil((lo - math.pi) / (2.0 * math.pi) - 1e-12)
-        j1 = math.floor((hi - math.pi) / (2.0 * math.pi) + 1e-12)
-        for j in range(j0, j1 + 1):
+    for k in np.flatnonzero(j0 <= j1).tolist():
+        for j in range(int(j0[k]), int(j1[k]) + 1):
             tgt = math.pi + 2.0 * math.pi * j
-            if j in emitted:
-                continue
-            if not (min(ta, tb) <= tgt <= max(ta, tb)):
-                continue
-            emitted.add(j)
-            sa, sb, fa = 0.0, 1.0, ta - tgt
-            z_hit = shifted[k]
-            for _ in range(200):
-                sm = 0.5 * (sa + sb)
-                fm, z_hit = theta_at(shifted[k], shifted[k + 1], sm)
-                fm -= tgt
-                if abs(fm) <= tol:
-                    break
-                if fa * fm <= 0.0:
-                    sb = sm
-                else:
-                    sa, fa = sm, fm
-            else:
-                raise NoConvergenceError("phase bisection stalled", z_hit)
-            resid = abs(N * h(z_hit).imag - tgt) + N * abs(h(z_hit).real - target_mod)
-            zeros.append(Zero(z_hit, 1, resid, METHOD_TWO_PHASE))
+            if j not in emitted and lo[k] <= tgt <= hi[k]:
+                emitted.add(j)
+                seg.append(k)
+                tgt_list.append(tgt)
 
-    pts = np.array(shifted)
+    # bisect every crossing in lockstep, each on its own bracket [sa, sb]
+    # of the segment from za to za + dz
+    ks = np.array(seg, dtype=int)
+    tgt = np.array(tgt_list, dtype=float)
+    za, dz = shifted[ks], shifted[ks + 1] - shifted[ks]
+    sa, sb, fa = np.zeros(ks.size), np.ones(ks.size), theta[ks] - tgt
+    z_hit = za.copy()
+    act = np.arange(ks.size)
+    for _ in range(200):
+        if not act.size:
+            break
+        sm = 0.5 * (sa[act] + sb[act])
+        z_hit[act] = level(za[act] + sm * dz[act])
+        fm = N * h(z_hit[act]).imag - tgt[act]
+        left = fa[act] * fm <= 0.0
+        sb[act[left]] = sm[left]
+        sa[act[~left]] = sm[~left]
+        fa[act[~left]] = fm[~left]
+        act = act[~(np.abs(fm) <= tol)]
+    if act.size:
+        raise NoConvergenceError("phase bisection stalled", complex(z_hit[act[0]]))
+    hz = h(z_hit)
+    resid = np.abs(N * hz.imag - tgt) + N * np.abs(hz.real - target_mod)
+    zeros = [
+        Zero(z, 1, r, METHOD_TWO_PHASE) for z, r in zip(z_hit.tolist(), resid.tolist())
+    ]
+
     pad = 1e-9 + 2.0 / max(N, 1)
     region = Rectangle(
-        float(pts.real.min()) - pad,
-        float(pts.real.max()) + pad,
-        float(pts.imag.min()) - pad,
-        float(pts.imag.max()) + pad,
+        float(shifted.real.min()) - pad,
+        float(shifted.real.max()) + pad,
+        float(shifted.imag.min()) - pad,
+        float(shifted.imag.max()) + pad,
     )
     return ZeroSet.build(zeros, region, L, d)
 

@@ -80,10 +80,18 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
         ("lee-yang", ["lee-yang", "--L", "10", "--minus", "5", "--box=-0.05,0.05,0,1",
                       "--symmetric-seed", "3"]),
         ("two", ["trace-diagram", "--grid", "1"]),
+        ("two_q12", ["find-zeros", "--L", "10", "--box=-0.1,0.1,0,0.2", "--max-depth", "-1"]),
+        ("two_q12", ["compare", "--pair", "0,1", "--L", "10", "--box=-0.1,0.1,0,0.2",
+                     "--max-depth", "-1"]),
     ],
 )
 def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
-    models = {"two": two_phase_model(), "three": three_phase_model(), "lee-yang": lee_yang_model()}
+    models = {
+        "two": two_phase_model(),
+        "two_q12": two_phase_model(q1=1, q2=2),
+        "three": three_phase_model(),
+        "lee-yang": lee_yang_model(),
+    }
     out = tmp_path / "out"
     rc = main([argv[0], write_model(tmp_path, models[model]), *argv[1:], "--out-dir", str(out)])
     assert rc == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfzeros import (
     ModelSpec,
@@ -15,9 +17,13 @@ from pfzeros import (
     build_phase_diagram,
     find_coexistence_point,
     find_multiple_point,
+    finite_volume,
+    random_perturbation,
     stability,
     trace_curve,
 )
+from pfzeros.diagram import _project_onto_level, _project_onto_level_array
+from pfzeros.model import _pair_gap
 
 from conftest import OMEGA, collinear_model, three_phase_model, two_phase_model
 
@@ -125,6 +131,57 @@ def test_trace_reversal_reproduces_samples(m2):
 def test_trace_rejects_non_coexistence_start(m2):
     with pytest.raises(ValidationError):
         trace_curve(m2, 0, 1, 0.5 + 0j, step=0.01, max_steps=10)
+
+
+_coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(st.lists(_coeff, min_size=1, max_size=4), min_size=2, max_size=2),
+    zs=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=8),
+    target=st.floats(0.01, 0.5) | st.floats(-0.5, -0.01),
+    seed=st.integers(0, 2**31),
+)
+def test_array_projection_equals_scalar_projection(coeffs, zs, target, seed):
+    model = ModelSpec(
+        phases=tuple(PhaseSpec(f"p{k}", 1, tuple(c)) for k, c in enumerate(coeffs)),
+        domain=Rectangle(-1, 1, -1, 1),
+    )
+    fvm = finite_volume(model, L=2, d=1, tau=1.0, perturbation=random_perturbation(model, seed))
+    for source in (model, fvm):
+        h, dh = _pair_gap(source, 0, 1)
+        for tol in (1e-12, 1e-13):
+            try:
+                want = [_project_onto_level(h, dh, z, target=target, tol=tol) for z in zs]
+            except NoConvergenceError as exc:
+                with pytest.raises(NoConvergenceError) as got:
+                    _project_onto_level_array(h, dh, zs, target=target, tol=tol)
+                assert str(got.value) == str(exc)
+                assert np.array_equal([got.value.last_iterate], [exc.last_iterate], equal_nan=True)
+            else:
+                assert _project_onto_level_array(h, dh, zs, target=target, tol=tol).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "zs, target, what",
+    [
+        # Re z^2 = 0.5 has no gradient to follow at 0
+        ([0.3 + 0.6j, 0j], 0.5, "vanishing"),
+        # Re z^2 = -1 is never reached along the real axis; the stalled
+        # point comes before the gradient-free one
+        ([0.4 + 0.2j, 0.5 + 0j, 0j], -1.0, "stalled"),
+    ],
+)
+def test_array_projection_raises_the_first_scalar_error(zs, target, what):
+    h, dh = _pair_gap(parabola_model(), 0, 1)
+    with pytest.raises(NoConvergenceError) as want:
+        for z in zs:
+            _project_onto_level(h, dh, z, target=target)
+    with pytest.raises(NoConvergenceError, match=what) as got:
+        _project_onto_level_array(h, dh, zs, target=target)
+    assert str(got.value) == str(want.value)
+    assert got.value.last_iterate == want.value.last_iterate
 
 
 def test_find_multiple_point_symmetric(m3):

@@ -8,6 +8,7 @@ import pytest
 from pfzeros import (
     DomainError,
     ModelSpec,
+    NoConvergenceError,
     PhaseSpec,
     Rectangle,
     ResolutionError,
@@ -19,6 +20,8 @@ from pfzeros import (
     degeneracy_audit,
     delta_L,
     density_convergence,
+    eval_v,
+    find_coexistence_point,
     find_multiple_point,
     find_zeros_region,
     finite_volume,
@@ -106,9 +109,134 @@ def test_predict_two_phase_from_fvm_matches_brute(m2):
         assert min(abs(z - p) for p in pred_in) <= 1e-9
 
 
+def _horner(coeffs, z):
+    acc = 0j * z + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def reference_predict_two_phase(source, m, n, curve, N, tol=1e-10):
+    """The scalar two-phase predictor: every sample projected on its own and
+    every crossing bisected on its own. Returns (z, residual) per crossing."""
+    cm, cn = source.exponents[m], source.exponents[n]
+    dm, dn = source.derivatives[m], source.derivatives[n]
+    q = source.degeneracies
+    target_mod = math.log(q[n] / q[m]) / N
+
+    def h(z):
+        return _horner(cm, z) - _horner(cn, z)
+
+    def project(z, tol=1e-13):
+        for _ in range(12):
+            r = h(z).real - target_mod
+            if abs(r) <= tol:
+                return z
+            g = _horner(dm, z) - _horner(dn, z)
+            g2 = (g * g.conjugate()).real
+            if g2 < 1e-24:
+                raise NoConvergenceError("vanishing exponent-gap gradient during projection", z)
+            z = z - r * g.conjugate() / g2
+        if abs(h(z).real - target_mod) <= 100 * tol:
+            return z
+        raise NoConvergenceError("projection onto the coexistence level set stalled", z)
+
+    shifted = [project(s.z) for s in curve.samples]
+    theta = [N * h(z).imag for z in shifted]
+    found = []
+    emitted = set()
+    for k in range(len(shifted) - 1):
+        ta, tb = theta[k], theta[k + 1]
+        if abs(tb - ta) >= math.pi:
+            raise ResolutionError(
+                f"phase advances by {abs(tb - ta):.3f} between samples "
+                f"t={curve.samples[k].t:.6g} and t={curve.samples[k + 1].t:.6g}; "
+                "trace the curve with a smaller step"
+            )
+        lo, hi = (ta, tb) if ta <= tb else (tb, ta)
+        j0 = math.ceil((lo - math.pi) / (2.0 * math.pi) - 1e-12)
+        j1 = math.floor((hi - math.pi) / (2.0 * math.pi) + 1e-12)
+        for j in range(j0, j1 + 1):
+            tgt = math.pi + 2.0 * math.pi * j
+            if j in emitted or not (min(ta, tb) <= tgt <= max(ta, tb)):
+                continue
+            emitted.add(j)
+            sa, sb, fa = 0.0, 1.0, ta - tgt
+            for _ in range(200):
+                sm = 0.5 * (sa + sb)
+                z_hit = project(shifted[k] + sm * (shifted[k + 1] - shifted[k]))
+                fm = N * h(z_hit).imag - tgt
+                if abs(fm) <= tol:
+                    break
+                if fa * fm <= 0.0:
+                    sb = sm
+                else:
+                    sa, fa = sm, fm
+            else:
+                raise NoConvergenceError("phase bisection stalled", z_hit)
+            resid = abs(N * h(z_hit).imag - tgt) + N * abs(h(z_hit).real - target_mod)
+            found.append((z_hit, resid))
+    return found
+
+
+def curved_model():
+    """A degeneracy-weighted pair with quadratic and cubic exponents."""
+    return ModelSpec(
+        phases=(
+            PhaseSpec("a", 1, (0.3j, 1 + 0.2j, 0.37 - 0.11j)),
+            PhaseSpec("b", 3, (0.1 + 0j, -0.9 + 0.13j, -0.21 + 0.05j, 0.07j)),
+        ),
+        domain=Rectangle(-1, 1, -1, 1),
+    )
+
+
+def curved_curve(model):
+    z0 = find_coexistence_point(model, 0, 1, 0.05 + 0j)
+    return trace_curve(model, 0, 1, z0, step=2e-3, max_steps=300)
+
+
+def _by_position(pairs):
+    return sorted(pairs, key=lambda p: (p[0].real, p[0].imag))
+
+
+@pytest.mark.parametrize("case", ["q12", "perturbed", "curved"])
+def test_predict_two_phase_equals_scalar_reference(case):
+    q12 = two_phase_model(q1=1, q2=2)
+    if case == "q12":
+        source, curve, N = q12, m2_curve(q12, 10**4, span=0.1), 10**4
+    elif case == "perturbed":
+        source = finite_volume(q12, L=300, d=1, tau=0.02, perturbation=random_perturbation(q12, 7))
+        curve, N = m2_curve(q12, 300), 300
+    else:
+        source = curved_model()
+        curve, N = curved_curve(source), 200
+    want = reference_predict_two_phase(source, 0, 1, curve, N)
+    got = predict_two_phase(source, 0, 1, curve, L=N, d=1)
+    assert len(want) > 40
+    assert _by_position((w.z, w.residual) for w in got.zeros) == _by_position(want)
+
+
+def test_trace_samples_carry_exact_log_derivatives():
+    model = curved_model()
+    curve = curved_curve(model)
+    for s in curve.samples:
+        assert s.v_m == eval_v(model, 0, s.z) and s.v_n == eval_v(model, 1, s.z)
+
+
+def test_predict_two_phase_resolution_error_names_the_reference_gap():
+    model = curved_model()
+    curve = curved_curve(model)
+    with pytest.raises(ResolutionError) as want:
+        reference_predict_two_phase(model, 0, 1, curve, 700)
+    with pytest.raises(ResolutionError) as got:
+        predict_two_phase(model, 0, 1, curve, L=700, d=1)
+    assert str(got.value) == str(want.value)
+    assert "t=0.414 and t=0.416" in str(got.value)  # a gap well inside the curve
+
+
 def test_predict_two_phase_wrong_pair(m2):
     curve = m2_curve(m2, 10)
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError):
         predict_two_phase(m2, 0, 0, curve, L=10, d=1)
 
 
@@ -155,7 +283,8 @@ def test_predict_multipoint_count_matches_series_winding(m3):
 def test_predict_multipoint_rotation_symmetry(m3):
     mp = find_multiple_point(m3, (0, 1, 2), 0.05 + 0.02j)
     N = 1000
-    zs = predict_multipoint(m3, mp, L=N, d=1, rho_L=8.0 / N)
+    with pytest.warns(UserWarning, match="rescaled disc is small"):
+        zs = predict_multipoint(m3, mp, L=N, d=1, rho_L=8.0 / N)
     zf = (zs.points() - mp.z) * N
     for z in zf:
         rotated = z * OMEGA
@@ -201,7 +330,8 @@ def test_predict_multipoint_matches_brute_force(m3):
     fvm = finite_volume(m3, L=N, d=1, tau=1.0)
     box = Rectangle(-rho, rho, -rho, rho)
     located = find_zeros_region(fvm, box)
-    predicted = predict_multipoint(m3, mp, L=N, d=1, rho_L=rho)
+    with pytest.warns(UserWarning, match="rescaled disc is small"):
+        predicted = predict_multipoint(m3, mp, L=N, d=1, rho_L=rho)
     loc = [z for z in located.points() if abs(z - mp.z) <= rho]
     assert len(loc) > 0
     bound = 5.0 * N ** (-4.0 / 3.0)
