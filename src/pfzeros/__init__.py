@@ -66,7 +66,6 @@ from .zeros import (
     Zero,
     ZeroSet,
     asymptote_lines,
-    default_scales,
     degeneracy_audit,
     delta_L,
     eval_logZ_normalized,

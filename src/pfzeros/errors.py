@@ -39,7 +39,14 @@ class SpuriousRootError(NumericalError):
 
 
 class ContourDegeneracyError(NumericalError):
-    """A zero sits on or too close to an integration contour; jitter the contour."""
+    """A zero sits on or too close to an integration contour; jitter the contour.
+
+    Carries the contour whose winding could not be counted.
+    """
+
+    def __init__(self, message: str, contour=None):
+        super().__init__(message)
+        self.contour = contour
 
 
 class UnresolvedClusterError(NumericalError):

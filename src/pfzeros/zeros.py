@@ -209,9 +209,9 @@ class _ExpSum:
     def exponents(self, z):
         return _polyval_rows(self.c, z)
 
-    def deriv_bound(self, pts) -> float:
-        """max_k |g_k'| over sample points, the smooth phase-rate scale."""
-        return float(np.abs(_polyval_rows(self.dc, pts)).max())
+    def deriv_bound(self, pts) -> np.ndarray:
+        """max_k |g_k'| at each point, the smooth phase-rate scale."""
+        return np.abs(_polyval_rows(self.dc, pts)).max(axis=0)
 
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
@@ -235,92 +235,145 @@ class _ExpSum:
 
 # ---------------------------------------------------------------------------
 # Argument-principle winding
+#
+# A batch of closed contours is a point map mp(s, cid), from parameters s in
+# [0, 1] and contour ids to points, with the list of the contours' lengths.
+
+# Every kernel call of a batched winding holds at most the larger of this
+# floor and the largest initial node set of one contour in the batch, which
+# a contour wound by itself evaluates in one call anyway. Unbounded calls on
+# whole quadtree levels raised peak memory by a fifth on the three-phase
+# disc; a cap of the root contour's size alone split every level of the
+# small lee-yang searches (the largest holds 4,224 nodes) and lost their gain.
+_BATCH_FLOOR = 8192
 
 
-def _rect_contour(rect: Rectangle):
-    corners = np.array(rect.corners() + [rect.corners()[0]], dtype=complex)
+def _polylines(vertices, lengths):
+    """Closed piecewise-linear contours through the rows of a (C, V) vertex
+    array, each row ending where it starts."""
+    verts = np.asarray(vertices, dtype=complex)
+    nseg = verts.shape[1] - 1
 
-    def mp(s):
-        u = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * 4.0
-        seg = np.minimum(u.astype(int), 3)
-        frac = u - seg
-        return corners[seg] * (1.0 - frac) + corners[seg + 1] * frac
-
-    return mp, 2.0 * (rect.width + rect.height)
-
-
-def _circle_contour(center: complex, radius: float):
-    def mp(s):
-        return center + radius * np.exp(2j * np.pi * np.asarray(s, dtype=float))
-
-    return mp, 2.0 * math.pi * radius
-
-
-def _polyline_contour(vertices):
-    pts = [complex(v) for v in vertices]
-    if abs(pts[0] - pts[-1]) > 0.0:
-        pts = pts + [pts[0]]
-    pts = np.array(pts, dtype=complex)
-    nseg = len(pts) - 1
-
-    def mp(s):
-        u = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * nseg
+    def mp(s, cid):
+        u = np.clip(s, 0.0, 1.0) * nseg
         seg = np.minimum(u.astype(int), nseg - 1)
         frac = u - seg
-        return pts[seg] * (1.0 - frac) + pts[seg + 1] * frac
+        return verts[cid, seg] * (1.0 - frac) + verts[cid, seg + 1] * frac
 
-    return mp, float(np.abs(np.diff(pts)).sum())
+    return mp, lengths
 
 
-def _initial_nodes(es: _ExpSum, mp, length: float) -> np.ndarray:
-    """Initial contour sampling below the phase-aliasing scale.
+def _rectangles(rects):
+    """Rectangle boundaries, counterclockwise from the lower-left corner."""
+    verts = [c + c[:1] for c in (r.corners() for r in rects)]
+    return _polylines(verts, [2.0 * (r.width + r.height) for r in rects])
+
+
+def _circles(centres, radii):
+    """Circles, counterclockwise from the point right of each centre."""
+    c = np.asarray(centres, dtype=complex)
+    r = np.asarray(radii, dtype=float)
+
+    def mp(s, cid):
+        return c[cid] + r[cid] * np.exp(2j * np.pi * s)
+
+    return mp, [2.0 * math.pi * x for x in radii]
+
+
+def _values(es: _ExpSum, mp, s, cid, cap: int) -> np.ndarray:
+    """Normalized values at the points of (s, cid), at most cap per call."""
+    return np.concatenate(
+        [es.value_normalized(mp(s[a : a + cap], cid[a : a + cap])) for a in range(0, s.size, cap)]
+    )
+
+
+def _windings(es: _ExpSum, contours, max_nodes=400000, min_gap=1e-12) -> list:
+    """Winding of each contour of a batch: its total argument change / 2 pi,
+    or a str saying why it could not be counted.
 
     A single dominant term rotates the argument at rate at most max|g'|
-    along the contour; sums of K terms can beat that only near
-    cancellations, which the adaptive cap then localizes. The per-segment
-    phase budget of 1.2 rad stays under the pi/2 cap, so no full turn can
-    hide between neighboring samples.
+    along a contour (probed at 129 points); sums of K terms can beat that
+    only near cancellations, which refinement then localizes. The initial
+    nodes keep a phase budget of 1.2 rad per segment, under the pi/2 cap, so
+    no full turn can hide between neighbouring samples. Midpoints are then
+    inserted wherever a phase step is at least pi/2, which pins the branch
+    of the argument for an analytic integrand.
+
+    All contours are sampled and refined in lockstep, one kernel pass per
+    round, on flat arrays of parameter and value that hold each unfinished
+    contour's nodes in one run; each contour finishes or fails on its own
+    samples, as if wound alone.
     """
-    probe = mp(np.linspace(0.0, 1.0, 129))
-    rate = es.deriv_bound(probe)
+    mp, lengths = contours
     k = len(es.w)
-    n0 = int(min(max(65.0, (2 * k + 1) * length * rate / 1.2), 2.0e6))
-    return np.linspace(0.0, 1.0, n0 + 1)
+    probe = np.linspace(0.0, 1.0, 129)
+    per_call = _BATCH_FLOOR // probe.size
+    rate = np.empty(len(lengths))
+    for a in range(0, len(lengths), per_call):
+        part = np.arange(a, min(a + per_call, len(lengths)))
+        pts = mp(np.tile(probe, part.size), np.repeat(part, probe.size))
+        rate[part] = es.deriv_bound(pts).reshape(part.size, probe.size).max(axis=1)
+    n0 = [
+        int(min(max(65.0, (2 * k + 1) * length * r / 1.2), 2.0e6))
+        for length, r in zip(lengths, rate.tolist())
+    ]
+    cap = max(_BATCH_FLOOR, max(n0) + 1)
+    grids = {n: np.linspace(0.0, 1.0, n + 1) for n in set(n0)}
+    s = np.concatenate([grids[n] for n in n0])
+    ids = np.arange(len(n0))  # the contours still refined, in node order
+    counts = np.array(n0) + 1  # and their node counts
+    w = _values(es, mp, s, np.repeat(ids, counts), cap)
 
-
-def _winding_adaptive(value_fn, map_fn, s_init, max_nodes=400000, min_gap=1e-12) -> int:
-    """Total argument change / 2 pi along a closed parametric contour.
-
-    Consecutive samples are refined until each phase step is below pi/2,
-    which pins the branch of the argument for an analytic integrand.
-    """
-    s = np.asarray(s_init, dtype=float)
-    w = np.asarray(value_fn(map_fn(s)), dtype=complex)
+    out: list = [None] * len(n0)
     for _ in range(64):
-        if np.any(np.abs(w) < 1e-280) or np.any(~np.isfinite(w)):
-            raise ContourDegeneracyError("zero on or numerically near the contour")
-        dphi = np.angle(w[1:] / w[:-1])
-        bad = np.abs(dphi) >= HALF_PI
-        if not bad.any():
-            total = float(dphi.sum()) / (2.0 * math.pi)
-            n = round(total)
-            if abs(total - n) > 0.25:
-                raise ContourDegeneracyError(
-                    f"winding {total} did not settle on an integer"
-                )
-            return int(n)
-        if len(s) > max_nodes:
-            raise ContourDegeneracyError("contour refinement exceeded its node budget")
-        idx = np.nonzero(bad)[0]
-        if np.min(s[idx + 1] - s[idx]) < min_gap:
-            raise ContourDegeneracyError(
-                "contour refinement hit the resolution floor (zero on contour?)"
+        starts = np.cumsum(counts) - counts
+        tiny = np.logical_or.reduceat((np.abs(w) < 1e-280) | ~np.isfinite(w), starts)
+        with np.errstate(all="ignore"):  # only tiny contours divide by ~0
+            dphi = np.angle(w[1:] / w[:-1])
+        bad = np.append(np.abs(dphi) >= HALF_PI, False)
+        bad[starts[1:] - 1] = False  # pairs across two contours
+        n_bad = np.add.reduceat(bad, starts)
+        refine = (n_bad > 0) & ~tiny
+        for c, a, n in zip(*(x[~refine & ~tiny].tolist() for x in (ids, starts, counts))):
+            total = float(dphi[a : a + n - 1].sum()) / (2.0 * math.pi)
+            wind = round(total)
+            out[c] = (
+                wind if abs(total - wind) <= 0.25 else f"winding {total} did not settle on an integer"
             )
+        gap = np.minimum.reduceat(np.where(bad, np.append(np.diff(s), 0.0), np.inf), starts)
+        over = refine & (counts > max_nodes)
+        floor = refine & ~over & (gap < min_gap)
+        for failed, why in (
+            (tiny, "zero on or numerically near the contour"),
+            (over, "contour refinement exceeded its node budget"),
+            (floor, "contour refinement hit the resolution floor (zero on contour?)"),
+        ):
+            for c in ids[failed].tolist():
+                out[c] = why
+        go = refine & ~over & ~floor
+        if not go.any():
+            return out
+        if not go.all():
+            keep = np.repeat(go, counts)
+            s, w, bad = s[keep], w[keep], bad[keep]
+            ids, counts, n_bad = ids[go], counts[go], n_bad[go]
+        idx = np.flatnonzero(bad)
         mids = 0.5 * (s[idx] + s[idx + 1])
-        w_m = np.asarray(value_fn(map_fn(mids)), dtype=complex)
+        w_m = _values(es, mp, mids, np.repeat(ids, n_bad), cap)
         s = np.insert(s, idx + 1, mids)
         w = np.insert(w, idx + 1, w_m)
-    raise ContourDegeneracyError("contour refinement did not converge")
+        counts = counts + n_bad
+    for c in ids.tolist():
+        out[c] = "contour refinement did not converge"
+    return out
+
+
+def _winding(es: _ExpSum, contours, contour) -> int:
+    """Winding of a batch of one contour; a failure names the contour."""
+    (wind,) = _windings(es, contours)
+    if isinstance(wind, str):
+        raise ContourDegeneracyError(f"{wind} on {contour}", contour)
+    return wind
 
 
 def winding_number(fvm: FiniteVolumeModel, contour) -> int:
@@ -331,14 +384,17 @@ def winding_number(fvm: FiniteVolumeModel, contour) -> int:
     """
     es = _ExpSum.from_fvm(fvm)
     if isinstance(contour, Rectangle):
-        mp, length = _rect_contour(contour)
+        contours = _rectangles([contour])
     elif isinstance(contour, tuple) and len(contour) == 2 and np.ndim(contour[1]) == 0:
-        mp, length = _circle_contour(complex(contour[0]), float(contour[1]))
+        contours = _circles([complex(contour[0])], [float(contour[1])])
     else:
-        mp, length = _polyline_contour(contour)
-    if not fvm.domain.contains(mp(np.linspace(0.0, 1.0, 64))).all():
+        pts = [complex(v) for v in contour]
+        if abs(pts[0] - pts[-1]) > 0.0:
+            pts = pts + [pts[0]]
+        contours = _polylines([pts], [float(np.abs(np.diff(pts)).sum())])
+    if not fvm.domain.contains(contours[0](np.linspace(0.0, 1.0, 64), 0)).all():
         raise ValidationError(f"contour leaves the model domain {fvm.domain}")
-    return _winding_adaptive(es.value_normalized, mp, _initial_nodes(es, mp, length))
+    return _winding(es, contours, contour)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +411,6 @@ _SPLIT_FRACTIONS = (
 )
 
 
-def _box_winding(es: _ExpSum, rect: Rectangle) -> int:
-    mp, length = _rect_contour(rect)
-    return _winding_adaptive(es.value_normalized, mp, _initial_nodes(es, mp, length))
-
-
 def _polish(es: _ExpSum, z: complex, tol: float, max_iter: int = 80):
     for _ in range(max_iter):
         dz = es.newton_step(z)
@@ -374,68 +425,94 @@ def _polish(es: _ExpSum, z: complex, tol: float, max_iter: int = 80):
 
 def _multiplicity(es: _ExpSum, z: complex, radius: float) -> int:
     for factor in (1.0, 1.3, 0.77, 1.69, 0.59):
-        try:
-            mp, length = _circle_contour(z, radius * factor)
-            return _winding_adaptive(
-                es.value_normalized, mp, _initial_nodes(es, mp, length)
-            )
-        except ContourDegeneracyError:
-            continue
-    raise ContourDegeneracyError(f"could not count multiplicity around {z}")
-
-
-def _subdivide(es: _ExpSum, rect: Rectangle, parent_winding: int):
-    for fx, fy in _SPLIT_FRACTIONS:
-        xm = rect.re_lo + fx * rect.width
-        ym = rect.im_lo + fy * rect.height
-        children = [
-            Rectangle(rect.re_lo, xm, rect.im_lo, ym),
-            Rectangle(xm, rect.re_hi, rect.im_lo, ym),
-            Rectangle(rect.re_lo, xm, ym, rect.im_hi),
-            Rectangle(xm, rect.re_hi, ym, rect.im_hi),
-        ]
-        try:
-            windings = [_box_winding(es, c) for c in children]
-        except ContourDegeneracyError:
-            continue
-        if sum(windings) == parent_winding:
-            return children, windings
-    raise UnresolvedClusterError(
-        f"subdivision of {rect} kept hitting zeros on internal edges", rect
+        (wind,) = _windings(es, _circles([z], [radius * factor]))
+        if not isinstance(wind, str):
+            return wind
+    raise ContourDegeneracyError(
+        f"could not count multiplicity on the circle {(z, radius)} or its rescalings",
+        (z, radius),
     )
 
 
-def _collect_zeros(es, rect, wind, min_cell, max_depth, depth, tol, out):
-    """Candidate zeros of a cell whose boundary winding is `wind`.
+def _children(rect: Rectangle, fx: float, fy: float) -> list[Rectangle]:
+    xm = rect.re_lo + fx * rect.width
+    ym = rect.im_lo + fy * rect.height
+    return [
+        Rectangle(rect.re_lo, xm, rect.im_lo, ym),
+        Rectangle(xm, rect.re_hi, rect.im_lo, ym),
+        Rectangle(rect.re_lo, xm, ym, rect.im_hi),
+        Rectangle(xm, rect.re_hi, ym, rect.im_hi),
+    ]
 
-    Appends (z, residual, multiplicity) to out, with multiplicity None when
-    it still has to be counted by a small circle. A winding-1 cell from whose
-    centre Newton converges inside the cell holds exactly that zero, simple,
-    so its descent stops there; every other cell is subdivided down to
-    min_cell and its terminal cells are polished from their centres.
+
+def _split(es: _ExpSum, cells):
+    """(path, child, winding) for the children of every (path, cell, winding).
+
+    The children of all cells are wound in one batch. A cell whose children
+    fail to wind, or whose child windings do not sum to its own, retries at
+    its next split fraction in the next batch.
     """
-    if wind == 0:
-        return
-    if wind == 1:
-        try:
-            z, res = _polish(es, rect.center, tol)
-        except NoConvergenceError:
-            pass
-        else:
-            if rect.contains(z):
-                out.append((z, res, 1))
-                return
-    if max(rect.width, rect.height) < min_cell:
-        z, res = _polish(es, rect.center, tol)
-        out.append((z, res, None))
-        return
-    if depth >= max_depth:
-        raise UnresolvedClusterError(
-            f"depth {max_depth} exhausted with winding {wind} in {rect}", rect
-        )
-    children, windings = _subdivide(es, rect, wind)
-    for child, w in zip(children, windings):
-        _collect_zeros(es, child, w, min_cell, max_depth, depth + 1, tol, out)
+    out = []
+    tries = [(cell, 0) for cell in cells]
+    while tries:
+        kids = [_children(cell[1], *_SPLIT_FRACTIONS[f]) for cell, f in tries]
+        winds = _windings(es, _rectangles([c for four in kids for c in four]))
+        retry = []
+        for j, ((path, rect, wind), f) in enumerate(tries):
+            ws = winds[4 * j : 4 * j + 4]
+            if not any(isinstance(x, str) for x in ws) and sum(ws) == wind:
+                out.extend((path + (i,), c, x) for i, (c, x) in enumerate(zip(kids[j], ws)))
+            elif f + 1 < len(_SPLIT_FRACTIONS):
+                retry.append(((path, rect, wind), f + 1))
+            else:
+                raise UnresolvedClusterError(
+                    f"subdivision of {rect} kept hitting zeros on internal edges", rect
+                )
+        tries = retry
+    return out
+
+
+def _quadtree(es: _ExpSum, box: Rectangle, wind: int, min_cell, max_depth, tol):
+    """Candidate zeros of a box whose boundary winding is `wind`.
+
+    Returns (z, residual, multiplicity) in depth-first order of the cells,
+    with multiplicity None when it still has to be counted by a small
+    circle. The tree is walked one depth at a time. A winding-1 cell from
+    whose centre Newton converges inside the cell holds exactly that zero,
+    simple, so its descent stops there; every other cell with zeros is
+    split, the children of all cells split at one depth wound together, down
+    to min_cell, and terminal cells are polished from their centres.
+    """
+    cands = []
+    level = [((), box, wind)]
+    depth = 0
+    while level:
+        splits = []
+        for path, rect, w in sorted(level, key=lambda cell: cell[0]):
+            if w == 0:
+                continue
+            if w == 1:
+                try:
+                    z, res = _polish(es, rect.center, tol)
+                except NoConvergenceError:
+                    pass
+                else:
+                    if rect.contains(z):
+                        cands.append((path, z, res, 1))
+                        continue
+            if max(rect.width, rect.height) < min_cell:
+                z, res = _polish(es, rect.center, tol)
+                cands.append((path, z, res, None))
+                continue
+            if depth >= max_depth:
+                raise UnresolvedClusterError(
+                    f"depth {max_depth} exhausted with winding {w} in {rect}", rect
+                )
+            splits.append((path, rect, w))
+        level = _split(es, splits) if splits else []
+        depth += 1
+    cands.sort(key=lambda cand: cand[0])
+    return [cand[1:] for cand in cands]
 
 
 def _find_zeros_expsum(
@@ -459,10 +536,8 @@ def _find_zeros_expsum(
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     min_cell = 1e-3 * char_scale
     r_mult = 1e-2 * char_scale
-    total = _box_winding(es, box)
-    cands: list[tuple[complex, float, int | None]] = []
-    if total > 0:
-        _collect_zeros(es, box, total, min_cell, max_depth, 0, residual_tol, cands)
+    total = _winding(es, _rectangles([box]), box)
+    cands = _quadtree(es, box, total, min_cell, max_depth, residual_tol) if total > 0 else []
 
     near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
     kept: set[int] = set()
@@ -717,12 +792,6 @@ def asymptote_lines(model: ModelSpec, mp: MultiplePoint) -> list[AsymptoteLine]:
 # Tolerances, matching, audits
 
 
-def default_scales(N: int) -> tuple[float, float, float]:
-    """(gamma_L, omega_L, rho_L) defaults, all proportional to log N."""
-    ln = math.log(N)
-    return 5.0 * ln / N, ln, ln / N
-
-
 def delta_L(
     model: ModelSpec,
     z: complex,
@@ -778,8 +847,8 @@ def match_zeros(predicted: ZeroSet, located: ZeroSet, tolerances, c_match: float
             work[i, :] = np.inf
             work[:, j] = np.inf
         pairs.sort()
-    unmatched_p = [i for i in range(np_) if all(p[0] != i for p in pairs)]
-    unmatched_l = [j for j in range(nl) if all(p[1] != j for p in pairs)]
+    unmatched_p = sorted(set(range(np_)) - {p[0] for p in pairs})
+    unmatched_l = sorted(set(range(nl)) - {p[1] for p in pairs})
     violations = [p for p in pairs if p[2] > c_match * p[3]]
     return MatchReport(
         pairs=pairs,

@@ -5,6 +5,7 @@ import pytest
 
 import pfzeros.zeros as zeros_mod
 from pfzeros import (
+    ContourDegeneracyError,
     DomainError,
     ModelSpec,
     PhaseSpec,
@@ -172,19 +173,50 @@ def test_find_zeros_double_zeros_split_by_rounding():
 
 
 def test_find_zeros_windings_per_zero(m2, monkeypatch):
-    # winding-1 cells stop as soon as Newton stays inside them
-    calls = []
-    winding = zeros_mod._winding_adaptive
+    # winding-1 cells stop as soon as Newton stays inside them, and the
+    # contours of one quadtree depth are wound in a few shared kernel calls
+    contours, kernel_calls, polishes = [], [], []
+    windings = zeros_mod._windings
+    value = zeros_mod._ExpSum.value_normalized
+    polish = zeros_mod._polish
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return winding(*args, **kwargs)
+    def counted_windings(es, batch, *args, **kwargs):
+        contours.append(len(batch[1]))
+        return windings(es, batch, *args, **kwargs)
 
-    monkeypatch.setattr(zeros_mod, "_winding_adaptive", counted)
+    def counted_value(self, z):
+        kernel_calls.append(1)
+        return value(self, z)
+
+    def counted_polish(*args, **kwargs):
+        polishes.append(1)  # each polish evaluates one residual
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(zeros_mod, "_windings", counted_windings)
+    monkeypatch.setattr(zeros_mod._ExpSum, "value_normalized", counted_value)
+    monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
     fvm = finite_volume(m2, L=1000, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
     assert len(zs) == len(axis_zeros(1000)) == 64
-    assert len(calls) <= 8 * len(zs)
+    assert sum(contours) <= 8 * len(zs)
+    assert len(kernel_calls) - len(polishes) <= 60
+
+
+def test_contour_errors_name_their_contour(m2, monkeypatch):
+    fvm = finite_volume(m2, L=100, d=1, tau=1.0)
+    # the zero i pi/200 sits on the box's lower-left corner
+    box = Rectangle(0.0, 0.1, math.pi / 200, 0.2)
+    with pytest.raises(ContourDegeneracyError, match="Rectangle") as err:
+        find_zeros_region(fvm, box)
+    assert err.value.contour == box
+    circle = (1j * math.pi / 200 - 0.003, 0.003)  # through the zero
+    with pytest.raises(ContourDegeneracyError) as err:
+        winding_number(fvm, circle)
+    assert err.value.contour == circle
+    monkeypatch.setattr(zeros_mod, "_windings", lambda es, contours: ["no count"])
+    with pytest.raises(ContourDegeneracyError) as err:
+        zeros_mod._multiplicity(zeros_mod._ExpSum.from_fvm(fvm), 0.01j, 1e-4)
+    assert err.value.contour == (0.01j, 1e-4)
 
 
 def test_zeroset_order_ignores_ulp_noise_in_real_part():
