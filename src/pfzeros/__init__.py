@@ -35,7 +35,6 @@ from .errors import (
     NoConvergenceError,
     NumericalError,
     PfzError,
-    ResolutionError,
     SingularityError,
     SpuriousRootError,
     UnresolvedClusterError,

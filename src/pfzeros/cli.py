@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -338,30 +338,27 @@ def _fvm_from_options(spec, opts) -> model.FiniteVolumeModel:
     )
 
 
-def _curve_for_pair(spec, m, n, N, box) -> diagram.CoexistenceCurve:
-    """Trace the (m, n) curve through the box, finely enough for volume N."""
+def _curve_for_pair(spec, m, n, box) -> diagram.CoexistenceCurve:
+    """The first (m, n) curve of the phase diagram that meets the box, cut to
+    the samples from one before its first in-box sample to one after its
+    last; an arc that leaves the box and comes back is kept. An end at a
+    multiple point is moved onto it: the trace stops one step past it."""
     pd = diagram.build_phase_diagram(
         spec, grid=(33, 33), step=1e-2 * spec.domain.min_side
     )
-    seed_curve = None
     for c in pd.curves:
         if c.pair in ((m, n), (n, m)):
-            pts = c.points()
-            inside = (
-                (pts.real >= box.re_lo)
-                & (pts.real <= box.re_hi)
-                & (pts.imag >= box.im_lo)
-                & (pts.imag <= box.im_hi)
-            )
-            if inside.any():
-                seed_curve = c.samples[int(np.flatnonzero(inside)[0])].z
-                break
-    if seed_curve is None:
-        raise ValidationError(f"no ({m},{n}) coexistence curve meets the box {box}")
-    v_gap = abs(model.eval_v(spec, m, seed_curve) - model.eval_v(spec, n, seed_curve))
-    step = min(1e-2 * spec.domain.min_side, math.pi / (2.0 * N * v_gap))
-    reach = box.width + box.height + 2e-2 * spec.domain.min_side
-    return diagram.trace_curve(spec, m, n, seed_curve, step, int(math.ceil(reach / step)))
+            samples = list(c.samples)
+            for k, term in ((0, c.start), (-1, c.end)):
+                if term.mp_index is not None:
+                    mp = pd.multiple_points[term.mp_index]
+                    v = mp.v_values
+                    samples[k] = replace(samples[k], z=mp.z, v_m=v[c.pair[0]], v_n=v[c.pair[1]])
+            inside = np.flatnonzero(box.contains(np.array([s.z for s in samples])))
+            if inside.size:
+                lo, hi = max(int(inside[0]) - 1, 0), int(inside[-1]) + 2
+                return replace(c, samples=samples[lo:hi])
+    raise ValidationError(f"no ({m},{n}) coexistence curve meets the box {box}")
 
 
 def run(config: RunConfig) -> list[Path]:
@@ -416,8 +413,7 @@ def run(config: RunConfig) -> list[Path]:
     elif config.command == "predict-zeros":
         m, n = _parse_pair(opts["pair"])
         box = _parse_box(opts["box"])
-        N = model._volume(opts["L"], opts["d"])
-        curve = _curve_for_pair(spec, m, n, N, box)
+        curve = _curve_for_pair(spec, m, n, box)
         zs = zeros.predict_two_phase(spec, m, n, curve, L=opts["L"], d=opts["d"])
         kept = [w for w in zs.zeros if box.contains(w.z)]
         zs = zeros.ZeroSet.build(kept, box, opts["L"], opts["d"])
@@ -427,7 +423,7 @@ def run(config: RunConfig) -> list[Path]:
         m, n = _parse_pair(opts["pair"])
         box = _parse_box(opts["box"])
         fvm = _fvm_from_options(spec, opts)
-        curve = _curve_for_pair(spec, m, n, fvm.N, box)
+        curve = _curve_for_pair(spec, m, n, box)
         predicted_all = zeros.predict_two_phase(spec, m, n, curve, L=fvm.L, d=fvm.d)
         predicted = zeros.ZeroSet.build(
             [w for w in predicted_all.zeros if box.contains(w.z)], box, fvm.L, fvm.d

@@ -112,11 +112,9 @@ def density_convergence(
     """
     if not eps_list or not L_list:
         raise ValidationError("eps_list and L_list must be non-empty")
-    n_max = max(_volume(L, d) for L in L_list)
     z0 = find_coexistence_point(model, m, n, z, radius=0.1 * model.domain.min_side)
     eps_max = max(eps_list)
-    v_gap = abs(eval_v(model, m, z0) - eval_v(model, n, z0))
-    step = min(0.01 * model.domain.min_side, math.pi / (2.0 * n_max * v_gap))
+    step = 0.01 * model.domain.min_side
     max_steps = int(math.ceil(1.3 * eps_max / step)) + 4
     curve = trace_curve(model, m, n, z0, step, max_steps)
 

@@ -168,52 +168,6 @@ def _project_onto_level(h, dh, z: complex, target: float = 0.0, tol: float = TOL
     raise NoConvergenceError("projection onto the coexistence level set stalled", z)
 
 
-def _project_onto_level_array(h, dh, z, target: float = 0.0, tol: float = TOL_PROJECT):
-    """_project_onto_level applied to every point of a 1-D array at once.
-
-    Each point keeps its own iterates under the same Newton update, the same
-    12-iteration cap and the same 100*tol acceptance, so the result equals
-    the scalar projection point by point. The first failing point, in array
-    order, raises the scalar form's error with its own iterate.
-    """
-    z = np.array(z, dtype=complex)
-    flat = np.zeros(z.shape, dtype=bool)  # gradient vanished
-    act = np.arange(z.size)
-    for _ in range(12):
-        if not act.size:
-            break
-        r = h(z[act]).real - target
-        keep = ~(np.abs(r) <= tol)
-        act, r = act[keep], r[keep]
-        # the scalar update z - r * conj(g) / g2 in real operations, rounded
-        # as Python rounds it (numpy's complex product and quotient differ)
-        g = dh(z[act])
-        cr, ci = g.real, -g.imag  # conj(g)
-        g2 = cr * cr - g.imag * ci
-        low = g2 < 1e-24
-        flat[act[low]] = True
-        keep = ~low
-        act, r, cr, ci, g2 = act[keep], r[keep], cr[keep], ci[keep], g2[keep]
-        sr, si = r * cr - 0.0 * ci, r * ci + 0.0 * cr
-        za = z[act]
-        za.real -= (sr + si * 0.0) / g2
-        za.imag -= (si - sr * 0.0) / g2
-        z[act] = za
-    stalled = np.zeros(z.shape, dtype=bool)
-    stalled[act] = ~(np.abs(h(z[act]).real - target) <= 100 * tol)
-    bad = np.flatnonzero(flat | stalled)
-    if bad.size:
-        k = bad[0]
-        if flat[k]:
-            raise NoConvergenceError(
-                "vanishing exponent-gap gradient during projection", complex(z[k])
-            )
-        raise NoConvergenceError(
-            "projection onto the coexistence level set stalled", complex(z[k])
-        )
-    return z
-
-
 def _third_phase(model: ModelSpec, pair, z: complex, eps: float):
     if model.r == 2:
         return None  # the pair is every phase

@@ -57,10 +57,6 @@ class UnresolvedClusterError(NumericalError):
         self.cell = cell
 
 
-class ResolutionError(NumericalError):
-    """Curve samples are too sparse to track a phase accumulation reliably."""
-
-
 class CoverageError(ValidationError):
     """A counting disc is not fully contained in the region the zeros cover."""
 

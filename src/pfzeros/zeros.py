@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CoexistenceCurve, MultiplePoint, _project_onto_level_array
+from .diagram import CoexistenceCurve, MultiplePoint
 from .errors import (
     ContourDegeneracyError,
     ConvexityError,
     DomainError,
     NoConvergenceError,
-    ResolutionError,
     UnresolvedClusterError,
     ValidationError,
 )
@@ -601,6 +600,9 @@ def find_zeros_region(
 # ---------------------------------------------------------------------------
 # Predicted zeros: two-phase balance equations
 
+# Newton steps allowed per two-phase zero; seeds from a traced curve take 1-3.
+_NEWTON_STEPS = 50
+
 
 def predict_two_phase(
     source,
@@ -613,14 +615,14 @@ def predict_two_phase(
 ) -> ZeroSet:
     """Solutions of the two-phase modulus and phase-quantization equations.
 
-    Each curve sample is shifted transversally onto the level set where the
-    degeneracy-weighted moduli balance; the accumulated phase difference
-    theta = N Im(log zeta_m - log zeta_n) is then walked along the shifted
-    curve, emitting one solution per crossing of pi mod 2 pi. All samples
-    are shifted, and all crossings bisected, in one array pass, each
-    crossing on its own bracket. The curve must be sampled finely enough
-    that theta advances by less than pi per segment, otherwise a
-    ResolutionError names the first such gap.
+    Together the two equations say N (P_m - P_n)(z) = log(q_n/q_m) +
+    i pi (2j+1): one analytic equation h(z) = c_j per integer j. The curve
+    supplies only the seeds. theta = N Im h increases strictly along a
+    traced curve, so every pi (2j+1) between its end values gets one seed,
+    interpolated between the samples against theta. One array Newton then
+    runs on all seeds at once, each seed until |N (h(z) - c_j)| <= tol, so
+    the curve may be as coarse as its shape allows. Samples along which
+    theta is not strictly monotone raise ValidationError.
     """
     if curve.pair != (m, n) and curve.pair != (n, m):
         raise ValidationError(f"curve belongs to pair {curve.pair}, not ({m},{n})")
@@ -634,71 +636,53 @@ def predict_two_phase(
     N = _volume(L, d)
     h, dh = _pair_gap(source, m, n)
     q = source.degeneracies
-    target_mod = math.log(q[n] / q[m]) / N
+    log_ratio = math.log(q[n] / q[m])
 
-    def level(z):
-        return _project_onto_level_array(h, dh, z, target=target_mod, tol=1e-13)
-
-    shifted = level([s.z for s in curve.samples])
-    theta = N * h(shifted).imag
-    jumps = np.flatnonzero(np.abs(np.diff(theta)) >= math.pi)
-    if jumps.size:
-        k = jumps[0]
-        raise ResolutionError(
-            f"phase advances by {abs(theta[k + 1] - theta[k]):.3f} between samples "
-            f"t={curve.samples[k].t:.6g} and t={curve.samples[k + 1].t:.6g}; "
-            "trace the curve with a smaller step"
+    samples = curve.samples
+    pts = curve.points()
+    theta = N * h(pts).imag
+    if theta[-1] < theta[0]:
+        samples, pts, theta = samples[::-1], pts[::-1], theta[::-1]
+    bad = np.flatnonzero(~(np.diff(theta) > 0.0))
+    if bad.size:
+        s = samples[bad[0] + 1]
+        raise ValidationError(
+            f"theta = N Im(P_m - P_n) is not strictly monotone along the curve "
+            f"at the sample t={s.t:.6g}, z={s.z}"
         )
 
-    # lattice points pi + 2 pi j touching each span; rounding at the
-    # endpoints is caught by the inclusive check and the emitted set
-    lo, hi = np.minimum(theta[:-1], theta[1:]), np.maximum(theta[:-1], theta[1:])
-    j0 = np.ceil((lo - math.pi) / (2.0 * math.pi) - 1e-12)
-    j1 = np.floor((hi - math.pi) / (2.0 * math.pi) + 1e-12)
-    seg: list[int] = []
-    tgt_list: list[float] = []
-    emitted: set[int] = set()  # theta is strictly monotone, each index hits once
-    for k in np.flatnonzero(j0 <= j1).tolist():
-        for j in range(int(j0[k]), int(j1[k]) + 1):
-            tgt = math.pi + 2.0 * math.pi * j
-            if j not in emitted and lo[k] <= tgt <= hi[k]:
-                emitted.add(j)
-                seg.append(k)
-                tgt_list.append(tgt)
-
-    # bisect every crossing in lockstep, each on its own bracket [sa, sb]
-    # of the segment from za to za + dz
-    ks = np.array(seg, dtype=int)
-    tgt = np.array(tgt_list, dtype=float)
-    za, dz = shifted[ks], shifted[ks + 1] - shifted[ks]
-    sa, sb, fa = np.zeros(ks.size), np.ones(ks.size), theta[ks] - tgt
-    z_hit = za.copy()
-    act = np.arange(ks.size)
-    for _ in range(200):
-        if not act.size:
+    # one target pi (2j+1) per zero, each seeded between its two samples
+    j = np.arange(
+        math.floor((theta[0] - math.pi) / (2.0 * math.pi)),
+        math.ceil((theta[-1] - math.pi) / (2.0 * math.pi)) + 1,
+    )
+    tgt = math.pi + 2.0 * math.pi * j
+    tgt = tgt[(theta[0] <= tgt) & (tgt <= theta[-1])]
+    z = np.interp(tgt, theta, pts)
+    c = log_ratio + 1j * tgt  # N c_j
+    act = np.arange(tgt.size)
+    for k in range(_NEWTON_STEPS + 1):
+        r = N * h(z[act]) - c[act]
+        keep = ~(np.abs(r) <= tol)
+        act = act[keep]
+        if not act.size or k == _NEWTON_STEPS:
             break
-        sm = 0.5 * (sa[act] + sb[act])
-        z_hit[act] = level(za[act] + sm * dz[act])
-        fm = N * h(z_hit[act]).imag - tgt[act]
-        left = fa[act] * fm <= 0.0
-        sb[act[left]] = sm[left]
-        sa[act[~left]] = sm[~left]
-        fa[act[~left]] = fm[~left]
-        act = act[~(np.abs(fm) <= tol)]
+        z[act] -= r[keep] / (N * dh(z[act]))
     if act.size:
-        raise NoConvergenceError("phase bisection stalled", complex(z_hit[act[0]]))
-    hz = h(z_hit)
-    resid = np.abs(N * hz.imag - tgt) + N * np.abs(hz.real - target_mod)
-    zeros = [
-        Zero(z, 1, r, METHOD_TWO_PHASE) for z, r in zip(z_hit.tolist(), resid.tolist())
-    ]
+        raise NoConvergenceError(
+            f"two-phase Newton did not reach |N(h - c_j)| <= {tol} in {_NEWTON_STEPS} steps",
+            complex(z[act[0]]),
+        )
+    hz = h(z)
+    resid = np.abs(N * hz.imag - tgt) + N * np.abs(hz.real - log_ratio / N)
+    zeros = [Zero(zj, 1, rj, METHOD_TWO_PHASE) for zj, rj in zip(z.tolist(), resid.tolist())]
 
     pad = 1e-9 + 2.0 / max(N, 1)
     region = Rectangle(
-        float(shifted.real.min()) - pad,
-        float(shifted.real.max()) + pad,
-        float(shifted.imag.min()) - pad,
-        float(shifted.imag.max()) + pad,
+        float(pts.real.min()) - pad,
+        float(pts.real.max()) + pad,
+        float(pts.imag.min()) - pad,
+        float(pts.imag.max()) + pad,
     )
     return ZeroSet.build(zeros, region, L, d)
 

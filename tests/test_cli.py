@@ -9,6 +9,7 @@ from pfzeros.cli import main, read_zeros_csv
 from pfzeros.render import emit_svg
 
 from conftest import lee_yang_model, three_phase_model, two_phase_model
+from test_predict import curved_model
 
 
 def write_model(tmp_path, model, name="model.json"):
@@ -83,6 +84,8 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
         ("two_q12", ["find-zeros", "--L", "10", "--box=-0.1,0.1,0,0.2", "--max-depth", "-1"]),
         ("two_q12", ["compare", "--pair", "0,1", "--L", "10", "--box=-0.1,0.1,0,0.2",
                      "--max-depth", "-1"]),
+        # the (0,1) curve is the imaginary axis, which this box misses
+        ("two", ["predict-zeros", "--pair", "0,1", "--L", "100", "--box=0.3,0.5,0,0.2"]),
     ],
 )
 def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
@@ -131,6 +134,20 @@ def test_cli_compare_workflow(tmp_path):
     svg = (out / "compare.svg").read_text()
     assert svg.count("<circle") == 12  # predicted and located markers overlap
     assert svg.startswith("<svg")
+
+
+def test_cli_compare_curved_off_centre(tmp_path):
+    # the curve of curved_model crosses this box near its left edge, at
+    # Re z ~ 0.07-0.11, bending as it goes
+    mp = write_model(tmp_path, curved_model())
+    out = tmp_path / "cmp"
+    argv = ["compare", mp, "--pair", "0,1", "--L", "200", "--box=0.0,0.3,0.2,0.4"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    report = (out / "match_report.txt").read_text()
+    assert "pairs: 13\n" in report
+    assert "unmatched_predicted: 0\n" in report
+    assert "unmatched_located: 0\n" in report
+    assert "violations: 0\n" in report
 
 
 def test_cli_determinism_across_reruns(tmp_path):
@@ -190,6 +207,23 @@ def test_cli_predict_zeros(tmp_path):
     back = read_zeros_csv(out / "zeros_two_phase_L100d1.csv")
     assert len(back) == 6
     assert all(w.method == "two_phase_eq" for w in back)
+
+
+def test_cli_predict_zeros_ends_at_the_multiple_point(tmp_path):
+    # (1,2) coexist on the ray Im z = 0.02, Re z < 0.05 left of the triple
+    # point s, where N i sqrt(3) (z - s) = i pi (2j+1); the coarse trace
+    # stops a step past s, and no zero may come from that overshoot
+    shift = 0.05 + 0.02j
+    mp = write_model(tmp_path, three_phase_model(shift=shift))
+    out = tmp_path / "pred"
+    argv = ["predict-zeros", mp, "--pair", "1,2", "--L", "2000", "--box=-0.6,0.1,-0.6,0.3"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    rows = read_zeros_csv(out / "zeros_two_phase_L2000d1.csv")
+    got = sorted((w.z for w in rows), key=lambda z: -z.real)
+    want = [shift - math.pi * (2 * j + 1) / (math.sqrt(3) * 2000) for j in range(358)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12
 
 
 def test_cli_check_assumptions(tmp_path):

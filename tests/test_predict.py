@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from pfzeros import (
     NoConvergenceError,
     PhaseSpec,
     Rectangle,
-    ResolutionError,
     ValidationError,
     Zero,
     ZeroSet,
@@ -91,10 +91,33 @@ def test_predict_two_phase_empty_on_small_segment(m2):
     assert all(not (0 <= z.imag <= 0.1) for z in zs.points())
 
 
-def test_predict_two_phase_sparse_curve_rejected(m2):
+def test_predict_two_phase_sparse_curve_solved(m2):
+    # theta advances by 20, more than 6 pi, between these samples
     curve = trace_curve(m2, 0, 1, 0j, step=0.01, max_steps=20)
-    with pytest.raises(ResolutionError):
-        predict_two_phase(m2, 0, 1, curve, L=1000, d=1)
+    zs = predict_two_phase(m2, 0, 1, curve, L=1000, d=1)
+    got = sorted((z for z in zs.points() if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
+    want = axis_zeros(1000)
+    assert len(got) == len(want) == 64
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-10
+
+
+def test_predict_two_phase_either_orientation():
+    # for the pair (1, 0) theta falls along the (0, 1) samples
+    m = two_phase_model(q1=1, q2=2)
+    curve = m2_curve(m, 100)
+    fwd = predict_two_phase(m, 0, 1, curve, L=100, d=1).points()
+    bwd = predict_two_phase(m, 1, 0, curve, L=100, d=1).points()
+    assert len(fwd) == len(bwd) > 10
+    assert np.abs(fwd - bwd).max() <= 1e-14
+
+
+def test_predict_two_phase_rejects_non_monotone_samples(m2):
+    curve = m2_curve(m2, 100)
+    s = curve.samples
+    bent = replace(curve, samples=s[:10] + [s[5]] + s[10:])
+    with pytest.raises(ValidationError, match=f"t={s[5].t:.6g}, z="):
+        predict_two_phase(m2, 0, 1, bent, L=100, d=1)
 
 
 def test_predict_two_phase_from_fvm_matches_brute(m2):
@@ -148,7 +171,7 @@ def reference_predict_two_phase(source, m, n, curve, N, tol=1e-10):
     for k in range(len(shifted) - 1):
         ta, tb = theta[k], theta[k + 1]
         if abs(tb - ta) >= math.pi:
-            raise ResolutionError(
+            raise ValueError(
                 f"phase advances by {abs(tb - ta):.3f} between samples "
                 f"t={curve.samples[k].t:.6g} and t={curve.samples[k + 1].t:.6g}; "
                 "trace the curve with a smaller step"
@@ -195,8 +218,26 @@ def curved_curve(model):
     return trace_curve(model, 0, 1, z0, step=2e-3, max_steps=300)
 
 
-def _by_position(pairs):
-    return sorted(pairs, key=lambda p: (p[0].real, p[0].imag))
+def assert_matches_reference(source, got, want, N, tol=1e-10):
+    """The Newton zeros solve N h(z) = log(q_n/q_m) + i pi (2j+1) to tol and
+    lie one-to-one within the reference bisection's own stopping error,
+    tol / (N |h'(z)|) from each side, of the reference zeros."""
+    cm, cn = source.exponents[0], source.exponents[1]
+    dm, dn = source.derivatives[0], source.derivatives[1]
+    q = source.degeneracies
+    ref = np.array([z for z, _ in want])
+    assert len(got) == len(ref)
+    nearest = set()
+    for w in got.zeros:
+        hz = _horner(cm, w.z) - _horner(cn, w.z)
+        j = round((N * hz.imag / math.pi - 1) / 2)
+        c_j = complex(math.log(q[1] / q[0]), math.pi * (2 * j + 1)) / N
+        assert abs(N * (hz - c_j)) <= tol
+        dist = np.abs(ref - w.z)
+        k = int(dist.argmin())
+        assert dist[k] <= 2 * tol / (N * abs(_horner(dm, w.z) - _horner(dn, w.z)))
+        nearest.add(k)
+    assert len(nearest) == len(ref)
 
 
 @pytest.mark.parametrize("case", ["q12", "perturbed", "curved"])
@@ -213,7 +254,7 @@ def test_predict_two_phase_equals_scalar_reference(case):
     want = reference_predict_two_phase(source, 0, 1, curve, N)
     got = predict_two_phase(source, 0, 1, curve, L=N, d=1)
     assert len(want) > 40
-    assert _by_position((w.z, w.residual) for w in got.zeros) == _by_position(want)
+    assert_matches_reference(source, got, want, N)
 
 
 def test_trace_samples_carry_exact_log_derivatives():
@@ -223,15 +264,26 @@ def test_trace_samples_carry_exact_log_derivatives():
         assert s.v_m == eval_v(model, 0, s.z) and s.v_n == eval_v(model, 1, s.z)
 
 
-def test_predict_two_phase_resolution_error_names_the_reference_gap():
+def test_predict_two_phase_coarse_curve_matches_fine_reference():
+    # at N=700 theta advances by more than pi per step on part of
+    # curved_curve, so the reference bisection needs a trace ten times finer
+    model = curved_model()
+    z0 = find_coexistence_point(model, 0, 1, 0.05 + 0j)
+    fine = trace_curve(model, 0, 1, z0, step=2e-4, max_steps=3000)
+    want = reference_predict_two_phase(model, 0, 1, fine, 700)
+    got = predict_two_phase(model, 0, 1, curved_curve(model), L=700, d=1)
+    assert len(want) > 100
+    assert_matches_reference(model, got, want, 700)
+
+
+def test_predict_two_phase_newton_cap_carries_its_iterate():
+    # with tol=0 the rounding floor of N h keeps some zeros unconverged
     model = curved_model()
     curve = curved_curve(model)
-    with pytest.raises(ResolutionError) as want:
-        reference_predict_two_phase(model, 0, 1, curve, 700)
-    with pytest.raises(ResolutionError) as got:
-        predict_two_phase(model, 0, 1, curve, L=700, d=1)
-    assert str(got.value) == str(want.value)
-    assert "t=0.414 and t=0.416" in str(got.value)  # a gap well inside the curve
+    zs = predict_two_phase(model, 0, 1, curve, L=200, d=1).points()
+    with pytest.raises(NoConvergenceError, match="in 50 steps") as exc:
+        predict_two_phase(model, 0, 1, curve, L=200, d=1, tol=0.0)
+    assert np.abs(zs - exc.value.last_iterate).min() <= 1e-12
 
 
 def test_predict_two_phase_wrong_pair(m2):
