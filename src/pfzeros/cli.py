@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, density, diagram, model, render, zeros
-from .errors import NumericalError, PfzError, ValidationError
+from .errors import NumericalError, ValidationError
 
 ENV_OUT_DIR = "PFZEROS_OUT_DIR"
 ZEROS_HEADER = "re_z,im_z,multiplicity,residual,method"
@@ -433,17 +433,17 @@ def run(config: RunConfig) -> list[Path]:
         # the theoretical tolerance can undercut double-precision localization;
         # floor it at the polishing resolution so reports flag real violations
         floor = 1e-12
-        tolerances = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for w in predicted.zeros:
-                try:
-                    tol = zeros.delta_L(spec, w.z, fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))
-                except PfzError:
-                    tol = math.exp(-fvm.tau * fvm.L)
-                tolerances.append(max(tol, floor))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tol = zeros.delta_L(
+                spec, predicted.points(), fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n)
+            )
+        for msg in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {msg}", file=sys.stderr)
+        # outside the gamma_L two-phase region the core tolerance stands in
+        tol = np.where(np.isnan(tol), math.exp(-fvm.tau * fvm.L), tol)
         rep = zeros.match_zeros(
-            predicted, located, tolerances or [1.0], c_match=opts["c_match"]
+            predicted, located, np.maximum(tol, floor), c_match=opts["c_match"]
         )
         written.append(_write(out / "predicted.csv", zeros_csv(predicted)))
         written.append(_write(out / "located.csv", zeros_csv(located)))

@@ -53,26 +53,51 @@ METHOD_MULTIPOINT = "multipoint_eq"
 _DEDUP_TOL = 1e-12
 
 
-def _neighbours(points: np.ndarray, tol: float) -> dict[int, list[int]]:
-    """Indices of the other points within tol, for each point that has any.
+def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
+    """Index arrays (i, j) holding every pair with |a[i] - b[j]| <= r, and others.
 
-    Such points lie in the same or adjacent cells of a grid of spacing tol;
-    the cells are found by binary search on the sorted (complex, so
-    lexicographic) cell keys, which keeps the cost O(n log n).
+    The points are binned on a grid of cells a little wider than r, counted
+    from the lower-left corner of both sets, so such a pair lies in the same
+    or adjacent cells however the keys round. The cells are found by binary
+    search on the sorted (complex, so lexicographic) cell keys of b, which
+    keeps the cost O((n + pairs) log n). Pairs of adjacent cells that are
+    farther apart are returned too: callers measure the distance their own way.
     """
-    key = np.round(points.real / tol) + 1j * np.round(points.imag / tol)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    near: dict[int, list[int]] = {}
+    if not (a.size and b.size):
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    origin = complex(min(a.real.min(), b.real.min()), min(a.imag.min(), b.imag.min()))
+    cell = 1.01 * r
+
+    def key(p):
+        p = p - origin
+        return np.floor(p.real / cell) + 1j * np.floor(p.imag / cell)
+
+    ka, kb = key(a), key(b)
+    order = np.argsort(kb, kind="stable")
+    skey = kb[order]
+    ii, jj = [], []
     for dx in (-1.0, 0.0, 1.0):
-        lo = np.searchsorted(skey, skey + complex(dx, -1.0), side="left")
-        hi = np.searchsorted(skey, skey + complex(dx, 1.0), side="right")
-        own = 1 if dx == 0.0 else 0  # the point's own cell row holds the point
-        for a in np.flatnonzero(hi - lo > own):
-            i = int(order[a])
-            for j in order[lo[a] : hi[a]]:
-                if j != i and abs(points[j] - points[i]) <= tol:
-                    near.setdefault(i, []).append(int(j))
+        lo = np.searchsorted(skey, ka + complex(dx, -1.0), side="left")
+        n = np.searchsorted(skey, ka + complex(dx, 1.0), side="right") - lo
+        ii.append(np.repeat(np.arange(a.size), n))
+        # run k of the output counts up from lo[k]
+        jj.append(order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())])
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+def _modulus(z):
+    """|z| as Python's abs rounds it (hypot); numpy's complex abs on arrays
+    rounds differently in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _neighbours(points: np.ndarray, tol: float) -> dict[int, list[int]]:
+    """Indices of the other points within tol, for each point that has any."""
+    i, j = _grid_pairs(points, points, tol)
+    close = (i != j) & (_modulus(points[i] - points[j]) <= tol)
+    near: dict[int, list[int]] = {}
+    for a, b in zip(i[close].tolist(), j[close].tolist()):
+        near.setdefault(a, []).append(b)
     return near
 
 
@@ -124,12 +149,20 @@ class ZeroSet:
         return sum(w.multiplicity for w in self.zeros if abs(w.z - center) < radius)
 
     def min_spacing(self) -> float:
+        """Smallest distance between two zeros, from grid pairs within a
+        radius that doubles until it holds the closest pair."""
         pts = self.points()
         if len(pts) < 2:
             return math.inf
-        d = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        span = max(np.ptp(pts.real), np.ptp(pts.imag))
+        r = span / len(pts) or 1.0
+        while True:
+            i, j = _grid_pairs(pts, pts, r)
+            d = np.abs(pts[i] - pts[j])[i != j]
+            # past the span every pair is a candidate
+            if d.size and (d.min() <= r or r > span):
+                return float(d.min())
+            r *= 2.0
 
 
 @dataclass
@@ -214,22 +247,40 @@ class _ExpSum:
 
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
-        g = self.exponents(z)
-        m = np.max(g.real, axis=0)
-        vals = np.tensordot(self.w, np.exp(g - m), axes=(0, 0))
-        return self.scale * vals
+        z = np.asarray(z)
+        e = self._normalized_terms(z)
+        e *= self._weights(z)
+        return self.scale * _add_terms(e)
 
-    def newton_step(self, z: complex) -> complex:
-        """value / derivative with the shared normalization cancelled."""
+    def newton_step(self, z):
+        """(value, derivative) at z with the shared normalization cancelled;
+        their quotient is the Newton step. Elementwise for an array z."""
+        z = np.asarray(z)
+        e = self._normalized_terms(z)
+        w = self._weights(z)
+        return _add_terms(w * e), _add_terms(w * _polyval_rows(self.dc, z) * e)
+
+    def _normalized_terms(self, z):
+        """exp(g_k(z) - max_j Re g_j(z)), computed in place."""
         g = self.exponents(z)
-        gp = _polyval_rows(self.dc, z)
-        m = np.max(g.real, axis=0)
-        e = np.exp(g - m)
-        num = np.dot(self.w, e)
-        den = np.dot(self.w * gp, e)
-        if den == 0:
-            raise NoConvergenceError("vanishing derivative during polishing", z)
-        return complex(num / den)
+        g -= np.max(g.real, axis=0)
+        return np.exp(g, out=g)
+
+    def _weights(self, z):
+        return self.w.reshape(self.w.shape + (1,) * z.ndim)
+
+
+def _add_terms(terms):
+    """Sum over the first axis, added one term after another.
+
+    A point then gets the same bits in a batch of any size: numpy's sum
+    reduces a lone point's terms pairwise and BLAS dot products block them,
+    either of which rounds differently from a column sum over a batch.
+    """
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +461,36 @@ _SPLIT_FRACTIONS = (
 )
 
 
-def _polish(es: _ExpSum, z: complex, tol: float, max_iter: int = 80):
+def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
+    """Newton from every start at once: arrays z and residual and a list of
+    failure reasons, None for a polished point.
+
+    Each point steps until |dz| <= 1e-16 (1 + |z|), at most max_iter times,
+    and has the kernel evaluated only while it steps. A point fails where the
+    derivative vanishes, keeping the iterate it vanished at, or where its
+    residual |W(z)| is not <= tol (so also when it is NaN).
+    """
+    z = np.array(starts, dtype=complex).reshape(-1)
+    res = np.full(z.size, np.nan)
+    why: list = [None] * z.size
+    act = np.arange(z.size)
     for _ in range(max_iter):
-        dz = es.newton_step(z)
-        z = z - dz
-        if abs(dz) <= 1e-16 * (1.0 + abs(z)):
+        if not act.size:
             break
-    res = abs(complex(es.value_normalized(z)))
-    if not res <= tol:  # also rejects a NaN from a diverged iterate
-        raise NoConvergenceError(f"polish stalled at residual {res:.3e}", z)
-    return z, res
+        num, den = es.newton_step(z[act])
+        flat = den == 0
+        for i in act[flat].tolist():
+            why[i] = "vanishing derivative during polishing"
+        act = act[~flat]
+        dz = num[~flat] / den[~flat]
+        z[act] -= dz
+        act = act[~(_modulus(dz) <= 1e-16 * (1.0 + _modulus(z[act])))]
+    ok = np.array([w is None for w in why], dtype=bool)
+    if ok.any():
+        res[ok] = _modulus(es.value_normalized(z[ok]))
+    for i in np.flatnonzero(ok & ~(res <= tol)).tolist():
+        why[i] = f"polish stalled at residual {res[i]:.3e}"
+    return z, res, why
 
 
 def _multiplicity(es: _ExpSum, z: complex, radius: float) -> int:
@@ -480,28 +551,32 @@ def _quadtree(es: _ExpSum, box: Rectangle, wind: int, min_cell, max_depth, tol):
     whose centre Newton converges inside the cell holds exactly that zero,
     simple, so its descent stops there; every other cell with zeros is
     split, the children of all cells split at one depth wound together, down
-    to min_cell, and terminal cells are polished from their centres.
+    to min_cell, and terminal cells are polished from their centres. The
+    winding-1 and terminal cells of a depth are polished in one batch, then
+    visited in path order, so a failure raises where the cell-by-cell walk
+    would have raised it.
     """
     cands = []
     level = [((), box, wind)]
     depth = 0
     while level:
+        level = sorted((cell for cell in level if cell[2] != 0), key=lambda cell: cell[0])
+        terminal = [max(rect.width, rect.height) < min_cell for _, rect, _ in level]
+        todo = [k for k, (cell, t) in enumerate(zip(level, terminal)) if cell[2] == 1 or t]
+        z, res, why = _polish(es, [level[k][1].center for k in todo], tol)
+        polished = dict(zip(todo, zip(z.tolist(), res.tolist(), why)))
         splits = []
-        for path, rect, w in sorted(level, key=lambda cell: cell[0]):
-            if w == 0:
-                continue
+        for k, (path, rect, w) in enumerate(level):
             if w == 1:
-                try:
-                    z, res = _polish(es, rect.center, tol)
-                except NoConvergenceError:
-                    pass
-                else:
-                    if rect.contains(z):
-                        cands.append((path, z, res, 1))
-                        continue
-            if max(rect.width, rect.height) < min_cell:
-                z, res = _polish(es, rect.center, tol)
-                cands.append((path, z, res, None))
+                zk, rk, failed = polished[k]
+                if failed is None and rect.contains(zk):
+                    cands.append((path, zk, rk, 1))
+                    continue
+            if terminal[k]:
+                zk, rk, failed = polished[k]
+                if failed is not None:
+                    raise NoConvergenceError(failed, zk)
+                cands.append((path, zk, rk, None))
                 continue
             if depth >= max_depth:
                 raise UnresolvedClusterError(
@@ -587,6 +662,8 @@ def find_zeros_region(
     Cells of higher winding descend to 1e-3/N and each terminal cell is
     polished, with a small-circle winding for its multiplicity. The
     multiplicities are required to add up to the winding of the whole box.
+    The tree goes one depth at a time: one batched winding pass for the
+    children of a depth's splits and one array Newton for its polishes.
     """
     for corner in box.corners():
         if not fvm.domain.contains(corner):
@@ -778,16 +855,21 @@ def asymptote_lines(model: ModelSpec, mp: MultiplePoint) -> list[AsymptoteLine]:
 
 def delta_L(
     model: ModelSpec,
-    z: complex,
+    z,
     L: int,
     d: int,
     gamma_L: float,
     tau: float,
     kappa: float,
     Q,
-) -> float:
+):
     """Per-zero tolerance: exponentially small near the coexistence core,
-    volume-suppressed in the outer almost-stable shell."""
+    volume-suppressed in the outer almost-stable shell.
+
+    A scalar z outside the gamma_L two-phase region of Q raises DomainError.
+    An array z gives one tolerance per point, NaN outside that region. The
+    growth and decay conditions on gamma_L are warned about once per call.
+    """
     Q = tuple(Q)
     if len(Q) != 2:
         raise ValidationError(f"delta_L needs a two-phase set, got {Q}")
@@ -803,16 +885,27 @@ def delta_L(
             f"gamma_L={gamma_L:.3g} fails the decay condition at L={L}",
             stacklevel=2,
         )
-    z = _require_finite(z)
-    if not in_two_phase_region(model, z, gamma_L, Q):
+    scalar = np.ndim(z) == 0
+    if scalar:
+        z = _require_finite(z)
+    inside = in_two_phase_region(model, z, gamma_L, Q)
+    if scalar and not inside:
         raise DomainError(f"{z} is not in the two-phase region of {Q} at eps={gamma_L:.3g}")
-    if in_two_phase_region(model, z, 2.0 * kappa / L, Q):
-        return math.exp(-tau * L)
-    return N * math.exp(-0.5 * gamma_L * N)
+    core = in_two_phase_region(model, z, 2.0 * kappa / L, Q)
+    tol = np.where(core, math.exp(-tau * L), N * math.exp(-0.5 * gamma_L * N))
+    return float(tol) if scalar else np.where(inside, tol, np.nan)
 
 
 def match_zeros(predicted: ZeroSet, located: ZeroSet, tolerances, c_match: float = 10.0) -> MatchReport:
     """Greedy nearest-pair matching, verified injective both ways.
+
+    Repeatedly pairing the closest free predicted and located zeros (ties
+    to the lowest predicted, then located index) is taking all pairs in
+    ascending (distance, predicted, located) order and keeping each whose
+    two ends are still free. The pairs are drawn from a grid, within a
+    radius that doubles until one side is used up: a pair within the radius
+    precedes every pair beyond it, so each round keeps what the full order
+    would keep, and no n x n distance matrix is formed.
 
     tolerances is a scalar or a per-predicted-zero sequence; pairs farther
     apart than c_match times their tolerance are flagged, not dropped.
@@ -822,22 +915,30 @@ def match_zeros(predicted: ZeroSet, located: ZeroSet, tolerances, c_match: float
     tol = np.zeros(np_) if np_ == 0 else np.broadcast_to(tol, (np_,))
     pp, ll = predicted.points(), located.points()
     pairs: list[tuple[int, int, float, float]] = []
+    free_p, free_l = np.ones(np_, dtype=bool), np.ones(nl, dtype=bool)
+    fp, fl = np.arange(np_), np.arange(nl)
     if np_ and nl:
-        dist = np.abs(pp[:, None] - ll[None, :])
-        work = dist.copy()
-        for _ in range(min(np_, nl)):
-            i, j = np.unravel_index(np.argmin(work), work.shape)
-            pairs.append((int(i), int(j), float(dist[i, j]), float(tol[i])))
-            work[i, :] = np.inf
-            work[:, j] = np.inf
-        pairs.sort()
-    unmatched_p = sorted(set(range(np_)) - {p[0] for p in pairs})
-    unmatched_l = sorted(set(range(nl)) - {p[1] for p in pairs})
+        both = np.concatenate([pp, ll])
+        r = max(np.ptp(both.real), np.ptp(both.imag)) / both.size or 1.0
+        while fp.size and fl.size:
+            i, j = _grid_pairs(pp[fp], ll[fl], r)
+            i, j = fp[i], fl[j]
+            dist = np.abs(pp[i] - ll[j])
+            near = dist <= r
+            i, j, dist = i[near], j[near], dist[near]
+            order = np.lexsort((j, i, dist))
+            for a, b, dab in zip(i[order].tolist(), j[order].tolist(), dist[order].tolist()):
+                if free_p[a] and free_l[b]:
+                    free_p[a] = free_l[b] = False
+                    pairs.append((a, b, dab, float(tol[a])))
+            fp, fl = np.flatnonzero(free_p), np.flatnonzero(free_l)
+            r *= 2.0
+    pairs.sort()
     violations = [p for p in pairs if p[2] > c_match * p[3]]
     return MatchReport(
         pairs=pairs,
-        unmatched_predicted=unmatched_p,
-        unmatched_located=unmatched_l,
+        unmatched_predicted=fp.tolist(),
+        unmatched_located=fl.tolist(),
         min_located_spacing=located.min_spacing(),
         violations=violations,
         c_match=float(c_match),

@@ -136,6 +136,19 @@ def test_cli_compare_workflow(tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_cli_compare_reports_delta_L_warnings_once(tmp_path, capsys):
+    # gamma_L = 2 log N / N fails the growth condition N gamma_L / log L > 4 d;
+    # delta_L sees all 64 predicted zeros in one call and warns once
+    mp = write_model(tmp_path, two_phase_model())
+    out = tmp_path / "cmp"
+    argv = ["compare", mp, "--pair", "0,1", "--L", "1000", "--box=-0.1,0.1,0.0,0.2"]
+    assert main([*argv, "--gamma-scale", "2", "--out-dir", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: gamma_L=") and "growth condition" in err[0]
+    assert "pairs: 64\n" in (out / "match_report.txt").read_text()
+
+
 def test_cli_compare_curved_off_centre(tmp_path):
     # the curve of curved_model crosses this box near its left edge, at
     # Re z ~ 0.07-0.11, bending as it goes

@@ -1,10 +1,13 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfzeros import (
     DomainError,
@@ -486,6 +489,29 @@ def test_delta_L_warns_on_bad_gamma(m2):
         delta_L(m2, 0.001j, L=100, d=1, gamma_L=1 / 200, tau=0.1, kappa=1.0, Q=(0, 1))
 
 
+def test_delta_L_array_equals_scalar_calls(m2):
+    # the inner core, the outer shell and a point outside the region, many times over
+    pts = [0.001j, 0.018 + 0j, 0.5 + 0.1j] * 7
+    args = dict(L=100, d=1, gamma_L=0.05, tau=0.1, kappa=1.0, Q=(0, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = delta_L(m2, np.array(pts), **args)
+    assert [str(w.message) for w in caught] == [
+        "gamma_L=0.05 fails the growth condition at L=100 (N*gamma_L/log L = 1.09 <= 4)"
+    ]
+    want = []
+    for z in pts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                want.append(delta_L(m2, z, **args))
+            except DomainError:
+                want.append(math.nan)
+    np.testing.assert_array_equal(got, want)
+    assert got[:2].tolist() == [math.exp(-10), 100 * math.exp(-2.5)]
+    assert np.isnan(got[2::3]).all()
+
+
 def test_match_zeros_identical(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
@@ -514,6 +540,85 @@ def test_match_zeros_empty_predicted(m2):
     rep = match_zeros(empty, zs, tolerances=[1.0])
     assert rep.pairs == []
     assert len(rep.unmatched_located) == 6
+
+
+def _cubic_match_zeros(predicted, located, tolerances, c_match=10.0):
+    """The matching as it was before the grid: one argmin over the full
+    distance matrix per pair, and the n x n minimum spacing."""
+    np_, nl = len(predicted), len(located)
+    tol = np.asarray(tolerances, dtype=float)
+    tol = np.zeros(np_) if np_ == 0 else np.broadcast_to(tol, (np_,))
+    pp, ll = predicted.points(), located.points()
+    pairs = []
+    if np_ and nl:
+        dist = np.abs(pp[:, None] - ll[None, :])
+        work = dist.copy()
+        for _ in range(min(np_, nl)):
+            i, j = np.unravel_index(np.argmin(work), work.shape)
+            pairs.append((int(i), int(j), float(dist[i, j]), float(tol[i])))
+            work[i, :] = np.inf
+            work[:, j] = np.inf
+        pairs.sort()
+    unmatched_p = sorted(set(range(np_)) - {p[0] for p in pairs})
+    unmatched_l = sorted(set(range(nl)) - {p[1] for p in pairs})
+    violations = [p for p in pairs if p[2] > c_match * p[3]]
+    return pairs, unmatched_p, unmatched_l, violations, _brute_min_spacing(ll)
+
+
+def _brute_min_spacing(pts):
+    if len(pts) < 2:
+        return math.inf
+    d = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(d, np.inf)
+    return float(d.min())
+
+
+def _raw_zero_set(pts):
+    """A ZeroSet holding exactly these points, duplicates included."""
+    zeros = tuple(Zero(complex(z), 1, 0.0, "t") for z in pts)
+    return ZeroSet(zeros=zeros, region=Rectangle(-4, 4, -4, 4), L=1, d=1, N=1)
+
+
+# half-integer lattice points give exact distance ties and duplicates
+_lattice = st.builds(lambda x, y: complex(x, y) / 2, st.integers(-2, 2), st.integers(-2, 2))
+_scattered = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+_point_sets = st.one_of(
+    st.lists(_lattice, max_size=30), st.lists(st.one_of(_lattice, _scattered), max_size=40)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pp=_point_sets, ll=_point_sets, tols=st.lists(st.floats(0.0, 1.0), min_size=40, max_size=40))
+def test_match_zeros_equals_cubic_reference(pp, ll, tols):
+    predicted, located = _raw_zero_set(pp), _raw_zero_set(ll)
+    tolerances = tols[: len(pp)]
+    rep = match_zeros(predicted, located, tolerances, c_match=0.5)
+    want = _cubic_match_zeros(predicted, located, tolerances, c_match=0.5)
+    got = (
+        rep.pairs,
+        rep.unmatched_predicted,
+        rep.unmatched_located,
+        rep.violations,
+        rep.min_located_spacing,
+    )
+    assert got == want
+    assert predicted.min_spacing() == _brute_min_spacing(predicted.points())
+
+
+def test_match_zeros_memory_at_scale():
+    # the zeros of compare at N=5e4: 3,183 of them, matched one-to-one
+    rng = np.random.default_rng(8)
+    pts = rng.random(3183) * 0.2 + 1j * rng.random(3183) * 0.2
+    predicted = _raw_zero_set(pts)
+    located = _raw_zero_set(rng.permutation(pts + 1e-15 * rng.standard_normal(3183)))
+    tracemalloc.start()
+    try:
+        rep = match_zeros(predicted, located, 1e-14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and len(rep.pairs) == 3183
+    assert peak < 5e6
 
 
 def test_degeneracy_audit_clean(m2):

@@ -3,8 +3,9 @@
 The reference below is the winding and quadtree code that wound one contour
 per kernel call and descended the tree depth first. It is kept verbatim,
 except that the rate probe of _initial_nodes inlines the old
-_ExpSum.deriv_bound, which then returned the maximum over all points. It
-shares only the kernel (_ExpSum), _polish and _neighbours with the finder.
+_ExpSum.deriv_bound, which then returned the maximum over all points, and
+that it polishes through _polish_one, a batch of one of the batched _polish.
+It shares only the kernel (_ExpSum), _polish and _neighbours with the finder.
 """
 
 import math
@@ -34,6 +35,14 @@ from conftest import lee_yang_model, three_phase_model, two_phase_model
 
 # ---------------------------------------------------------------------------
 # Reference: one contour per winding, recursive depth-first quadtree
+
+
+def _polish_one(es: _ExpSum, z: complex, tol: float):
+    """The scalar polish: (z, residual), or NoConvergenceError at its iterate."""
+    (z,), (res,), (why,) = _polish(es, [z], tol)
+    if why is not None:
+        raise NoConvergenceError(why, complex(z))
+    return complex(z), float(res)
 
 
 def _rect_contour(rect: Rectangle):
@@ -168,7 +177,7 @@ def _collect_zeros(es, rect, wind, min_cell, max_depth, depth, tol, out):
         return
     if wind == 1:
         try:
-            z, res = _polish(es, rect.center, tol)
+            z, res = _polish_one(es, rect.center, tol)
         except NoConvergenceError:
             pass
         else:
@@ -176,7 +185,7 @@ def _collect_zeros(es, rect, wind, min_cell, max_depth, depth, tol, out):
                 out.append((z, res, 1))
                 return
     if max(rect.width, rect.height) < min_cell:
-        z, res = _polish(es, rect.center, tol)
+        z, res = _polish_one(es, rect.center, tol)
         out.append((z, res, None))
         return
     if depth >= max_depth:

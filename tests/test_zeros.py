@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfzeros.zeros as zeros_mod
 from pfzeros import (
@@ -16,11 +18,13 @@ from pfzeros import (
     eval_logZ_normalized,
     find_zeros_region,
     finite_volume,
+    random_perturbation,
     winding_number,
 )
 from pfzeros.cli import zeros_csv
+from pfzeros.zeros import _ExpSum
 
-from conftest import two_phase_model
+from conftest import three_phase_model, two_phase_model
 
 
 def axis_zeros(N, q_ratio=1.0, im_max=0.2, im_min=0.0):
@@ -200,6 +204,69 @@ def test_find_zeros_windings_per_zero(m2, monkeypatch):
     assert len(zs) == len(axis_zeros(1000)) == 64
     assert sum(contours) <= 8 * len(zs)
     assert len(kernel_calls) - len(polishes) <= 60
+
+
+def test_find_zeros_polishes_once_per_level(m2, monkeypatch):
+    # one batched Newton polish per quadtree depth, taking the same steps as
+    # polishing cell by cell did (349 point-steps for these 64 zeros)
+    levels, polishes, steps = [1], [], []
+    split = zeros_mod._split
+    polish = zeros_mod._polish
+    newton_step = zeros_mod._ExpSum.newton_step
+
+    def counted_split(*args, **kwargs):
+        levels.append(1)
+        return split(*args, **kwargs)
+
+    def counted_polish(*args, **kwargs):
+        polishes.append(1)
+        return polish(*args, **kwargs)
+
+    def counted_newton_step(self, z):
+        steps.append(np.size(z))
+        return newton_step(self, z)
+
+    monkeypatch.setattr(zeros_mod, "_split", counted_split)
+    monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
+    monkeypatch.setattr(zeros_mod._ExpSum, "newton_step", counted_newton_step)
+    fvm = finite_volume(m2, L=1000, d=1, tau=1.0)
+    zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
+    assert len(zs) == 64
+    assert len(polishes) <= len(levels)
+    assert sum(steps) == 349
+
+
+def _perturbed_expsum():
+    m = two_phase_model(q1=1, q2=2)
+    fvm = finite_volume(m, L=5, d=2, tau=1.0, perturbation=random_perturbation(m, seed=3))
+    return _ExpSum.from_fvm(fvm)
+
+
+_EXPSUMS = {
+    "two_phase": _ExpSum.from_fvm(finite_volume(two_phase_model(), L=50, d=1, tau=1.0)),
+    "three_phase": _ExpSum.from_fvm(finite_volume(three_phase_model(), L=60, d=1, tau=1.0)),
+    "perturbed": _perturbed_expsum(),
+    # five terms: numpy's sum would reduce a lone point's terms pairwise
+    "five_terms": _ExpSum(
+        [1.0, 2.0, 0.5, 1.5, 3.0],
+        [[0j, 30 + 5j], [1j, -30 + 2j], [0.2j, 20j], [0.5, -25j], [0.1 + 0.3j, 10 - 10j]],
+    ),
+}
+_points = st.lists(st.builds(complex, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), min_size=1, max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_EXPSUMS)), pts=_points)
+def test_kernel_and_polish_bits_do_not_depend_on_the_batch(name, pts):
+    es = _EXPSUMS[name]
+    z = np.array(pts)
+    assert es.value_normalized(z).tolist() == [complex(es.value_normalized(w)) for w in z]
+    with np.errstate(all="ignore"):  # a start may run off to infinity
+        got = zeros_mod._polish(es, z, 1e-10)
+        alone = [zeros_mod._polish(es, [w], 1e-10) for w in z]
+    np.testing.assert_array_equal(got[0], [a[0][0] for a in alone])
+    np.testing.assert_array_equal(got[1], [a[1][0] for a in alone])
+    assert got[2] == [a[2][0] for a in alone]
 
 
 def test_contour_errors_name_their_contour(m2, monkeypatch):
