@@ -57,7 +57,6 @@ from .model import (
     random_perturbation,
     stability,
     symmetric_pair_perturbation,
-    xi_normalized,
 )
 from .zeros import (
     AsymptoteLine,
@@ -73,6 +72,7 @@ from .zeros import (
     predict_multipoint,
     predict_two_phase,
     winding_number,
+    xi_normalized,
 )
 
 __version__ = "0.1.0"

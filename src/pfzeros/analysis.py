@@ -18,8 +18,8 @@ from .model import (
     Rectangle,
     _polyval,
     _volume,
+    almost_stable_set,
     in_coexistence_strip,
-    in_stability_region,
     in_two_phase_region,
 )
 from .zeros import ZeroSet
@@ -59,7 +59,7 @@ def vandermonde_report(fvm: FiniteVolumeModel, Q, z: complex) -> VandermondeRepo
         raise ValidationError(f"need at least two distinct phases, got {Q}")
     if not fvm.domain.contains(z):
         raise ValidationError(f"{z} outside domain")
-    if not in_stability_region(fvm.base, z, fvm.kappa / fvm.L, Q):
+    if not set(Q) <= almost_stable_set(fvm.base, z, fvm.kappa / fvm.L):
         raise DomainError(
             f"{z} is not in the joint almost-stable region of {Q} at eps=kappa/L"
         )

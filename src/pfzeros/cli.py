@@ -1,5 +1,6 @@
 """Command-line entry point: one subcommand per analysis workflow, all file
-emission (CSV, structured text, optional SVG) funneled through here.
+emission (CSV, structured text, optional SVG) funneled through here. Each
+subcommand is declared once, in _COMMANDS, with the options its workflow reads.
 
 Numbers are serialized with 17 significant digits so every artifact
 round-trips to the exact double. Reruns with the same config and seed are
@@ -13,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,6 @@ ZEROS_HEADER = "re_z,im_z,multiplicity,residual,method"
 
 def _g17(x: float) -> str:
     return format(float(x), ".17g")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model_path: str
-    out_dir: str
-    emit_svg: bool = False
-    options: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -168,173 +160,18 @@ def uncovered_csv(rep: analysis.CoveringReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Workflows: each is (spec, args, out) -> artifact paths written
 
 
-def _parse_box(text: str) -> model.Rectangle:
-    try:
-        lo, hi, ilo, ihi = (float(t) for t in text.split(","))
-    except Exception as exc:
-        raise ValidationError(f"--box expects re_lo,re_hi,im_lo,im_hi, got {text!r}") from exc
-    return model.Rectangle(lo, hi, ilo, ihi)
-
-
-def _parse_pair(text: str) -> tuple[int, int]:
-    try:
-        a, b = (int(t) for t in text.split(","))
-    except Exception as exc:
-        raise ValidationError(f"--pair expects two indices like 0,1, got {text!r}") from exc
-    return a, b
-
-
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    try:
-        a, b, c = (int(t) for t in text.split(","))
-    except Exception as exc:
-        raise ValidationError(f"--triple expects indices like 0,1,2, got {text!r}") from exc
-    return a, b, c
-
-
-def _parse_point(text: str) -> complex:
-    try:
-        re, im = (float(t) for t in text.split(","))
-    except Exception as exc:
-        raise ValidationError(f"--at expects re,im, got {text!r}") from exc
-    return complex(re, im)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="pfzeros",
-        description="Complex phase diagrams and partition-function zeros",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("model", help="model definition file (JSON)")
-        sp.add_argument("--out-dir", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
-        sp.add_argument("--emit-svg", action="store_true")
-
-    def volume(sp):
-        sp.add_argument("--L", type=int, required=True)
-        sp.add_argument("--d", type=int, default=1)
-        sp.add_argument("--tau", type=float, default=1.0)
-        sp.add_argument("--kappa", type=float, default=1.0)
-        sp.add_argument("--theta", type=float, default=0.0, help="error-term strength")
-        sp.add_argument("--perturb-seed", type=int, default=None)
-        sp.add_argument("--perturb-degree", type=int, default=3)
-
-    sp = sub.add_parser("check-assumptions", help="sampled non-degeneracy checks")
-    common(sp)
-    sp.add_argument("--grid", type=int, default=41)
-
-    sp = sub.add_parser("trace-diagram", help="trace coexistence curves and multiple points")
-    common(sp)
-    sp.add_argument("--grid", type=int, default=41)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--max-steps", type=int, default=None)
-
-    sp = sub.add_parser("find-zeros", help="argument-principle zero finder")
-    common(sp)
-    volume(sp)
-    sp.add_argument("--box", required=True, help="re_lo,re_hi,im_lo,im_hi")
-    sp.add_argument("--max-depth", type=int, default=40)
-
-    sp = sub.add_parser("predict-zeros", help="two-phase balance-equation solutions")
-    common(sp)
-    volume(sp)
-    sp.add_argument("--pair", required=True, help="phase indices m,n")
-    sp.add_argument("--box", required=True, help="restrict predictions to this box")
-
-    sp = sub.add_parser("compare", help="predict, locate, and match zero sets")
-    common(sp)
-    volume(sp)
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--box", required=True)
-    sp.add_argument("--max-depth", type=int, default=40)
-    sp.add_argument("--c-match", type=float, default=10.0)
-    sp.add_argument("--gamma-scale", type=float, default=5.0)
-
-    sp = sub.add_parser("density", help="zero-density convergence table")
-    common(sp)
-    sp.add_argument("--pair", required=True)
-    sp.add_argument("--at", required=True, help="center point re,im")
-    sp.add_argument("--eps-list", required=True, help="comma-separated radii")
-    sp.add_argument("--L-list", required=True, help="comma-separated sides")
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--tau", type=float, default=1.0)
-
-    sp = sub.add_parser("multipoint", help="rescaled equation solutions near a multiple point")
-    common(sp)
-    volume(sp)
-    sp.add_argument("--triple", required=True)
-    sp.add_argument("--seed-point", default="0.05,0.05", help="Newton seed re,im")
-    sp.add_argument("--rho-scale", type=float, default=1.0, help="rho_L = scale*log(N)/N")
-
-    sp = sub.add_parser("asymptotes", help="half-lines of distant rescaled zeros")
-    common(sp)
-    sp.add_argument("--triple", required=True)
-    sp.add_argument("--seed-point", default="0.05,0.05")
-
-    sp = sub.add_parser("lee-yang", help="symmetric-model on-circle audit")
-    common(sp)
-    volume(sp)
-    sp.add_argument("--plus", type=int, default=0)
-    sp.add_argument("--minus", type=int, default=1)
-    sp.add_argument("--box", required=True)
-    sp.add_argument("--symmetric-seed", type=int, default=None)
-
-    sp = sub.add_parser("covering", help="two-phase shells plus multiple-point discs")
-    common(sp)
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--grid", type=int, default=41)
-    sp.add_argument("--gamma-scale", type=float, default=5.0)
-    sp.add_argument("--rho-scale", type=float, default=1.0)
-    sp.add_argument("--omega-scale", type=float, default=1.0)
-
-    return p
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    out_dir = args.out_dir or os.environ.get(ENV_OUT_DIR) or "pfzeros-out"
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "model", "out_dir", "emit_svg")
-    }
-    return RunConfig(
-        command=args.command,
-        model_path=args.model,
-        out_dir=out_dir,
-        emit_svg=getattr(args, "emit_svg", False),
-        options=options,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Workflows
-
-
-def _fvm_from_options(spec, opts) -> model.FiniteVolumeModel:
-    perturbation = None
-    if opts.get("symmetric_seed") is not None:
-        perturbation = [(0j,)] * spec.r
-        up, un = model.symmetric_pair_perturbation(opts["symmetric_seed"])
-        perturbation[opts["plus"]] = up
-        perturbation[opts["minus"]] = un
-    elif opts.get("perturb_seed") is not None:
+def _fvm(spec, args, perturbation=None, **kwargs) -> model.FiniteVolumeModel:
+    """finite_volume at --L, --d and --tau, perturbed by the given seeds or,
+    without them, by --perturb-seed if set."""
+    if perturbation is None and args.perturb_seed is not None:
         perturbation = model.random_perturbation(
-            spec, opts["perturb_seed"], degree=opts.get("perturb_degree", 3)
+            spec, args.perturb_seed, degree=args.perturb_degree
         )
     return model.finite_volume(
-        spec,
-        L=opts["L"],
-        d=opts["d"],
-        tau=opts["tau"],
-        kappa=opts["kappa"],
-        perturbation=perturbation,
-        xi_strength=opts["theta"],
+        spec, L=args.L, d=args.d, tau=args.tau, perturbation=perturbation, **kwargs
     )
 
 
@@ -361,180 +198,294 @@ def _curve_for_pair(spec, m, n, box) -> diagram.CoexistenceCurve:
     raise ValidationError(f"no ({m},{n}) coexistence curve meets the box {box}")
 
 
-def run(config: RunConfig) -> list[Path]:
-    """Execute one subcommand; returns the artifact paths written."""
-    spec = model.load_model(config.model_path)
-    out = Path(config.out_dir)
-    opts = config.options
-    written: list[Path] = []
-
-    if config.command == "check-assumptions":
-        rep = model.check_assumption_A(spec, grid=(opts["grid"], opts["grid"]))
-        lines = [
-            f"alpha_estimate: {_g17(rep.alpha_estimate)}",
-            f"positivity_ok: {rep.positivity_ok}",
-            f"positivity_min: {_g17(rep.positivity_min)}",
-            f"multiple_points_checked: {len(rep.convexity_results)}",
-        ]
-        for z, ok, margin in rep.convexity_results:
-            lines.append(
-                f"convexity_at: ({_g17(z.real)},{_g17(z.imag)}) ok={ok} margin={_g17(margin)}"
-            )
-        for v in rep.violations:
-            lines.append(
-                f"violation: {v.assumption} at ({_g17(v.location.real)},{_g17(v.location.imag)}) "
-                f"margin={_g17(v.margin)}"
-            )
-        lines.append(f"ok: {rep.ok}")
-        written.append(_write(out / "assumptions.txt", "\n".join(lines) + "\n"))
-
-    elif config.command == "trace-diagram":
-        pd = diagram.build_phase_diagram(
-            spec,
-            grid=(opts["grid"], opts["grid"]),
-            step=opts["step"],
-            max_steps=opts["max_steps"],
+def _check_assumptions(spec, args, out):
+    rep = model.check_assumption_A(spec, grid=(args.grid, args.grid))
+    lines = [
+        f"alpha_estimate: {_g17(rep.alpha_estimate)}",
+        f"positivity_ok: {rep.positivity_ok}",
+        f"positivity_min: {_g17(rep.positivity_min)}",
+        f"multiple_points_checked: {len(rep.convexity_results)}",
+    ]
+    for z, ok, margin in rep.convexity_results:
+        lines.append(
+            f"convexity_at: ({_g17(z.real)},{_g17(z.imag)}) ok={ok} margin={_g17(margin)}"
         )
-        written.append(_write(out / "diagram.txt", diagram_text(pd)))
-        for k, c in enumerate(pd.curves):
-            written.append(_write(out / f"curve_{k}.csv", curve_csv(c)))
-        if config.emit_svg:
-            svg = render.emit_svg(pd, [], spec.domain)
-            written.append(_write(out / "diagram.svg", svg))
-
-    elif config.command == "find-zeros":
-        fvm = _fvm_from_options(spec, opts)
-        box = _parse_box(opts["box"])
-        zs = zeros.find_zeros_region(fvm, box, max_depth=opts["max_depth"])
-        written.append(_write(out / f"zeros_brute_L{fvm.L}d{fvm.d}.csv", zeros_csv(zs)))
-        if config.emit_svg:
-            written.append(_write(out / "zeros.svg", render.emit_svg(None, [zs], box)))
-
-    elif config.command == "predict-zeros":
-        m, n = _parse_pair(opts["pair"])
-        box = _parse_box(opts["box"])
-        curve = _curve_for_pair(spec, m, n, box)
-        zs = zeros.predict_two_phase(spec, m, n, curve, L=opts["L"], d=opts["d"])
-        kept = [w for w in zs.zeros if box.contains(w.z)]
-        zs = zeros.ZeroSet.build(kept, box, opts["L"], opts["d"])
-        written.append(_write(out / f"zeros_two_phase_L{opts['L']}d{opts['d']}.csv", zeros_csv(zs)))
-
-    elif config.command == "compare":
-        m, n = _parse_pair(opts["pair"])
-        box = _parse_box(opts["box"])
-        fvm = _fvm_from_options(spec, opts)
-        curve = _curve_for_pair(spec, m, n, box)
-        predicted_all = zeros.predict_two_phase(spec, m, n, curve, L=fvm.L, d=fvm.d)
-        predicted = zeros.ZeroSet.build(
-            [w for w in predicted_all.zeros if box.contains(w.z)], box, fvm.L, fvm.d
+    for v in rep.violations:
+        lines.append(
+            f"violation: {v.assumption} at ({_g17(v.location.real)},{_g17(v.location.imag)}) "
+            f"margin={_g17(v.margin)}"
         )
-        located = zeros.find_zeros_region(fvm, box, max_depth=opts["max_depth"])
-        gamma = opts["gamma_scale"] * math.log(fvm.N) / fvm.N
-        # the theoretical tolerance can undercut double-precision localization;
-        # floor it at the polishing resolution so reports flag real violations
-        floor = 1e-12
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tol = zeros.delta_L(
-                spec, predicted.points(), fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n)
-            )
-        for msg in dict.fromkeys(str(w.message) for w in caught):
-            print(f"warning: {msg}", file=sys.stderr)
-        # outside the gamma_L two-phase region the core tolerance stands in
-        tol = np.where(np.isnan(tol), math.exp(-fvm.tau * fvm.L), tol)
-        rep = zeros.match_zeros(
-            predicted, located, np.maximum(tol, floor), c_match=opts["c_match"]
-        )
-        written.append(_write(out / "predicted.csv", zeros_csv(predicted)))
-        written.append(_write(out / "located.csv", zeros_csv(located)))
-        written.append(_write(out / "match_report.txt", match_report_text(rep, predicted, located)))
-        if config.emit_svg:
-            written.append(
-                _write(out / "compare.svg", render.emit_svg(None, [predicted, located], box))
-            )
+    lines.append(f"ok: {rep.ok}")
+    return [_write(out / "assumptions.txt", "\n".join(lines) + "\n")]
 
-    elif config.command == "density":
-        m, n = _parse_pair(opts["pair"])
-        z = _parse_point(opts["at"])
-        eps_list = [float(t) for t in opts["eps_list"].split(",")]
-        l_list = [int(t) for t in opts["L_list"].split(",")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = density.density_convergence(
-                spec, m, n, z, eps_list, l_list, opts["d"], tau=opts["tau"]
-            )
-        written.append(_write(out / "density.csv", density_csv(rows)))
 
-    elif config.command == "multipoint":
-        triple = _parse_triple(opts["triple"])
-        N = model._volume(opts["L"], opts["d"])
-        mp = diagram.find_multiple_point(spec, triple, _parse_point(opts["seed_point"]))
-        rho = opts["rho_scale"] * math.log(N) / N
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            zs = zeros.predict_multipoint(spec, mp, opts["L"], opts["d"], rho)
-        written.append(_write(out / f"zeros_multipoint_L{opts['L']}d{opts['d']}.csv", zeros_csv(zs)))
-        fvm = _fvm_from_options(spec, opts)
-        wind = zeros.winding_number(fvm, (mp.z, rho))
-        text = (
-            f"multiple_point: ({_g17(mp.z.real)},{_g17(mp.z.imag)})\n"
-            f"rho_L: {_g17(rho)}\n"
-            f"solutions: {zs.total_multiplicity()}\n"
-            f"disc_winding: {wind}\n"
-        )
-        written.append(_write(out / "multipoint.txt", text))
-
-    elif config.command == "asymptotes":
-        triple = _parse_triple(opts["triple"])
-        mp = diagram.find_multiple_point(spec, triple, _parse_point(opts["seed_point"]))
-        lines = zeros.asymptote_lines(spec, mp)
-        written.append(_write(out / "asymptotes.csv", asymptotes_csv(lines)))
-
-    elif config.command == "lee-yang":
-        spec.check_phase(opts["plus"])
-        spec.check_phase(opts["minus"])
-        fvm = _fvm_from_options(spec, opts)
-        box = _parse_box(opts["box"])
-        zs = zeros.find_zeros_region(fvm, box)
-        rep = analysis.lee_yang_audit(fvm, zs, opts["plus"], opts["minus"])
-        text = (
-            f"zeros_checked: {rep.zeros_checked}\n"
-            f"max_abs_re: {_g17(rep.max_abs_re)}\n"
-            f"tolerance: {_g17(rep.tolerance)}\n"
-            f"on_axis: {rep.on_axis}\n"
-            f"count_unit_segment: {rep.count_unit_segment}\n"
-            f"symmetry_residual: {_g17(rep.symmetry_residual)}\n"
-        )
-        written.append(_write(out / "lee_yang.txt", text))
-
-    elif config.command == "covering":
-        N = model._volume(opts["L"], opts["d"])
-        ln_n = math.log(N)
-        rep = analysis.covering_check(
-            spec,
-            spec.domain,
-            L=opts["L"],
-            d=opts["d"],
-            omega_L=opts["omega_scale"] * ln_n,
-            gamma_L=opts["gamma_scale"] * ln_n / N,
-            rho_L=opts["rho_scale"] * ln_n / N,
-            grid=(opts["grid"], opts["grid"]),
-        )
-        written.append(_write(out / "covering.txt", covering_text(rep)))
-        written.append(_write(out / "uncovered.csv", uncovered_csv(rep)))
-
-    else:
-        raise ValidationError(f"unknown command {config.command!r}")
-
+def _trace_diagram(spec, args, out):
+    pd = diagram.build_phase_diagram(
+        spec, grid=(args.grid, args.grid), step=args.step, max_steps=args.max_steps
+    )
+    written = [_write(out / "diagram.txt", diagram_text(pd))]
+    for k, c in enumerate(pd.curves):
+        written.append(_write(out / f"curve_{k}.csv", curve_csv(c)))
+    if args.emit_svg:
+        written.append(_write(out / "diagram.svg", render.emit_svg(pd, [], spec.domain)))
     return written
 
 
+def _find_zeros(spec, args, out):
+    fvm = _fvm(spec, args, xi_strength=args.theta)
+    box = model.Rectangle(*args.box)
+    zs = zeros.find_zeros_region(fvm, box, max_depth=args.max_depth)
+    written = [_write(out / f"zeros_brute_L{fvm.L}d{fvm.d}.csv", zeros_csv(zs))]
+    if args.emit_svg:
+        written.append(_write(out / "zeros.svg", render.emit_svg(None, [zs], box)))
+    return written
+
+
+def _predict_zeros(spec, args, out):
+    m, n = args.pair
+    box = model.Rectangle(*args.box)
+    curve = _curve_for_pair(spec, m, n, box)
+    zs = zeros.predict_two_phase(spec, m, n, curve, L=args.L, d=args.d)
+    zs = zeros.ZeroSet.build([w for w in zs.zeros if box.contains(w.z)], box, args.L, args.d)
+    return [_write(out / f"zeros_two_phase_L{args.L}d{args.d}.csv", zeros_csv(zs))]
+
+
+def _compare(spec, args, out):
+    m, n = args.pair
+    box = model.Rectangle(*args.box)
+    fvm = _fvm(spec, args, kappa=args.kappa, xi_strength=args.theta)
+    curve = _curve_for_pair(spec, m, n, box)
+    predicted_all = zeros.predict_two_phase(spec, m, n, curve, L=fvm.L, d=fvm.d)
+    predicted = zeros.ZeroSet.build(
+        [w for w in predicted_all.zeros if box.contains(w.z)], box, fvm.L, fvm.d
+    )
+    located = zeros.find_zeros_region(fvm, box, max_depth=args.max_depth)
+    gamma = args.gamma_scale * math.log(fvm.N) / fvm.N
+    tol = zeros.delta_L(spec, predicted.points(), fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))
+    # outside the gamma_L two-phase region the core tolerance stands in; the
+    # theoretical tolerance can undercut double-precision localization, so
+    # floor it at the polishing resolution and reports flag real violations
+    tol = np.where(np.isnan(tol), math.exp(-fvm.tau * fvm.L), tol)
+    rep = zeros.match_zeros(predicted, located, np.maximum(tol, 1e-12), c_match=args.c_match)
+    written = [
+        _write(out / "predicted.csv", zeros_csv(predicted)),
+        _write(out / "located.csv", zeros_csv(located)),
+        _write(out / "match_report.txt", match_report_text(rep, predicted, located)),
+    ]
+    if args.emit_svg:
+        written.append(_write(out / "compare.svg", render.emit_svg(None, [predicted, located], box)))
+    return written
+
+
+def _density(spec, args, out):
+    m, n = args.pair
+    rows = density.density_convergence(
+        spec, m, n, complex(*args.at), args.eps_list, args.L_list, args.d
+    )
+    return [_write(out / "density.csv", density_csv(rows))]
+
+
+def _multipoint(spec, args, out):
+    N = model._volume(args.L, args.d)
+    mp = diagram.find_multiple_point(spec, args.triple, complex(*args.seed_point))
+    rho = args.rho_scale * math.log(N) / N
+    zs = zeros.predict_multipoint(spec, mp, args.L, args.d, rho)
+    written = [_write(out / f"zeros_multipoint_L{args.L}d{args.d}.csv", zeros_csv(zs))]
+    # the error term scales W by a positive constant, which leaves the
+    # winding as it is, so multipoint takes no --theta
+    wind = zeros.winding_number(_fvm(spec, args), (mp.z, rho))
+    text = (
+        f"multiple_point: ({_g17(mp.z.real)},{_g17(mp.z.imag)})\n"
+        f"rho_L: {_g17(rho)}\n"
+        f"solutions: {zs.total_multiplicity()}\n"
+        f"disc_winding: {wind}\n"
+    )
+    return written + [_write(out / "multipoint.txt", text)]
+
+
+def _asymptotes(spec, args, out):
+    mp = diagram.find_multiple_point(spec, args.triple, complex(*args.seed_point))
+    return [_write(out / "asymptotes.csv", asymptotes_csv(zeros.asymptote_lines(spec, mp)))]
+
+
+def _lee_yang(spec, args, out):
+    spec.check_phase(args.plus)
+    spec.check_phase(args.minus)
+    perturbation = None
+    if args.symmetric_seed is not None:
+        perturbation = [(0j,)] * spec.r
+        up, un = model.symmetric_pair_perturbation(args.symmetric_seed)
+        perturbation[args.plus] = up
+        perturbation[args.minus] = un
+    fvm = _fvm(spec, args, perturbation, xi_strength=args.theta)
+    zs = zeros.find_zeros_region(fvm, model.Rectangle(*args.box))
+    rep = analysis.lee_yang_audit(fvm, zs, args.plus, args.minus)
+    text = (
+        f"zeros_checked: {rep.zeros_checked}\n"
+        f"max_abs_re: {_g17(rep.max_abs_re)}\n"
+        f"tolerance: {_g17(rep.tolerance)}\n"
+        f"on_axis: {rep.on_axis}\n"
+        f"count_unit_segment: {rep.count_unit_segment}\n"
+        f"symmetry_residual: {_g17(rep.symmetry_residual)}\n"
+    )
+    return [_write(out / "lee_yang.txt", text)]
+
+
+def _covering(spec, args, out):
+    N = model._volume(args.L, args.d)
+    ln_n = math.log(N)
+    rep = analysis.covering_check(
+        spec,
+        spec.domain,
+        L=args.L,
+        d=args.d,
+        omega_L=args.omega_scale * ln_n,
+        gamma_L=args.gamma_scale * ln_n / N,
+        rho_L=args.rho_scale * ln_n / N,
+        grid=(args.grid, args.grid),
+    )
+    return [
+        _write(out / "covering.txt", covering_text(rep)),
+        _write(out / "uncovered.csv", uncovered_csv(rep)),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+
+
+def _values(kind, form: str, count: int | None = None):
+    """argparse type: a tuple of `count` comma-separated `kind` values, or of
+    any number of them if count is None."""
+
+    def convert(text: str) -> tuple:
+        try:
+            vals = tuple(kind(t) for t in text.split(","))
+            if count is None or len(vals) == count:
+                return vals
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+    return convert
+
+
+_OPTIONS = {
+    "--L": dict(type=int, required=True),
+    "--d": dict(type=int, default=1),
+    "--tau": dict(type=float, default=1.0),
+    "--kappa": dict(type=float, default=1.0),
+    "--theta": dict(type=float, default=0.0, help="error-term strength"),
+    "--perturb-seed": dict(type=int, default=None),
+    "--perturb-degree": dict(type=int, default=3),
+    "--box": dict(type=_values(float, "re_lo,re_hi,im_lo,im_hi", 4), required=True,
+                  help="re_lo,re_hi,im_lo,im_hi"),
+    "--pair": dict(type=_values(int, "phase indices m,n", 2), required=True,
+                   help="phase indices m,n"),
+    "--triple": dict(type=_values(int, "phase indices k,l,m", 3), required=True,
+                     help="phase indices k,l,m"),
+    "--at": dict(type=_values(float, "re,im", 2), required=True, help="center point re,im"),
+    "--seed-point": dict(type=_values(float, "re,im", 2), default="0.05,0.05",
+                         help="Newton seed re,im"),
+    "--eps-list": dict(type=_values(float, "comma-separated radii"), required=True,
+                       help="comma-separated radii"),
+    "--L-list": dict(type=_values(int, "comma-separated sides"), required=True,
+                     help="comma-separated sides"),
+    "--grid": dict(type=int, default=41),
+    "--step": dict(type=float, default=None),
+    "--max-steps": dict(type=int, default=None),
+    "--max-depth": dict(type=int, default=40),
+    "--c-match": dict(type=float, default=10.0),
+    "--gamma-scale": dict(type=float, default=5.0),
+    "--rho-scale": dict(type=float, default=1.0, help="rho_L = scale*log(N)/N"),
+    "--omega-scale": dict(type=float, default=1.0),
+    "--plus": dict(type=int, default=0),
+    "--minus": dict(type=int, default=1),
+    "--symmetric-seed": dict(type=int, default=None),
+    "--emit-svg": dict(action="store_true"),
+}
+
+_PERTURBED = ("--L", "--d", "--tau", "--perturb-seed", "--perturb-degree")
+
+# subcommand: (workflow, help, the options it reads besides model and --out-dir)
+_COMMANDS = {
+    "check-assumptions": (_check_assumptions, "sampled non-degeneracy checks", ("--grid",)),
+    "trace-diagram": (
+        _trace_diagram, "trace coexistence curves and multiple points",
+        ("--grid", "--step", "--max-steps", "--emit-svg"),
+    ),
+    "find-zeros": (
+        _find_zeros, "argument-principle zero finder",
+        (*_PERTURBED, "--theta", "--box", "--max-depth", "--emit-svg"),
+    ),
+    "predict-zeros": (
+        _predict_zeros, "two-phase balance-equation solutions",
+        ("--L", "--d", "--pair", "--box"),
+    ),
+    "compare": (
+        _compare, "predict, locate, and match zero sets",
+        (*_PERTURBED, "--kappa", "--theta", "--pair", "--box", "--max-depth", "--c-match",
+         "--gamma-scale", "--emit-svg"),
+    ),
+    "density": (
+        _density, "zero-density convergence table",
+        ("--pair", "--at", "--eps-list", "--L-list", "--d"),
+    ),
+    "multipoint": (
+        _multipoint, "rescaled equation solutions near a multiple point",
+        (*_PERTURBED, "--triple", "--seed-point", "--rho-scale"),
+    ),
+    "asymptotes": (
+        _asymptotes, "half-lines of distant rescaled zeros", ("--triple", "--seed-point"),
+    ),
+    "lee-yang": (
+        _lee_yang, "symmetric-model on-circle audit",
+        (*_PERTURBED, "--theta", "--plus", "--minus", "--box", "--symmetric-seed"),
+    ),
+    "covering": (
+        _covering, "two-phase shells plus multiple-point discs",
+        ("--L", "--d", "--grid", "--gamma-scale", "--rho-scale", "--omega-scale"),
+    ),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 1 like other bad input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="pfzeros", description="Complex phase diagrams and partition-function zeros")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (workflow, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("model", help="model definition file (JSON)")
+        sp.add_argument("--out-dir", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
+        for opt in options:
+            sp.add_argument(opt, **_OPTIONS[opt])
+        sp.set_defaults(workflow=workflow)
+    return p
+
+
+def run(args: argparse.Namespace) -> list[Path]:
+    """Execute one parsed command line; returns the artifact paths written.
+    Each distinct warning the workflow raises is printed once to stderr."""
+    spec = model.load_model(args.model)
+    out = Path(args.out_dir or os.environ.get(ENV_OUT_DIR) or "pfzeros-out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.workflow(spec, args, out)
+        finally:
+            for msg in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {msg}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-        written = run(config)
+        written = run(build_parser().parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

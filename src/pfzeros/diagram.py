@@ -82,7 +82,6 @@ class MultiplePoint:
 class PhaseDiagram:
     curves: list[CoexistenceCurve]
     multiple_points: list[MultiplePoint]
-    adjacency: dict[int, list[tuple[int, str]]]
     min_tangent_angle: float
     diagnostics: list[str] = field(default_factory=list)
 
@@ -424,6 +423,8 @@ def build_phase_diagram(
     mesh, cell, _ = _scan_mesh(model, grid)
     if step is None:
         step = 1e-2 * model.domain.min_side
+    elif not step > 0:
+        raise ValidationError(f"step must be positive, got {step}")
     if max_steps is None:
         max_steps = int(3.0 * (model.domain.width + model.domain.height) / step)
 
@@ -451,7 +452,6 @@ def build_phase_diagram(
 
     # Attach arcs to multiple points.
     mps: list[MultiplePoint] = []
-    adjacency: dict[int, list[tuple[int, str]]] = {}
     for ci, curve in enumerate(curves):
         for which, term in (("start", curve.start), ("end", curve.end)):
             if term.kind != TERM_MULTIPOINT:
@@ -469,9 +469,7 @@ def build_phase_diagram(
             if idx is None:
                 mps.append(mp)
                 idx = len(mps) - 1
-                adjacency[idx] = []
             term.mp_index = idx
-            adjacency[idx].append((ci, which))
             mps[idx].incident_arcs.append((ci, which))
 
     min_angle = math.inf
@@ -496,7 +494,6 @@ def build_phase_diagram(
     return PhaseDiagram(
         curves=curves,
         multiple_points=mps,
-        adjacency=adjacency,
         min_tangent_angle=min_angle,
         diagnostics=diagnostics,
     )

@@ -354,9 +354,6 @@ class FiniteVolumeModel:
     def log_weight_L_deriv(self, m: int, z):
         return _polyval_unfused(self.derivatives[self.check_phase(m)], z)
 
-    def log_weights_L(self, z) -> np.ndarray:
-        return np.stack([_polyval_unfused(c, np.asarray(z)) for c in self.exponents])
-
 
 # ---------------------------------------------------------------------------
 # Pointwise evaluation
@@ -403,13 +400,6 @@ def almost_stable_set(model: ModelSpec, z: complex, eps: float) -> frozenset[int
     """Phases m with Re P_m(z) > log_max - eps (the eps-almost-stable set)."""
     re_p = np.real(model.log_weights(z))
     return frozenset(np.flatnonzero(re_p > re_p.max() - eps).tolist())
-
-
-def in_stability_region(model: ModelSpec, z: complex, eps: float, q_set) -> bool:
-    """True if every phase of q_set is eps-almost-stable at z."""
-    re_p = np.real(model.log_weights(z))
-    log_max = re_p.max()
-    return all(re_p[m] > log_max - eps for m in q_set)
 
 
 def in_two_phase_region(model: ModelSpec, z, eps: float, q_set):
@@ -583,21 +573,6 @@ def symmetric_pair_perturbation(seed: int, degree: int = 3):
     u_minus = tuple(complex(x) for x in a)
     u_plus = tuple(((-1) ** j) * complex(x).conjugate() for j, x in enumerate(a))
     return u_plus, u_minus
-
-
-def _dominant_sum(fvm: FiniteVolumeModel, z):
-    """sum_m q_m zeta_m^{(L)}(z)^N / zeta(z)^N, with zeta(z) = max_m |zeta_m(z)|
-    of the infinite-volume weights, evaluated in log space."""
-    z = np.asarray(z)
-    log_max = np.max(np.real(fvm.base.log_weights(z)), axis=0)
-    q = np.asarray(fvm.degeneracies, dtype=float)
-    return np.tensordot(q, np.exp(fvm.N * (fvm.log_weights_L(z) - log_max)), axes=(0, 0))
-
-
-def xi_normalized(fvm: FiniteVolumeModel, z):
-    """Synthetic error term divided by zeta(z)^N, evaluated in log space."""
-    out = fvm.xi_strength * math.exp(-fvm.tau * fvm.L) * fvm.N * _dominant_sum(fvm, z)
-    return complex(out) if np.ndim(z) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .model import (
     FiniteVolumeModel,
     ModelSpec,
     Rectangle,
-    _dominant_sum,
     _pair_gap,
     _polyder,
     _polyval,
@@ -637,16 +636,28 @@ def _find_zeros_expsum(
 
 
 def eval_logZ_normalized(fvm: FiniteVolumeModel, z: complex) -> complex:
-    """Normalized partition function W(z) = Z(z) * zeta(z)^{-N}.
+    """Normalized partition function W(z) = Z(z) * zeta_L(z)^{-N}, with
+    zeta_L(z) = max_m |zeta_m^{(L)}(z)| the finite-volume maximum (the
+    infinite-volume one for an unperturbed model).
 
-    Evaluated entirely through the stored exponents, normalizing each term
-    by the largest exponent real part, so no intermediate can overflow.
+    Evaluated by the zero finder's kernel, normalizing each term by the
+    largest exponent real part, so no intermediate can overflow; at a zero
+    the finder located, its modulus is that zero's residual.
     """
     z = _require_finite(z)
     if not fvm.domain.contains(z):
         raise DomainError(f"{z} outside model domain")
-    scale = 1.0 + fvm.xi_strength * fvm.N * fvm.perturbation_scale()
-    return complex(_dominant_sum(fvm, z)) * scale
+    return complex(_ExpSum.from_fvm(fvm).value_normalized(z))
+
+
+def xi_normalized(fvm: FiniteVolumeModel, z):
+    """Synthetic error term Xi(z) * zeta_L(z)^{-N}, zeta_L(z) the
+    finite-volume maximum as in eval_logZ_normalized; Xi is the dominant sum
+    times xi_strength * N * e^{-tau L}. Elementwise for an array z."""
+    es = _ExpSum.from_fvm(fvm)
+    es.scale = fvm.xi_strength * fvm.N * fvm.perturbation_scale()
+    out = es.value_normalized(z)
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 def find_zeros_region(

@@ -86,6 +86,11 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
                      "--max-depth", "-1"]),
         # the (0,1) curve is the imaginary axis, which this box misses
         ("two", ["predict-zeros", "--pair", "0,1", "--L", "100", "--box=0.3,0.5,0,0.2"]),
+        ("two", ["trace-diagram", "--step", "0"]),
+        ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1,x",
+                 "--L-list", "100"]),
+        ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1",
+                 "--L-list", "100,"]),
     ],
 )
 def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
@@ -100,6 +105,71 @@ def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+_ACCEPTED = {
+    "check-assumptions": ("three", []),
+    "find-zeros": ("two", ["--L", "10", "--box=-0.1,0.1,0,0.2"]),
+    "predict-zeros": ("two", ["--pair", "0,1", "--L", "100", "--box=-0.1,0.1,0,0.2"]),
+    "density": ("two", ["--pair", "0,1", "--at", "0,0", "--eps-list", "0.1", "--L-list", "100"]),
+    "multipoint": ("three", ["--triple", "0,1,2", "--L", "100"]),
+    "asymptotes": ("three", ["--triple", "0,1,2"]),
+    "lee-yang": ("lee-yang", ["--L", "10", "--box=-0.05,0.05,0,1"]),
+    "covering": ("three", ["--L", "100"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        *((c, "--emit-svg") for c in ("check-assumptions", "predict-zeros", "density",
+                                      "multipoint", "asymptotes", "lee-yang", "covering")),
+        *(("predict-zeros", o) for o in ("--tau", "--kappa", "--theta", "--perturb-seed",
+                                         "--perturb-degree")),
+        *((c, "--kappa") for c in ("find-zeros", "multipoint", "lee-yang")),
+        ("multipoint", "--theta"),
+        ("density", "--tau"),
+    ],
+)
+def test_cli_options_a_workflow_does_not_read_are_usage_errors(tmp_path, capsys, command, option):
+    models = {"two": two_phase_model(), "three": three_phase_model(), "lee-yang": lee_yang_model()}
+    name, argv = _ACCEPTED[command]
+    value = [] if option == "--emit-svg" else ["1"]
+    out = tmp_path / "out"
+    rc = main([command, write_model(tmp_path, models[name]), *argv, option, *value,
+               "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unrecognized arguments: {option}" in err
+    assert not out.exists()
+
+
+def test_cli_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    mp = write_model(tmp_path, two_phase_model())
+    assert main(["find-zeros", mp, "--box=-0.1,0.1,0,0.2"]) == 1
+    assert "the following arguments are required: --L" in capsys.readouterr().err
+    assert main(["no-such-command", mp]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["find-zeros", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "model, argv, start",
+    [
+        ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.001",
+                 "--L-list", "100"], "warning: eps=0.001, L=100: only "),
+        ("three", ["multipoint", "--triple", "0,1,2", "--L", "100"], "warning: N*rho_L = "),
+    ],
+)
+def test_cli_prints_each_warning_once(tmp_path, capsys, model, argv, start):
+    models = {"two": two_phase_model(), "three": three_phase_model()}
+    out = tmp_path / "out"
+    rc = main([argv[0], write_model(tmp_path, models[model]), *argv[1:], "--out-dir", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start)
 
 
 def test_read_zeros_csv_rejects_bad_header(tmp_path):

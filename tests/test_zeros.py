@@ -57,6 +57,17 @@ def test_eval_normalized_outside_domain(m2):
         eval_logZ_normalized(fvm, 5 + 5j)
 
 
+def test_eval_normalized_is_the_finders_residual(m2):
+    # both normalize by the finite-volume maximum, which a perturbation moves
+    # away from the infinite-volume one
+    pert = random_perturbation(m2, 5)
+    fvm = finite_volume(m2, L=20, d=1, tau=0.1, perturbation=pert, xi_strength=0.5)
+    zs = find_zeros_region(fvm, Rectangle(-0.3, 0.3, 0.0, 0.6))
+    assert len(zs.zeros) >= 3
+    for w in zs.zeros:
+        assert abs(eval_logZ_normalized(fvm, w.z)) == w.residual
+
+
 def test_winding_counts(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
     assert winding_number(fvm, (1j * math.pi / 200, 0.005)) == 1
