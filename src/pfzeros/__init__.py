@@ -7,6 +7,8 @@ from .analysis import (
     VandermondeReport,
     covering_check,
     lee_yang_audit,
+    lee_yang_hypotheses,
+    lee_yang_report,
     vandermonde_report,
 )
 from .density import (
@@ -60,6 +62,7 @@ from .model import (
 )
 from .zeros import (
     AsymptoteLine,
+    AxisSearch,
     MatchReport,
     Zero,
     ZeroSet,
@@ -67,6 +70,7 @@ from .zeros import (
     degeneracy_audit,
     delta_L,
     eval_logZ_normalized,
+    find_zeros_on_axis,
     find_zeros_region,
     match_zeros,
     predict_multipoint,

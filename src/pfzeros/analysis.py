@@ -110,22 +110,15 @@ class LeeYangReport:
         return self.max_abs_re <= self.tolerance
 
 
-def lee_yang_audit(
-    fvm: FiniteVolumeModel,
-    zeros: ZeroSet,
-    plus: int,
-    minus: int,
-    grid=(21, 21),
-    tol_sym: float = 1e-10,
-    zero_tol: float | None = None,
-) -> LeeYangReport:
-    """Audit that zeros of a plus/minus symmetric model sit on the symmetry axis.
-
-    The hypotheses are verified first on a grid: equal degeneracies, weights
-    exchanged by w -> -conj(w), and perturbation seeds respecting the same
-    reflection. Only then is the conclusion reported: the maximum |Re w|
-    over the supplied zeros, against a tolerance proportional to the
-    finite-volume error scale, plus the zero count on Im w in (0, 1].
+def lee_yang_hypotheses(
+    fvm: FiniteVolumeModel, plus: int, minus: int, grid=(21, 21), tol_sym: float = 1e-10
+) -> float:
+    """Check on a grid the hypotheses of the local Lee-Yang theorem for the
+    pair plus/minus: equal degeneracies, weights exchanged by w -> -conj(w),
+    and perturbation seeds respecting the same reflection. Under them W is
+    real on the axis Re w = 0 (zeros.find_zeros_on_axis). Returns the
+    largest symmetry residual; a failed hypothesis raises
+    HypothesisViolationError.
     """
     base = fvm.base
     p, n = base.check_phase(plus), base.check_phase(minus)
@@ -157,17 +150,39 @@ def lee_yang_audit(
         raise HypothesisViolationError(
             f"perturbation seeds break the reflection symmetry: {seed_res:.3e} > {tol_sym:g}"
         )
+    return max(sym_res, seed_res)
+
+
+def lee_yang_report(
+    fvm: FiniteVolumeModel, zeros: ZeroSet, symmetry_residual: float, zero_tol: float | None = None
+) -> LeeYangReport:
+    """The theorem's conclusion on located zeros: the maximum |Re w| against
+    a tolerance proportional to the finite-volume error scale (10 e^{-tau L}
+    by default), and the zero count on Im w in (0, 1]."""
     if zero_tol is None:
         zero_tol = 10.0 * math.exp(-fvm.tau * fvm.L)
-    max_re = max((abs(w.z.real) for w in zeros.zeros), default=0.0)
-    count_unit = sum(w.multiplicity for w in zeros.zeros if 0.0 < w.z.imag <= 1.0)
     return LeeYangReport(
-        max_abs_re=max_re,
+        max_abs_re=max((abs(w.z.real) for w in zeros.zeros), default=0.0),
         tolerance=zero_tol,
-        count_unit_segment=count_unit,
+        count_unit_segment=sum(w.multiplicity for w in zeros.zeros if 0.0 < w.z.imag <= 1.0),
         zeros_checked=len(zeros.zeros),
-        symmetry_residual=max(sym_res, seed_res),
+        symmetry_residual=symmetry_residual,
     )
+
+
+def lee_yang_audit(
+    fvm: FiniteVolumeModel,
+    zeros: ZeroSet,
+    plus: int,
+    minus: int,
+    grid=(21, 21),
+    tol_sym: float = 1e-10,
+    zero_tol: float | None = None,
+) -> LeeYangReport:
+    """Audit that zeros of a plus/minus symmetric model sit on the symmetry
+    axis: lee_yang_hypotheses first, and only then lee_yang_report."""
+    residual = lee_yang_hypotheses(fvm, plus, minus, grid, tol_sym)
+    return lee_yang_report(fvm, zeros, residual, zero_tol)
 
 
 # ---------------------------------------------------------------------------

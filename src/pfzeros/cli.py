@@ -309,17 +309,22 @@ def _asymptotes(spec, args, out):
 
 
 def _lee_yang(spec, args, out):
+    """Check the theorem's hypotheses, then locate the zeros on the axis (or
+    by the quadtree it falls back to) and report them."""
     spec.check_phase(args.plus)
     spec.check_phase(args.minus)
     perturbation = None
     if args.symmetric_seed is not None:
+        if args.perturb_seed is not None:
+            raise ValidationError("--symmetric-seed and --perturb-seed exclude each other")
         perturbation = [(0j,)] * spec.r
-        up, un = model.symmetric_pair_perturbation(args.symmetric_seed)
+        up, un = model.symmetric_pair_perturbation(args.symmetric_seed, args.perturb_degree)
         perturbation[args.plus] = up
         perturbation[args.minus] = un
     fvm = _fvm(spec, args, perturbation, xi_strength=args.theta)
-    zs = zeros.find_zeros_region(fvm, model.Rectangle(*args.box))
-    rep = analysis.lee_yang_audit(fvm, zs, args.plus, args.minus)
+    residual = analysis.lee_yang_hypotheses(fvm, args.plus, args.minus)
+    found = zeros.find_zeros_on_axis(fvm, model.Rectangle(*args.box))
+    rep = analysis.lee_yang_report(fvm, found.zeros, residual)
     text = (
         f"zeros_checked: {rep.zeros_checked}\n"
         f"max_abs_re: {_g17(rep.max_abs_re)}\n"
@@ -327,7 +332,12 @@ def _lee_yang(spec, args, out):
         f"on_axis: {rep.on_axis}\n"
         f"count_unit_segment: {rep.count_unit_segment}\n"
         f"symmetry_residual: {_g17(rep.symmetry_residual)}\n"
+        f"axis_sign_changes: {found.axis_sign_changes}\n"
+        f"box_winding: {found.box_winding}\n"
+        f"locator: {found.locator}\n"
     )
+    if found.fallback is not None:
+        text += f"fallback: {found.fallback}\n"
     return [_write(out / "lee_yang.txt", text)]
 
 

@@ -50,6 +50,8 @@ METHOD_MULTIPOINT = "multipoint_eq"
 
 # Zeros closer than this are one zero in a ZeroSet.
 _DEDUP_TOL = 1e-12
+# A located zero z has |W(z)| at most this.
+_RESIDUAL_TOL = 1e-10
 
 
 def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
@@ -336,6 +338,13 @@ def _values(es: _ExpSum, mp, s, cid, cap: int) -> np.ndarray:
     )
 
 
+def _node_count(k: int, length: float, rate: float) -> int:
+    """Segments for a path of this length along which the exponents of K
+    terms turn at rate at most `rate`: a phase budget of 1.2 rad per segment,
+    65 to 2.0e6 of them."""
+    return int(min(max(65.0, (2 * k + 1) * length * rate / 1.2), 2.0e6))
+
+
 def _windings(es: _ExpSum, contours, max_nodes=400000, min_gap=1e-12) -> list:
     """Winding of each contour of a batch: its total argument change / 2 pi,
     or a str saying why it could not be counted.
@@ -362,10 +371,7 @@ def _windings(es: _ExpSum, contours, max_nodes=400000, min_gap=1e-12) -> list:
         part = np.arange(a, min(a + per_call, len(lengths)))
         pts = mp(np.tile(probe, part.size), np.repeat(part, probe.size))
         rate[part] = es.deriv_bound(pts).reshape(part.size, probe.size).max(axis=1)
-    n0 = [
-        int(min(max(65.0, (2 * k + 1) * length * r / 1.2), 2.0e6))
-        for length, r in zip(lengths, rate.tolist())
-    ]
+    n0 = [_node_count(k, length, r) for length, r in zip(lengths, rate.tolist())]
     cap = max(_BATCH_FLOOR, max(n0) + 1)
     grids = {n: np.linspace(0.0, 1.0, n + 1) for n in set(n0)}
     s = np.concatenate([grids[n] for n in n0])
@@ -593,7 +599,8 @@ def _find_zeros_expsum(
     box: Rectangle,
     char_scale: float,
     max_depth: int = 40,
-    residual_tol: float = 1e-10,
+    residual_tol: float = _RESIDUAL_TOL,
+    total: int | None = None,
 ):
     """All zeros of an exponential sum in a box, with multiplicities.
 
@@ -603,13 +610,15 @@ def _find_zeros_expsum(
     cell once Newton stays inside that cell. Candidates closer than half the
     circle radius are merged, and every merged or terminal-cell zero has its
     multiplicity counted by the circle, so a multiple zero that rounding
-    splits across a cell edge is still counted in full.
+    splits across a cell edge is still counted in full. total is the box
+    winding when the caller has already counted it.
     """
     if max_depth < 0:
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     min_cell = 1e-3 * char_scale
     r_mult = 1e-2 * char_scale
-    total = _winding(es, _rectangles([box]), box)
+    if total is None:
+        total = _winding(es, _rectangles([box]), box)
     cands = _quadtree(es, box, total, min_cell, max_depth, residual_tol) if total > 0 else []
 
     near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
@@ -676,13 +685,138 @@ def find_zeros_region(
     The tree goes one depth at a time: one batched winding pass for the
     children of a depth's splits and one array Newton for its polishes.
     """
+    _require_box_in_domain(fvm, box)
+    es = _ExpSum.from_fvm(fvm)
+    return _located(fvm, box, _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth))
+
+
+def _require_box_in_domain(fvm: FiniteVolumeModel, box: Rectangle) -> None:
     for corner in box.corners():
         if not fvm.domain.contains(corner):
             raise ValidationError(f"box {box} not contained in domain {fvm.domain}")
-    es = _ExpSum.from_fvm(fvm)
-    found = _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth)
+
+
+def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
     zeros = [Zero(z, mult, res, METHOD_BRUTE) for z, mult, res in found]
     return ZeroSet.build(zeros, box, fvm.L, fvm.d)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric models: zeros on the Lee-Yang axis
+
+# Illinois steps allowed per axis bracket; a bracket of the axis samples
+# closes to a few ulps in about five.
+_AXIS_STEPS = 100
+
+
+@dataclass
+class AxisSearch:
+    """The zeros of a box and how find_zeros_on_axis located them.
+
+    axis_sign_changes counts the sign changes of Re W along the box's
+    segment of the axis Re w = 0 (0 when the box does not straddle it) and
+    box_winding is the winding of the box boundary. fallback says why the
+    quadtree located the zeros, and is None when the axis roots did.
+    """
+
+    zeros: ZeroSet
+    axis_sign_changes: int
+    box_winding: int
+    fallback: str | None
+
+    @property
+    def locator(self) -> str:
+        return "axis" if self.fallback is None else "quadtree"
+
+
+def _axis_re(es: _ExpSum, y) -> np.ndarray:
+    """Re W at the points i y of the axis."""
+    return es.value_normalized(1j * np.asarray(y, dtype=float)).real
+
+
+def _axis_solve(es: _ExpSum, a, b, fa, fb, max_steps: int = _AXIS_STEPS) -> np.ndarray:
+    """A root y of Re W(i y) in every bracket a < b whose values fa = Re W(i a)
+    and fb = Re W(i b) have opposite signs.
+
+    Regula falsi on all brackets at once, one kernel call per step, with the
+    Illinois rule: an end kept twice in a row has its value halved, so both
+    ends close in. A step lands at least 2 ulps inside the bracket, so a
+    root at one end closes the bracket on the next step rather than by
+    bisection. A bracket stops when it is at most 4 ulps wide or an end is
+    an exact zero, and yields the end with the smaller |Re W|; one still
+    open after max_steps raises NoConvergenceError carrying the point i y of
+    that end.
+    """
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    kept = np.zeros(a.size, dtype=int)  # the end the last step kept: -1 a, 1 b
+    act = np.arange(a.size)
+    for step in range(max_steps + 1):
+        A, B, FA, FB = a[act], b[act], fa[act], fb[act]
+        ulp = np.spacing(np.maximum(-A, B))
+        go = ~((B - A <= 4.0 * ulp) | (FA == 0.0) | (FB == 0.0))
+        act, A, B, FA, FB, ulp = act[go], A[go], B[go], FA[go], FB[go], ulp[go]
+        if not act.size:
+            break
+        if step == max_steps:
+            i = act[0]
+            lo, hi = a[i].item(), b[i].item()
+            raise NoConvergenceError(
+                f"axis bracket Im w in [{lo!r}, {hi!r}] still open after {max_steps} steps",
+                complex(0.0, lo if abs(fa[i]) <= abs(fb[i]) else hi),
+            )
+        c = np.clip(B - FB * (B - A) / (FB - FA), A + 2.0 * ulp, B - 2.0 * ulp)
+        fc = _axis_re(es, c)
+        up = np.sign(fc) == np.sign(FA)  # the root lies in (c, B)
+        a[act] = np.where(up, c, A)
+        b[act] = np.where(up, B, c)
+        fa[act] = np.where(up, fc, np.where(kept[act] == -1, 0.5 * FA, FA))
+        fb[act] = np.where(up, np.where(kept[act] == 1, 0.5 * FB, FB), fc)
+        kept[act] = np.where(up, 1, -1)
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
+
+
+def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
+    """All zeros of the normalized partition function inside a box, located
+    on the axis Re w = 0 when the local Lee-Yang theorem puts them there.
+
+    For a plus/minus symmetric model (analysis.lee_yang_hypotheses) W(i y)
+    is real, so every sign change of Re W along the box's segment of the
+    axis brackets a zero of odd multiplicity. The segment is sampled in one
+    kernel call at the phase-rate node count of the box winding, every
+    bracket is closed by _axis_solve, and a root is kept when its complex
+    residual |W| is <= 1e-10, the quadtree's rule. When the roots are as
+    many as the box winding, they are all the zeros in the box, each simple:
+    the theorem's conclusion, checked rather than assumed. Otherwise, and
+    when the box does not straddle the axis, the quadtree of
+    find_zeros_region locates the zeros from the box winding already
+    counted, and the result says why.
+    """
+    _require_box_in_domain(fvm, box)
+    es = _ExpSum.from_fvm(fvm)
+    total = _winding(es, _rectangles([box]), box)
+    changes = 0
+    if not box.re_lo < 0.0 < box.re_hi:
+        fallback = "the box does not straddle the axis Re w = 0"
+    else:
+        probe = np.linspace(box.im_lo, box.im_hi, 129)
+        rate = float(es.deriv_bound(1j * probe).max())
+        y = np.linspace(box.im_lo, box.im_hi, _node_count(len(es.w), box.height, rate) + 1)
+        f = _axis_re(es, y)
+        (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
+        changes = int(i.size)
+        if changes != total:
+            fallback = f"{changes} axis sign changes against a box winding of {total}"
+        else:
+            roots = _axis_solve(es, y[i], y[i + 1], f[i], f[i + 1])
+            res = _modulus(es.value_normalized(1j * roots))
+            bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
+            if not bad.size:
+                found = [(complex(0.0, r), 1, e) for r, e in zip(roots.tolist(), res.tolist())]
+                return AxisSearch(_located(fvm, box, found), changes, total, None)
+            k = bad[0]
+            fallback = f"axis root at Im w = {roots[k].item()!r} has residual {res[k]:.3e}"
+    found = _find_zeros_expsum(es, box, 1.0 / fvm.N, total=total)
+    return AxisSearch(_located(fvm, box, found), changes, total, fallback)
 
 
 # ---------------------------------------------------------------------------

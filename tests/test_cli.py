@@ -91,6 +91,8 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
                  "--L-list", "100"]),
         ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1",
                  "--L-list", "100,"]),
+        ("lee-yang", ["lee-yang", "--L", "10", "--box=-0.05,0.05,0,1", "--symmetric-seed", "3",
+                      "--perturb-seed", "4"]),
     ],
 )
 def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
@@ -394,6 +396,30 @@ def test_cli_lee_yang(tmp_path):
     text = (out / "lee_yang.txt").read_text()
     assert "on_axis: True" in text
     assert "count_unit_segment: 32" in text
+    assert "max_abs_re: 0\n" in text
+    assert "axis_sign_changes: 32\nbox_winding: 32\nlocator: axis\n" in text
+    assert "fallback" not in text
+    rc = main(["lee-yang", mp, "--L", "100", "--tau", "0.2", "--box=0.01,0.05,0.0,1.0",
+               "--out-dir", str(out)])
+    assert rc == 0
+    text = (out / "lee_yang.txt").read_text()
+    assert text.endswith(
+        "axis_sign_changes: 0\nbox_winding: 0\nlocator: quadtree\n"
+        "fallback: the box does not straddle the axis Re w = 0\n"
+    )
+
+
+def test_cli_lee_yang_checks_hypotheses_before_searching(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the hypotheses were checked")
+
+    for name in ("find_zeros_on_axis", "find_zeros_region", "_windings"):
+        monkeypatch.setattr(pfzeros.zeros, name, no_search)
+    mp = write_model(tmp_path, lee_yang_model())
+    rc = main(["lee-yang", mp, "--L", "10", "--d", "2", "--tau", "2", "--box=-0.05,0.05,0,1",
+               "--perturb-seed", "4", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "reflection symmetry" in capsys.readouterr().err
 
 
 def test_cli_covering(tmp_path):

@@ -1,0 +1,157 @@
+"""The axis locator for plus/minus symmetric models: its zeros against the
+quadtree's, its cost, its fallbacks, its bracket solve, and a 50-digit
+mpmath reference that shares no code with it."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import pfzeros.zeros as zeros_mod
+from pfzeros import (
+    ModelSpec,
+    NoConvergenceError,
+    PhaseSpec,
+    Rectangle,
+    find_zeros_on_axis,
+    find_zeros_region,
+    finite_volume,
+    lee_yang_hypotheses,
+    symmetric_pair_perturbation,
+)
+from pfzeros.zeros import _axis_re, _axis_solve, _ExpSum
+
+from conftest import lee_yang_model, two_phase_model
+
+BOX = Rectangle(-0.05, 0.05, 0.0, 1.0)
+
+
+def _seeded(seed):
+    """The criterion-10 setup: symmetric seeds, L=10, d=2, tau=2."""
+    up, un = symmetric_pair_perturbation(seed)
+    return finite_volume(lee_yang_model(), L=10, d=2, tau=2.0, perturbation=[up, un])
+
+
+def _twisted(b):
+    """exp(+-(w + i b w^2)): reflection symmetric, W real on the axis; the
+    zeros 2 N w (1 + i b w) = i pi (2j+1) leave the axis in mirror pairs
+    above Im w = 1/(2b), where a double zero sits when that is a solution."""
+    return ModelSpec(
+        phases=(
+            PhaseSpec("plus", 1, (0j, 1 + 0j, 1j * b)),
+            PhaseSpec("minus", 1, (0j, -1 + 0j, -1j * b)),
+        ),
+        domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
+        coordinate_map="exponential",
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_axis_zeros_equal_the_quadtrees(seed):
+    fvm = _seeded(seed)
+    found = find_zeros_on_axis(fvm, BOX)
+    located = find_zeros_region(fvm, BOX)
+    assert found.locator == "axis" and found.fallback is None
+    assert found.axis_sign_changes == found.box_winding == len(located) == 32
+    assert [w.multiplicity for w in found.zeros.zeros] == [w.multiplicity for w in located.zeros]
+    assert np.abs(found.zeros.points() - located.points()).max() <= 1e-14
+    assert all(w.z.real == 0.0 and w.residual <= 1e-10 for w in found.zeros.zeros)
+
+
+def test_axis_search_evaluates_few_points(monkeypatch):
+    points = []
+    value = _ExpSum.value_normalized
+    newton_step = _ExpSum.newton_step
+
+    def counted_value(self, z):
+        points.append(np.size(z))
+        return value(self, z)
+
+    def counted_newton_step(self, z):
+        points.append(np.size(z))
+        return newton_step(self, z)
+
+    monkeypatch.setattr(_ExpSum, "value_normalized", counted_value)
+    monkeypatch.setattr(_ExpSum, "newton_step", counted_newton_step)
+    fvm = _seeded(4)
+    assert find_zeros_on_axis(fvm, BOX).locator == "axis"
+    on_axis = sum(points)
+    points.clear()
+    find_zeros_region(fvm, BOX)
+    assert on_axis <= 4000 < sum(points)
+
+
+@pytest.mark.parametrize(
+    "fvm, box, why",
+    [
+        # q1 != q2: Re W changes sign on the axis where |Im W| is 1
+        (finite_volume(two_phase_model(q1=1, q2=2), L=100, d=1, tau=1.0),
+         Rectangle(-0.1, 0.1, 0.0, 0.2), "residual"),
+        # two zeros on the axis, four in mirror pairs at Im w = 1/2
+        (finite_volume(_twisted(1.0), L=10, d=1, tau=1.0),
+         Rectangle(-0.9, 0.9, 0.0, 0.9), "2 axis sign changes against a box winding of 6"),
+        # a double zero at w = i pi/10, which Re W touches without a sign change
+        (finite_volume(_twisted(10 / (2 * math.pi)), L=10, d=1, tau=1.0),
+         Rectangle(-0.1, 0.1, 0.2, 0.4), "0 axis sign changes against a box winding of 2"),
+        (_seeded(4), Rectangle(0.01, 0.05, 0.0, 1.0), "does not straddle"),
+    ],
+    ids=["not_real_on_axis", "off_axis_pairs", "double_zero", "beside_the_axis"],
+)
+def test_axis_locator_falls_back_to_the_quadtree(fvm, box, why, monkeypatch):
+    found = find_zeros_on_axis(fvm, box)
+    assert found.locator == "quadtree" and why in found.fallback
+    assert found.zeros == find_zeros_region(fvm, box)
+    assert found.box_winding == found.zeros.total_multiplicity()
+    # the fallback quadtree starts from the box winding already counted
+    windings = []
+    wind = zeros_mod._winding
+    monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
+    find_zeros_on_axis(fvm, box)
+    assert len(windings) == 1
+
+
+def test_twisted_models_meet_the_hypotheses():
+    # so their fallbacks are what the lee-yang workflow would take
+    for b in (1.0, 10 / (2 * math.pi)):
+        assert lee_yang_hypotheses(finite_volume(_twisted(b), L=10, d=1, tau=1.0), 0, 1) <= 1e-10
+
+
+def test_axis_solve_stops_at_its_cap_or_an_exact_zero():
+    es = _ExpSum.from_fvm(_seeded(4))
+    y = np.linspace(0.04, 0.06, 3)  # the zero near 3 pi/200 lies in the first half
+    f = _axis_re(es, y)
+    assert f[0] * f[1] < 0.0
+    with pytest.raises(NoConvergenceError) as info:
+        _axis_solve(es, y[:1], y[1:2], f[:1], f[1:2], max_steps=2)
+    end = info.value.last_iterate
+    assert end.real == 0.0 and y[0] < end.imag < y[1]
+    (root,) = _axis_solve(es, y[:1], y[1:2], f[:1], f[1:2])
+    assert abs(root - 3 * math.pi / 200) <= 1e-8
+    # an end that is an exact zero closes its bracket with no step
+    assert _axis_solve(es, [0.1], [0.2], [0.0], [1.0], max_steps=0).tolist() == [0.1]
+
+
+def test_axis_zeros_against_a_50_digit_reference():
+    fvm = _seeded(7)
+    found = find_zeros_on_axis(fvm, BOX)
+    assert found.locator == "axis"
+
+    def horner(coeffs, w):
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * w + mpmath.mpc(c)
+        return acc
+
+    with mpmath.workdps(50):
+        eps = mpmath.exp(-mpmath.mpf(fvm.tau) * fvm.L)
+        terms = [(phase.degeneracy, phase.exponent, u)
+                 for phase, u in zip(fvm.base.phases, fvm.perturbations)]
+
+        def partition_function(w):
+            return sum(q * mpmath.exp(fvm.N * (horner(p, w) + eps * horner(u, w)))
+                       for q, p, u in terms)
+
+        for w in found.zeros.zeros:
+            root = mpmath.findroot(partition_function, mpmath.mpc(w.z.real, w.z.imag))
+            assert abs(complex(root) - w.z) <= 1e-13
