@@ -466,10 +466,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. When command names a subcommand only its
+    subparser is built, which is all a command line starting with it needs;
+    otherwise all of them are, so help and usage errors list every one."""
     p = _Parser(prog="pfzeros", description="Complex phase diagrams and partition-function zeros")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (workflow, help_text, options) in _COMMANDS.items():
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    for name in names:
+        workflow, help_text, options = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("model", help="model definition file (JSON)")
         sp.add_argument("--out-dir", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
@@ -494,8 +499,9 @@ def run(args: argparse.Namespace) -> list[Path]:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        written = run(build_parser().parse_args(argv))
+        written = run(build_parser(argv[0] if argv else None).parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -86,68 +86,103 @@ class PhaseDiagram:
     diagnostics: list[str] = field(default_factory=list)
 
 
+# Illinois steps allowed per bracket; most close to a few ulps in under five,
+# those whose root has a coordinate near 0 in a few tens.
+_BRACKET_STEPS = 100
+
+
+def _close_brackets(f, a, b, fa, fb, max_steps: int = _BRACKET_STEPS):
+    """A root t of a real function in every bracket a < b whose end values
+    fa, fb have opposite signs or include an exact zero; f(t, k) evaluates
+    the brackets k at their points t.
+
+    Regula falsi on all brackets at once, one call of f per step, with the
+    Illinois rule: an end kept twice in a row has its value halved, so both
+    ends close in. A step lands at least 2 ulps inside the bracket, so a
+    root at one end closes the bracket on the next step rather than by
+    bisection. A bracket closes when it is at most 4 ulps wide or an end is
+    an exact zero. Returns (t, closed): t is the end with the smaller |f|,
+    and closed is False for a bracket still open after max_steps.
+    """
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    kept = np.zeros(a.size, dtype=int)  # the end the last step kept: -1 a, 1 b
+    act = np.arange(a.size)
+    for step in range(max_steps + 1):
+        A, B, FA, FB = a[act], b[act], fa[act], fb[act]
+        ulp = np.spacing(np.maximum(-A, B))
+        go = ~((B - A <= 4.0 * ulp) | (FA == 0.0) | (FB == 0.0))
+        act, A, B, FA, FB, ulp = act[go], A[go], B[go], FA[go], FB[go], ulp[go]
+        if not act.size or step == max_steps:
+            break
+        c = np.clip(B - FB * (B - A) / (FB - FA), A + 2.0 * ulp, B - 2.0 * ulp)
+        fc = f(c, act)
+        up = np.sign(fc) == np.sign(FA)  # the root lies in (c, B)
+        a[act] = np.where(up, c, A)
+        b[act] = np.where(up, B, c)
+        fa[act] = np.where(up, fc, np.where(kept[act] == -1, 0.5 * FA, FA))
+        fb[act] = np.where(up, np.where(kept[act] == 1, 0.5 * FB, FB), fc)
+        kept[act] = np.where(up, 1, -1)
+    closed = np.ones(a.size, dtype=bool)
+    closed[act] = False
+    return np.where(np.abs(fa) <= np.abs(fb), a, b), closed
+
+
+def _seed_roots(model: ModelSpec, m: int, n: int, seeds: np.ndarray, radius: float):
+    """Roots of Re(P_m - P_n) = 0, one per seed, each moving only along the
+    coordinate axis along which phi varies faster at its seed.
+
+    Each seed samples its own coordinate at 17 points within +-radius of the
+    seed; the first sign change, or exact zero, brackets the root, and all
+    brackets close in one _close_brackets pass. A seed with no bracket, or
+    whose bracket stayed open, gets NaN.
+    """
+    h, dh = _pair_gap(model, m, n)
+    g = dh(seeds)
+    # d phi/dx = Re h', d phi/dy = -Im h'
+    on_x = np.abs(g.real) >= np.abs(g.imag)
+    moving = np.where(on_x, seeds.real, seeds.imag)
+    fixed = np.where(on_x, seeds.imag, seeds.real)
+
+    def point(t, k):
+        """The points whose moving coordinate is t, for the seeds k."""
+        return np.where(on_x[k], t + 1j * fixed[k], fixed[k] + 1j * t)
+
+    ts = moving[:, None] + np.linspace(-radius, radius, 17)
+    vals = h(point(ts, np.arange(seeds.size)[:, None])).real
+    hit = np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) <= 0.0
+    rows = np.flatnonzero(hit.any(axis=1))
+    i = hit[rows].argmax(axis=1)
+    t, closed = _close_brackets(
+        lambda t, k: h(point(t, rows[k])).real,
+        ts[rows, i], ts[rows, i + 1], vals[rows, i], vals[rows, i + 1],
+    )
+    z = np.full(seeds.size, complex(np.nan, np.nan))
+    z[rows[closed]] = point(t[closed], rows[closed])
+    return z
+
+
 def find_coexistence_point(
     model: ModelSpec,
     m: int,
     n: int,
     seed: complex,
     radius: float = 0.5,
-    tol: float = TOL_PROJECT,
-    max_iter: int = 50,
 ) -> complex:
     """Solve Re(P_m - P_n) = 0 moving only along one coordinate axis.
 
     The axis is the one along which phi varies faster at the seed. The root
     is bracketed within +-radius of the seed; no sign change there raises
     NoConvergenceError (a root may well exist farther away, but this solver
-    is deliberately local).
+    is deliberately local). The seed scans solve their seeds the same way,
+    all at once.
     """
     seed = _require_finite(seed, "seed")
     if not model.domain.contains(seed, pad=radius):
         raise ValidationError(f"seed {seed} too far outside domain")
-    h, dh = _pair_gap(model, m, n)
-    g = dh(seed)
-    # d phi/dx = Re h', d phi/dy = -Im h'
-    axis = 1.0 if abs(g.real) >= abs(g.imag) else 1.0j
-
-    def f(t: float) -> float:
-        return h(seed + t * axis).real
-
-    ts = np.linspace(-radius, radius, 17)
-    vals = [f(t) for t in ts]
-    bracket = None
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            return seed + a * axis
-        if fa * fb < 0.0:
-            bracket = (float(a), float(b), fa, fb)
-            break
-    if bracket is None:
-        if abs(vals[0]) <= tol:
-            return seed - radius * axis
-        raise NoConvergenceError(
-            f"no sign change of the exponent gap within {radius} of {seed}", seed
-        )
-
-    lo, hi, flo, fhi = bracket
-    t = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        ft = f(t)
-        if abs(ft) <= tol:
-            return seed + t * axis
-        if flo * ft < 0.0:
-            hi, fhi = t, ft
-        else:
-            lo, flo = t, ft
-        g = dh(seed + t * axis)
-        slope = g.real if axis == 1.0 else -g.imag
-        t_new = t - ft / slope if slope != 0.0 else 0.5 * (lo + hi)
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    raise NoConvergenceError(
-        f"axis Newton did not reach |phi|<= {tol} in {max_iter} iterations", seed + t * axis
-    )
+    (z,) = _seed_roots(model, m, n, np.array([seed]), radius).tolist()
+    if math.isnan(z.real):
+        raise NoConvergenceError(f"no root of Re(P_m - P_n) closed within {radius} of {seed}", seed)
+    return z
 
 
 def _project_onto_level(h, dh, z: complex, target: float = 0.0, tol: float = TOL_PROJECT):
@@ -339,21 +374,17 @@ def _scan_mesh(model: ModelSpec, grid):
 
 
 def _coexistence_points(model: ModelSpec, m: int, n: int, mesh: np.ndarray, cell: float):
-    """Coexistence points of (m, n), each solved within one cell of the
-    midpoint of a mesh edge on which Re(P_m - P_n) changes sign; seeds that
-    do not converge are skipped."""
+    """Coexistence points of (m, n) in the domain, each solved within one
+    cell of the midpoint of a mesh edge on which Re(P_m - P_n) changes sign;
+    seeds that do not converge, and roots outside the domain, are skipped."""
     h, _ = _pair_gap(model, m, n)
     sgn = np.signbit(h(mesh).real)
-    flip_h = np.nonzero(sgn[:, 1:] != sgn[:, :-1])
-    flip_v = np.nonzero(sgn[1:, :] != sgn[:-1, :])
-    seeds = [0.5 * (mesh[i, j] + mesh[i, j + 1]) for i, j in zip(*flip_h)]
-    seeds += [0.5 * (mesh[i, j] + mesh[i + 1, j]) for i, j in zip(*flip_v)]
-    for seed in seeds:
-        try:
-            z = find_coexistence_point(model, m, n, seed, radius=cell)
-        except NoConvergenceError:
-            continue
-        yield z
+    i, j = np.nonzero(sgn[:, 1:] != sgn[:, :-1])
+    k, l = np.nonzero(sgn[1:, :] != sgn[:-1, :])
+    edges = (mesh[i, j] + mesh[i, j + 1], mesh[k, l] + mesh[k + 1, l])
+    seeds = 0.5 * np.concatenate(edges)
+    z = _seed_roots(model, m, n, seeds, cell)
+    return z[model.domain.contains(z)].tolist()
 
 
 def _multiple_points(model: ModelSpec, mesh: np.ndarray, cell: float, slack: float):

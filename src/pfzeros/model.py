@@ -35,6 +35,65 @@ def _require_finite(z: complex, what: str = "point") -> complex:
     return z
 
 
+def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
+    """Index arrays (i, j) holding every pair with |a[i] - b[j]| <= r, and others.
+
+    The points are binned on a grid of cells a little wider than r, counted
+    from the lower-left corner of both sets, so such a pair lies in the same
+    or adjacent cells however the keys round. The cells are found by binary
+    search on the sorted (complex, so lexicographic) cell keys of b, which
+    keeps the cost O((n + pairs) log n). Pairs of adjacent cells that are
+    farther apart are returned too: callers measure the distance their own way.
+    """
+    if not (a.size and b.size):
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    origin = complex(min(a.real.min(), b.real.min()), min(a.imag.min(), b.imag.min()))
+    cell = 1.01 * r
+
+    def key(p):
+        p = p - origin
+        return np.floor(p.real / cell) + 1j * np.floor(p.imag / cell)
+
+    ka, kb = key(a), key(b)
+    order = np.argsort(kb, kind="stable")
+    skey = kb[order]
+    ii, jj = [], []
+    for dx in (-1.0, 0.0, 1.0):
+        lo = np.searchsorted(skey, ka + complex(dx, -1.0), side="left")
+        n = np.searchsorted(skey, ka + complex(dx, 1.0), side="right") - lo
+        ii.append(np.repeat(np.arange(a.size), n))
+        # run k of the output counts up from lo[k]
+        jj.append(order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())])
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+def _modulus(z):
+    """|z| as Python's abs rounds it (hypot); numpy's complex abs on arrays
+    rounds differently in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _neighbours(points: np.ndarray, tol: float) -> dict[int, list[int]]:
+    """Indices of the other points within tol, for each point that has any."""
+    i, j = _grid_pairs(points, points, tol)
+    close = (i != j) & (_modulus(points[i] - points[j]) <= tol)
+    near: dict[int, list[int]] = {}
+    for a, b in zip(i[close].tolist(), j[close].tolist()):
+        near.setdefault(a, []).append(b)
+    return near
+
+
+def _first_come(points: np.ndarray, r: float) -> list[int]:
+    """Indices of the points kept when each point, in order, is dropped if it
+    lies within r of a point kept before it."""
+    near = _neighbours(points, r)
+    dropped: set[int] = set()
+    for i in sorted(near):
+        if any(j < i and j not in dropped for j in near[i]):
+            dropped.add(i)
+    return [i for i in range(len(points)) if i not in dropped]
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned rectangle in the complex plane."""
@@ -464,16 +523,16 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
     alpha = math.inf
     for m in range(model.r):
         for n in range(m + 1, model.r):
-            pts: list[complex] = []
-            for z in _coexistence_points(model, m, n, mesh, cell):
-                if any(abs(z - p) < 0.5 * cell for p in pts):
-                    continue
-                pts.append(z)
-                gap = abs(eval_v(model, m, z) - eval_v(model, n, z))
+            pts = np.array(_coexistence_points(model, m, n, mesh, cell), dtype=complex)
+            # a point is dropped within |z - p| < cell/2 of a kept one
+            pts = pts[_first_come(pts, np.nextafter(0.5 * cell, 0.0))]
+            _, dh = _pair_gap(model, m, n)
+            gaps = _modulus(dh(pts))  # |v_m - v_n|, bit-equal to eval_v at each point
+            for z, gap in zip(pts.tolist(), gaps.tolist()):
                 alpha = min(alpha, gap)
                 if gap < model.alpha_ref:
                     violations.append(AssumptionViolation(z, "A3", gap))
-            pair_samples[(m, n)] = pts
+            pair_samples[(m, n)] = pts.tolist()
 
     convexity_results: list[tuple[complex, bool, float]] = []
     for z_mp, mp in _multiple_points(model, mesh, cell, slack):

@@ -1,4 +1,4 @@
-"""Static SVG rendering of phase diagrams, zero sets, and asymptote rays."""
+"""Static SVG rendering of phase diagrams and zero sets."""
 
 from __future__ import annotations
 
@@ -36,18 +36,14 @@ def emit_svg(
     diagram: PhaseDiagram | None,
     zero_sets=(),
     viewport: Rectangle | None = None,
-    asymptotes=(),
-    width: int = 640,
-    height: int = 640,
 ) -> str:
-    """Render curves, multiple points, zeros, and dashed asymptote half-lines.
+    """Render curves, multiple points and zeros.
 
-    asymptotes entries are (multiple_point, lines, N) triples; the rays live
-    in the rescaled coordinate and are mapped back through z_M + zf/N.
     Empty inputs yield a valid axes-only document.
     """
     if viewport is None:
         raise ValidationError("a viewport rectangle is required")
+    width = height = 640  # pixels
     pad = 30
     m = _Mapper(viewport, width, height, pad)
     parts = [
@@ -91,18 +87,6 @@ def emit_svg(
             parts.append(
                 f'<rect x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" height="8" '
                 'fill="none" stroke="#000" stroke-width="1.5"/>'
-            )
-
-    for mp_point, lines, n_vol in asymptotes:
-        reach = n_vol * (viewport.width + viewport.height)
-        for ln in lines:
-            z0 = mp_point.z + ln.origin_offset / n_vol
-            z1 = mp_point.z + (ln.origin_offset + reach * ln.direction) / n_vol
-            x0, y0 = m(z0)
-            x1, y1 = m(z1)
-            parts.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-                'stroke="#888" stroke-width="1" stroke-dasharray="6 4"/>'
             )
 
     for zs in zero_sets:

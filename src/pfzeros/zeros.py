@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CoexistenceCurve, MultiplePoint
+from .diagram import _BRACKET_STEPS, CoexistenceCurve, MultiplePoint, _close_brackets
 from .errors import (
     ContourDegeneracyError,
     ConvexityError,
@@ -30,6 +30,10 @@ from .model import (
     FiniteVolumeModel,
     ModelSpec,
     Rectangle,
+    _first_come,
+    _grid_pairs,
+    _modulus,
+    _neighbours,
     _pair_gap,
     _polyder,
     _polyval,
@@ -52,54 +56,6 @@ METHOD_MULTIPOINT = "multipoint_eq"
 _DEDUP_TOL = 1e-12
 # A located zero z has |W(z)| at most this.
 _RESIDUAL_TOL = 1e-10
-
-
-def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
-    """Index arrays (i, j) holding every pair with |a[i] - b[j]| <= r, and others.
-
-    The points are binned on a grid of cells a little wider than r, counted
-    from the lower-left corner of both sets, so such a pair lies in the same
-    or adjacent cells however the keys round. The cells are found by binary
-    search on the sorted (complex, so lexicographic) cell keys of b, which
-    keeps the cost O((n + pairs) log n). Pairs of adjacent cells that are
-    farther apart are returned too: callers measure the distance their own way.
-    """
-    if not (a.size and b.size):
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    origin = complex(min(a.real.min(), b.real.min()), min(a.imag.min(), b.imag.min()))
-    cell = 1.01 * r
-
-    def key(p):
-        p = p - origin
-        return np.floor(p.real / cell) + 1j * np.floor(p.imag / cell)
-
-    ka, kb = key(a), key(b)
-    order = np.argsort(kb, kind="stable")
-    skey = kb[order]
-    ii, jj = [], []
-    for dx in (-1.0, 0.0, 1.0):
-        lo = np.searchsorted(skey, ka + complex(dx, -1.0), side="left")
-        n = np.searchsorted(skey, ka + complex(dx, 1.0), side="right") - lo
-        ii.append(np.repeat(np.arange(a.size), n))
-        # run k of the output counts up from lo[k]
-        jj.append(order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())])
-    return np.concatenate(ii), np.concatenate(jj)
-
-
-def _modulus(z):
-    """|z| as Python's abs rounds it (hypot); numpy's complex abs on arrays
-    rounds differently in the last bit."""
-    return np.hypot(z.real, z.imag)
-
-
-def _neighbours(points: np.ndarray, tol: float) -> dict[int, list[int]]:
-    """Indices of the other points within tol, for each point that has any."""
-    i, j = _grid_pairs(points, points, tol)
-    close = (i != j) & (_modulus(points[i] - points[j]) <= tol)
-    near: dict[int, list[int]] = {}
-    for a, b in zip(i[close].tolist(), j[close].tolist()):
-        near.setdefault(a, []).append(b)
-    return near
 
 
 @dataclass(frozen=True)
@@ -129,12 +85,7 @@ class ZeroSet:
         order = np.lexsort(
             (pts.imag, pts.real, np.round(pts.imag / _DEDUP_TOL), np.round(pts.real / _DEDUP_TOL))
         )
-        near = _neighbours(pts[order], _DEDUP_TOL)
-        dropped: set[int] = set()
-        for i in sorted(near):
-            if any(j < i and j not in dropped for j in near[i]):
-                dropped.add(i)
-        unique = [zeros[k] for i, k in enumerate(order) if i not in dropped]
+        unique = [zeros[order[i]] for i in _first_come(pts[order], _DEDUP_TOL)]
         return cls(zeros=tuple(unique), region=region, L=int(L), d=int(d), N=_volume(L, d))
 
     def __len__(self) -> int:
@@ -470,10 +421,12 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
     """Newton from every start at once: arrays z and residual and a list of
     failure reasons, None for a polished point.
 
-    Each point steps until |dz| <= 1e-16 (1 + |z|), at most max_iter times,
-    and has the kernel evaluated only while it steps. A point fails where the
-    derivative vanishes, keeping the iterate it vanished at, or where its
-    residual |W(z)| is not <= tol (so also when it is NaN).
+    Each point steps until |dz| <= 1e-16 (1 + |z|), or 4 ulps of |z| where
+    that is more (from |z| = 1/4 on, where the first bound falls towards one
+    ulp), at most max_iter times, and has the kernel evaluated only while it
+    steps. A point fails where the derivative vanishes, keeping the iterate
+    it vanished at, or where its residual |W(z)| is not <= tol (so also when
+    it is NaN).
     """
     z = np.array(starts, dtype=complex).reshape(-1)
     res = np.full(z.size, np.nan)
@@ -489,7 +442,8 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
         act = act[~flat]
         dz = num[~flat] / den[~flat]
         z[act] -= dz
-        act = act[~(_modulus(dz) <= 1e-16 * (1.0 + _modulus(z[act])))]
+        r = _modulus(z[act])
+        act = act[~(_modulus(dz) <= np.maximum(1e-16 * (1.0 + r), 4.0 * np.spacing(r)))]
     ok = np.array([w is None for w in why], dtype=bool)
     if ok.any():
         res[ok] = _modulus(es.value_normalized(z[ok]))
@@ -704,11 +658,6 @@ def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
 # ---------------------------------------------------------------------------
 # Symmetric models: zeros on the Lee-Yang axis
 
-# Illinois steps allowed per axis bracket; a bracket of the axis samples
-# closes to a few ulps in about five.
-_AXIS_STEPS = 100
-
-
 @dataclass
 class AxisSearch:
     """The zeros of a box and how find_zeros_on_axis located them.
@@ -734,47 +683,6 @@ def _axis_re(es: _ExpSum, y) -> np.ndarray:
     return es.value_normalized(1j * np.asarray(y, dtype=float)).real
 
 
-def _axis_solve(es: _ExpSum, a, b, fa, fb, max_steps: int = _AXIS_STEPS) -> np.ndarray:
-    """A root y of Re W(i y) in every bracket a < b whose values fa = Re W(i a)
-    and fb = Re W(i b) have opposite signs.
-
-    Regula falsi on all brackets at once, one kernel call per step, with the
-    Illinois rule: an end kept twice in a row has its value halved, so both
-    ends close in. A step lands at least 2 ulps inside the bracket, so a
-    root at one end closes the bracket on the next step rather than by
-    bisection. A bracket stops when it is at most 4 ulps wide or an end is
-    an exact zero, and yields the end with the smaller |Re W|; one still
-    open after max_steps raises NoConvergenceError carrying the point i y of
-    that end.
-    """
-    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
-    kept = np.zeros(a.size, dtype=int)  # the end the last step kept: -1 a, 1 b
-    act = np.arange(a.size)
-    for step in range(max_steps + 1):
-        A, B, FA, FB = a[act], b[act], fa[act], fb[act]
-        ulp = np.spacing(np.maximum(-A, B))
-        go = ~((B - A <= 4.0 * ulp) | (FA == 0.0) | (FB == 0.0))
-        act, A, B, FA, FB, ulp = act[go], A[go], B[go], FA[go], FB[go], ulp[go]
-        if not act.size:
-            break
-        if step == max_steps:
-            i = act[0]
-            lo, hi = a[i].item(), b[i].item()
-            raise NoConvergenceError(
-                f"axis bracket Im w in [{lo!r}, {hi!r}] still open after {max_steps} steps",
-                complex(0.0, lo if abs(fa[i]) <= abs(fb[i]) else hi),
-            )
-        c = np.clip(B - FB * (B - A) / (FB - FA), A + 2.0 * ulp, B - 2.0 * ulp)
-        fc = _axis_re(es, c)
-        up = np.sign(fc) == np.sign(FA)  # the root lies in (c, B)
-        a[act] = np.where(up, c, A)
-        b[act] = np.where(up, B, c)
-        fa[act] = np.where(up, fc, np.where(kept[act] == -1, 0.5 * FA, FA))
-        fb[act] = np.where(up, np.where(kept[act] == 1, 0.5 * FB, FB), fc)
-        kept[act] = np.where(up, 1, -1)
-    return np.where(np.abs(fa) <= np.abs(fb), a, b)
-
-
 def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
     """All zeros of the normalized partition function inside a box, located
     on the axis Re w = 0 when the local Lee-Yang theorem puts them there.
@@ -783,7 +691,8 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
     is real, so every sign change of Re W along the box's segment of the
     axis brackets a zero of odd multiplicity. The segment is sampled in one
     kernel call at the phase-rate node count of the box winding, every
-    bracket is closed by _axis_solve, and a root is kept when its complex
+    bracket is closed by diagram._close_brackets (a bracket left open raises
+    NoConvergenceError at its point i y), and a root is kept when its complex
     residual |W| is <= 1e-10, the quadtree's rule. When the roots are as
     many as the box winding, they are all the zeros in the box, each simple:
     the theorem's conclusion, checked rather than assumed. Otherwise, and
@@ -807,7 +716,16 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
         if changes != total:
             fallback = f"{changes} axis sign changes against a box winding of {total}"
         else:
-            roots = _axis_solve(es, y[i], y[i + 1], f[i], f[i + 1])
+            roots, closed = _close_brackets(
+                lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1]
+            )
+            if not closed.all():
+                k = np.flatnonzero(~closed)[0]
+                raise NoConvergenceError(
+                    f"axis bracket at Im w = {roots[k].item()!r} still open after "
+                    f"{_BRACKET_STEPS} steps",
+                    complex(0.0, roots[k].item()),
+                )
             res = _modulus(es.value_normalized(1j * roots))
             bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
             if not bad.size:

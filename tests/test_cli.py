@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -155,6 +156,21 @@ def test_cli_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["find-zeros", "--help"])
     assert exc.value.code == 0
+
+
+def test_cli_help_and_unknown_commands_list_every_subcommand(capsys):
+    names = ["check-assumptions", "trace-diagram", "find-zeros", "predict-zeros", "compare",
+             "density", "multipoint", "asymptotes", "lee-yang", "covering"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\{([a-z,-]+)\}", out).group(1).split(",") == names
+    for name in names:
+        assert re.search(rf"^    {name} ", out, re.MULTILINE)
+    assert main(["no-such-command", "model.json"]) == 1
+    err = capsys.readouterr().err
+    assert re.findall(r"'([a-z-]+)'", err.partition("choose from")[2]) == names
 
 
 @pytest.mark.parametrize(

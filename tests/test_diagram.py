@@ -13,12 +13,13 @@ from pfzeros import (
     SpuriousRootError,
     ValidationError,
     build_phase_diagram,
+    check_assumption_A,
     find_coexistence_point,
     find_multiple_point,
     stability,
     trace_curve,
 )
-from pfzeros.diagram import _project_onto_level
+from pfzeros.diagram import _coexistence_points, _project_onto_level, _scan_mesh
 from pfzeros.model import _pair_gap
 
 from conftest import OMEGA, collinear_model, three_phase_model, two_phase_model
@@ -28,6 +29,15 @@ def parabola_model():
     # Re z^2 = 0 on the two diagonals Im z = +-Re z
     return ModelSpec(
         phases=(PhaseSpec("quad", 1, (0j, 0j, 1 + 0j)), PhaseSpec("flat", 1, (0j,))),
+        domain=Rectangle(-1, 1, -1, 1),
+    )
+
+
+def hyperbola_model():
+    # Re z^2 = -1/2 on the hyperbola y^2 - x^2 = 1/2, which leaves the domain
+    # through its top and bottom edges
+    return ModelSpec(
+        phases=(PhaseSpec("quad", 1, (0j, 0j, 1 + 0j)), PhaseSpec("flat", 1, (-0.5 + 0j,))),
         domain=Rectangle(-1, 1, -1, 1),
     )
 
@@ -50,6 +60,37 @@ def test_find_coexistence_point_no_root_nearby():
     wide = two_phase_model(half=6.0)
     with pytest.raises(NoConvergenceError):
         find_coexistence_point(wide, 0, 1, 5.0 + 0j)
+
+
+def test_seed_scan_equals_per_seed_solves(m3):
+    mesh, cell, _ = _scan_mesh(m3, (41, 41))
+    for m, n in ((0, 1), (0, 2), (1, 2)):
+        h, _ = _pair_gap(m3, m, n)
+        sgn = np.signbit(h(mesh).real)
+        flip_h = zip(*np.nonzero(sgn[:, 1:] != sgn[:, :-1]))
+        flip_v = zip(*np.nonzero(sgn[1:, :] != sgn[:-1, :]))
+        seeds = [0.5 * (mesh[i, j] + mesh[i, j + 1]) for i, j in flip_h]
+        seeds += [0.5 * (mesh[i, j] + mesh[i + 1, j]) for i, j in flip_v]
+        expected = []
+        for seed in seeds:
+            try:
+                z = find_coexistence_point(m3, m, n, seed, radius=cell)
+            except NoConvergenceError:
+                continue
+            if m3.domain.contains(z):
+                expected.append(z)
+        got = _coexistence_points(m3, m, n, mesh, cell)
+        assert expected and got == expected
+
+
+def test_seed_scans_drop_roots_outside_the_domain():
+    m = hyperbola_model()
+    pd = build_phase_diagram(m)
+    assert len(pd.curves) == 2
+    for curve in pd.curves:
+        assert m.domain.contains(curve.points()).all()
+    samples = check_assumption_A(m).pair_samples[(0, 1)]
+    assert samples and m.domain.contains(np.array(samples)).all()
 
 
 def test_trace_m2_stays_on_axis(m2):

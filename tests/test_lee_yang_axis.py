@@ -11,7 +11,6 @@ import pytest
 import pfzeros.zeros as zeros_mod
 from pfzeros import (
     ModelSpec,
-    NoConvergenceError,
     PhaseSpec,
     Rectangle,
     find_zeros_on_axis,
@@ -20,7 +19,8 @@ from pfzeros import (
     lee_yang_hypotheses,
     symmetric_pair_perturbation,
 )
-from pfzeros.zeros import _axis_re, _axis_solve, _ExpSum
+from pfzeros.diagram import _close_brackets
+from pfzeros.zeros import _axis_re, _ExpSum
 
 from conftest import lee_yang_model, two_phase_model
 
@@ -122,14 +122,17 @@ def test_axis_solve_stops_at_its_cap_or_an_exact_zero():
     y = np.linspace(0.04, 0.06, 3)  # the zero near 3 pi/200 lies in the first half
     f = _axis_re(es, y)
     assert f[0] * f[1] < 0.0
-    with pytest.raises(NoConvergenceError) as info:
-        _axis_solve(es, y[:1], y[1:2], f[:1], f[1:2], max_steps=2)
-    end = info.value.last_iterate
-    assert end.real == 0.0 and y[0] < end.imag < y[1]
-    (root,) = _axis_solve(es, y[:1], y[1:2], f[:1], f[1:2])
-    assert abs(root - 3 * math.pi / 200) <= 1e-8
+
+    def re_w(t, _):
+        return _axis_re(es, t)
+
+    (end,), (closed,) = _close_brackets(re_w, y[:1], y[1:2], f[:1], f[1:2], max_steps=2)
+    assert not closed and y[0] < end < y[1]
+    (root,), (closed,) = _close_brackets(re_w, y[:1], y[1:2], f[:1], f[1:2])
+    assert closed and abs(root - 3 * math.pi / 200) <= 1e-8
     # an end that is an exact zero closes its bracket with no step
-    assert _axis_solve(es, [0.1], [0.2], [0.0], [1.0], max_steps=0).tolist() == [0.1]
+    t, closed = _close_brackets(re_w, [0.1], [0.2], [0.0], [1.0], max_steps=0)
+    assert t.tolist() == [0.1] and closed.tolist() == [True]
 
 
 def test_axis_zeros_against_a_50_digit_reference():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pfzeros.zeros as zeros_mod
 from pfzeros import (
     DomainError,
     ModelSpec,
@@ -392,6 +393,21 @@ def test_predict_multipoint_matches_brute_force(m3):
     bound = 5.0 * N ** (-4.0 / 3.0)
     for z in loc:
         assert np.min(np.abs(predicted.points() - z)) <= bound
+
+
+def test_predict_multipoint_polish_stops_at_a_few_ulps(m3, monkeypatch):
+    # the rescaled zeros reach |zf| of about 230, where an iterate that has
+    # settled can keep stepping by an ulp; such a start must stop there rather
+    # than run all 80 polishing steps (which takes 225 kernel calls here)
+    calls = []
+    newton_step = zeros_mod._ExpSum.newton_step
+    monkeypatch.setattr(zeros_mod._ExpSum, "newton_step",
+                        lambda es, z: calls.append(z.size) or newton_step(es, z))
+    N = 10000
+    mp = find_multiple_point(m3, (0, 1, 2), 0.05 + 0.05j)
+    zs = predict_multipoint(m3, mp, L=N, d=1, rho_L=25 * math.log(N) / N)
+    assert len(zs) > 100
+    assert len(calls) <= 110
 
 
 # ---------------------------------------------------------------------------
