@@ -62,9 +62,9 @@ from .model import (
 )
 from .zeros import (
     AsymptoteLine,
-    AxisSearch,
     MatchReport,
     Zero,
+    ZeroSearch,
     ZeroSet,
     asymptote_lines,
     degeneracy_audit,
@@ -72,6 +72,7 @@ from .zeros import (
     eval_logZ_normalized,
     find_zeros_on_axis,
     find_zeros_region,
+    find_zeros_seeded,
     match_zeros,
     predict_multipoint,
     predict_two_phase,

@@ -88,7 +88,17 @@ def density_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def match_report_text(rep: zeros.MatchReport, predicted, located) -> str:
+def _search_lines(found: zeros.ZeroSearch) -> list[str]:
+    """How a locator found its zeros: the box winding, the locator and,
+    after a fallback to the quadtree, why."""
+    lines = [f"box_winding: {found.box_winding}", f"locator: {found.locator}"]
+    if found.fallback is not None:
+        lines.append(f"fallback: {found.fallback}")
+    return lines
+
+
+def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch) -> str:
+    located = found.zeros
     lines = [
         f"pairs: {len(rep.pairs)}",
         f"unmatched_predicted: {len(rep.unmatched_predicted)}",
@@ -97,6 +107,7 @@ def match_report_text(rep: zeros.MatchReport, predicted, located) -> str:
         f"max_distance: {_g17(rep.max_distance)}",
         f"c_match: {_g17(rep.c_match)}",
         f"violations: {len(rep.violations)}",
+        *_search_lines(found),
         "pair_table: predicted_idx,located_idx,distance,delta_L",
     ]
     for pi, li, dist, tol in rep.pairs:
@@ -259,7 +270,10 @@ def _compare(spec, args, out):
     predicted = zeros.ZeroSet.build(
         [w for w in predicted_all.zeros if box.contains(w.z)], box, fvm.L, fvm.d
     )
-    located = zeros.find_zeros_region(fvm, box, max_depth=args.max_depth)
+    # the unfiltered prediction also seeds zeros just inside the box whose
+    # predictions fall just outside it
+    found = zeros.find_zeros_seeded(fvm, box, predicted_all.points(), max_depth=args.max_depth)
+    located = found.zeros
     gamma = args.gamma_scale * math.log(fvm.N) / fvm.N
     tol = zeros.delta_L(spec, predicted.points(), fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))
     # outside the gamma_L two-phase region the core tolerance stands in; the
@@ -270,7 +284,7 @@ def _compare(spec, args, out):
     written = [
         _write(out / "predicted.csv", zeros_csv(predicted)),
         _write(out / "located.csv", zeros_csv(located)),
-        _write(out / "match_report.txt", match_report_text(rep, predicted, located)),
+        _write(out / "match_report.txt", match_report_text(rep, predicted, found)),
     ]
     if args.emit_svg:
         written.append(_write(out / "compare.svg", render.emit_svg(None, [predicted, located], box)))
@@ -325,20 +339,17 @@ def _lee_yang(spec, args, out):
     residual = analysis.lee_yang_hypotheses(fvm, args.plus, args.minus)
     found = zeros.find_zeros_on_axis(fvm, model.Rectangle(*args.box))
     rep = analysis.lee_yang_report(fvm, found.zeros, residual)
-    text = (
-        f"zeros_checked: {rep.zeros_checked}\n"
-        f"max_abs_re: {_g17(rep.max_abs_re)}\n"
-        f"tolerance: {_g17(rep.tolerance)}\n"
-        f"on_axis: {rep.on_axis}\n"
-        f"count_unit_segment: {rep.count_unit_segment}\n"
-        f"symmetry_residual: {_g17(rep.symmetry_residual)}\n"
-        f"axis_sign_changes: {found.axis_sign_changes}\n"
-        f"box_winding: {found.box_winding}\n"
-        f"locator: {found.locator}\n"
-    )
-    if found.fallback is not None:
-        text += f"fallback: {found.fallback}\n"
-    return [_write(out / "lee_yang.txt", text)]
+    lines = [
+        f"zeros_checked: {rep.zeros_checked}",
+        f"max_abs_re: {_g17(rep.max_abs_re)}",
+        f"tolerance: {_g17(rep.tolerance)}",
+        f"on_axis: {rep.on_axis}",
+        f"count_unit_segment: {rep.count_unit_segment}",
+        f"symmetry_residual: {_g17(rep.symmetry_residual)}",
+        f"axis_sign_changes: {found.axis_sign_changes}",
+        *_search_lines(found),
+    ]
+    return [_write(out / "lee_yang.txt", "\n".join(lines) + "\n")]
 
 
 def _covering(spec, args, out):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .diagram import find_coexistence_point, trace_curve
 from .errors import CoverageError, ValidationError
 from .model import ModelSpec, Rectangle, _volume, eval_v, finite_volume
-from .zeros import ZeroSet, find_zeros_region, predict_two_phase
+from .zeros import ZeroSet, find_zeros_seeded, predict_two_phase
 
 
 @dataclass
@@ -105,10 +105,12 @@ def density_convergence(
 ) -> list[DensitySample]:
     """Tabulate counted vs limiting density over a grid of (eps, L).
 
-    For each pair, zeros are located by the argument-principle finder in a
-    box covering the disc, predicted zeros are counted alongside, and the
-    row records |empirical - theoretical| against the expected envelope.
-    The limit is taken volume-first, so rows are grouped by eps.
+    For each pair, the two-phase zeros are predicted along the traced curve
+    and seed zeros.find_zeros_seeded in a box covering the disc, which
+    certifies them against the box winding or falls back to the quadtree;
+    the predicted zeros are counted alongside, and the row records
+    |empirical - theoretical| against the expected envelope. The limit is
+    taken volume-first, so rows are grouped by eps.
     """
     if not eps_list or not L_list:
         raise ValidationError("eps_list and L_list must be non-empty")
@@ -127,8 +129,8 @@ def density_convergence(
                 raise ValidationError(f"disc of radius {eps} at {z} leaves the model domain")
         for L in L_list:
             fvm = finite_volume(model, L, d, tau=tau)
-            located = find_zeros_region(fvm, box)
             predicted = predict_two_phase(model, m, n, curve, L=L, d=d)
+            located = find_zeros_seeded(fvm, box, predicted.points()).zeros
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 row = empirical_density(located, z, eps, L, d, model=model, pair=(m, n))

@@ -8,6 +8,7 @@ integration along the level set with re-projection after every step.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +87,7 @@ class PhaseDiagram:
     diagnostics: list[str] = field(default_factory=list)
 
 
-# Illinois steps allowed per bracket; most close to a few ulps in under five,
-# those whose root has a coordinate near 0 in a few tens.
+# Illinois steps allowed per bracket; most close to a few ulps in under ten.
 _BRACKET_STEPS = 100
 
 
@@ -101,15 +101,19 @@ def _close_brackets(f, a, b, fa, fb, max_steps: int = _BRACKET_STEPS):
     ends close in. A step lands at least 2 ulps inside the bracket, so a
     root at one end closes the bracket on the next step rather than by
     bisection. A bracket closes when it is at most 4 ulps wide or an end is
-    an exact zero. Returns (t, closed): t is the end with the smaller |f|,
-    and closed is False for a bracket still open after max_steps.
+    an exact zero, the ulp taken at the largest of |a|, |b| and the initial
+    width, so a root near 0 stops at the initial bracket's resolution
+    rather than at ulps of its own tiny coordinate. Returns (t, closed): t is
+    the end with the smaller |f|, and closed is False for a bracket still
+    open after max_steps.
     """
     a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    width = b - a
     kept = np.zeros(a.size, dtype=int)  # the end the last step kept: -1 a, 1 b
     act = np.arange(a.size)
     for step in range(max_steps + 1):
         A, B, FA, FB = a[act], b[act], fa[act], fb[act]
-        ulp = np.spacing(np.maximum(-A, B))
+        ulp = np.spacing(np.maximum(np.maximum(-A, B), width[act]))
         go = ~((B - A <= 4.0 * ulp) | (FA == 0.0) | (FB == 0.0))
         act, A, B, FA, FB, ulp = act[go], A[go], B[go], FA[go], FB[go], ulp[go]
         if not act.size or step == max_steps:
@@ -134,7 +138,7 @@ def _seed_roots(model: ModelSpec, m: int, n: int, seeds: np.ndarray, radius: flo
     Each seed samples its own coordinate at 17 points within +-radius of the
     seed; the first sign change, or exact zero, brackets the root, and all
     brackets close in one _close_brackets pass. A seed with no bracket, or
-    whose bracket stayed open, gets NaN.
+    whose bracket stayed open, gets NaN; the second is warned about.
     """
     h, dh = _pair_gap(model, m, n)
     g = dh(seeds)
@@ -156,6 +160,12 @@ def _seed_roots(model: ModelSpec, m: int, n: int, seeds: np.ndarray, radius: flo
         lambda t, k: h(point(t, rows[k])).real,
         ts[rows, i], ts[rows, i + 1], vals[rows, i], vals[rows, i + 1],
     )
+    for k in rows[~closed].tolist():
+        warnings.warn(
+            f"({m},{n}) root from the seed {complex(seeds[k])!r} still bracketed after "
+            f"{_BRACKET_STEPS} steps; the seed is dropped",
+            stacklevel=2,
+        )
     z = np.full(seeds.size, complex(np.nan, np.nan))
     z[rows[closed]] = point(t[closed], rows[closed])
     return z

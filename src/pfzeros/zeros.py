@@ -3,8 +3,9 @@
 All arithmetic happens on exponential sums sum_k w_k exp(g_k(z)) normalized
 per point by exp(max_k Re g_k(z)), so nothing overflows no matter how large
 the volume. Zeros are located by argument-principle counting on adaptively
-refined contours plus quadtree subdivision and Newton polishing, and
-independently predicted from the two-phase balance equations and the
+refined contours plus quadtree subdivision and Newton polishing, or from
+seeds polished and certified by Smale's alpha-test against one box winding,
+and independently predicted from the two-phase balance equations and the
 multiple-point exponential-sum equation.
 """
 
@@ -638,6 +639,11 @@ def find_zeros_region(
     multiplicities are required to add up to the winding of the whole box.
     The tree goes one depth at a time: one batched winding pass for the
     children of a depth's splits and one array Newton for its polishes.
+
+    It needs no seeds, so find-zeros runs it. Where predicted zeros exist
+    (compare, density) find_zeros_seeded is far cheaper and runs this
+    quadtree only when it cannot certify them; find_zeros_on_axis does the
+    same for symmetric models.
     """
     _require_box_in_domain(fvm, box)
     es = _ExpSum.from_fvm(fvm)
@@ -656,26 +662,46 @@ def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric models: zeros on the Lee-Yang axis
+# Locators that wind the box once and certify what they find
+
 
 @dataclass
-class AxisSearch:
-    """The zeros of a box and how find_zeros_on_axis located them.
+class ZeroSearch:
+    """The zeros of a box and how a locator found them.
 
+    box_winding is the winding of the box boundary. method names the
+    locator's own method, "axis" (find_zeros_on_axis) or "seeded"
+    (find_zeros_seeded); fallback says why the quadtree of find_zeros_region
+    located the zeros instead, and is None when the method did.
     axis_sign_changes counts the sign changes of Re W along the box's
-    segment of the axis Re w = 0 (0 when the box does not straddle it) and
-    box_winding is the winding of the box boundary. fallback says why the
-    quadtree located the zeros, and is None when the axis roots did.
+    segment of the axis Re w = 0 (0 when the box does not straddle it); the
+    seeded locator leaves it None.
     """
 
     zeros: ZeroSet
-    axis_sign_changes: int
     box_winding: int
+    method: str
     fallback: str | None
+    axis_sign_changes: int | None = None
 
     @property
     def locator(self) -> str:
-        return "axis" if self.fallback is None else "quadtree"
+        return self.method if self.fallback is None else "quadtree"
+
+
+def _wound_box(fvm: FiniteVolumeModel, box: Rectangle):
+    """The model's kernel and the winding of a box in its domain."""
+    _require_box_in_domain(fvm, box)
+    es = _ExpSum.from_fvm(fvm)
+    return es, _winding(es, _rectangles([box]), box)
+
+
+def _search(fvm, es, box, total, method, found, fallback, max_depth=40, **fields) -> ZeroSearch:
+    """The zeros found by a method, or, when fallback says why they were not
+    certified, the quadtree's from the box winding already counted."""
+    if fallback is not None:
+        found = _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth, total=total)
+    return ZeroSearch(_located(fvm, box, found), total, method, fallback, **fields)
 
 
 def _axis_re(es: _ExpSum, y) -> np.ndarray:
@@ -683,7 +709,7 @@ def _axis_re(es: _ExpSum, y) -> np.ndarray:
     return es.value_normalized(1j * np.asarray(y, dtype=float)).real
 
 
-def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
+def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     """All zeros of the normalized partition function inside a box, located
     on the axis Re w = 0 when the local Lee-Yang theorem puts them there.
 
@@ -700,10 +726,8 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
     find_zeros_region locates the zeros from the box winding already
     counted, and the result says why.
     """
-    _require_box_in_domain(fvm, box)
-    es = _ExpSum.from_fvm(fvm)
-    total = _winding(es, _rectangles([box]), box)
-    changes = 0
+    es, total = _wound_box(fvm, box)
+    changes, found = 0, []
     if not box.re_lo < 0.0 < box.re_hi:
         fallback = "the box does not straddle the axis Re w = 0"
     else:
@@ -727,14 +751,102 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> AxisSearch:
                     complex(0.0, roots[k].item()),
                 )
             res = _modulus(es.value_normalized(1j * roots))
+            found = [(complex(0.0, r), 1, e) for r, e in zip(roots.tolist(), res.tolist())]
             bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
-            if not bad.size:
-                found = [(complex(0.0, r), 1, e) for r, e in zip(roots.tolist(), res.tolist())]
-                return AxisSearch(_located(fvm, box, found), changes, total, None)
-            k = bad[0]
-            fallback = f"axis root at Im w = {roots[k].item()!r} has residual {res[k]:.3e}"
-    found = _find_zeros_expsum(es, box, 1.0 / fvm.N, total=total)
-    return AxisSearch(_located(fvm, box, found), changes, total, fallback)
+            fallback = None
+            if bad.size:
+                k = bad[0]
+                fallback = f"axis root at Im w = {roots[k].item()!r} has residual {res[k]:.3e}"
+    return _search(fvm, es, box, total, "axis", found, fallback, axis_sign_changes=changes)
+
+
+# The largest alpha a seeded zero may have: Smale's alpha_0 = (13 - 3 sqrt 17)/4
+# = 0.1577, with room for the rounding of |V'| and M in the computed alpha.
+_ALPHA_MAX = 0.01
+
+
+def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
+    """Smale's alpha = beta gamma and beta at each point z of the analytic
+    sum V(t) = sum_k w_k exp(g_k(t) - G), with G = max_j Re g_j(z) fixed at
+    that point; V has the zeros of W.
+
+    beta = |V|/|V'|, with |V| raised by the rounding bound
+    4u sum_k a_k (sum_i |c_ki| |z|^i + K) of its K-term evaluation, where
+    a_k = |w_k| exp(Re g_k(z) - G). gamma = sup_i |V^(i)/(i! V')|^(1/(i-1))
+    over i >= 2 is bounded by Cauchy's estimate on the disc of radius r
+    about z, where |V| <= M = sum_k a_k exp(sum_i |g_k^(i)(z)| r^i/i!), the
+    polynomial g_k being its own Taylor series: gamma <= max(1, M/(r|V'|))/r.
+    """
+    v, dv = es.newton_step(z)
+    a = np.abs(es._weights(z) * es._normalized_terms(z))
+    size = _polyval_rows(np.abs(es.c), np.abs(z)).real
+    slack = 2.0**-51 * _add_terms(a * (size + len(es.w)))
+    tail, d = 0.0, es.c
+    for i in range(1, len(es.c)):
+        d = np.arange(1.0, len(d))[:, None] * d[1:]  # the i-th derivative
+        tail = tail + np.abs(_polyval_rows(d, z)) * (r**i / math.factorial(i))
+    bound = _add_terms(a * np.exp(tail))
+    with np.errstate(divide="ignore"):
+        beta = (_modulus(v) + slack) / _modulus(dv)
+        gamma = np.maximum(1.0, bound / (r * _modulus(dv))) / r
+    return beta * gamma, beta
+
+
+def _uncertified(es: _ExpSum, box: Rectangle, z: np.ndarray, total: int, r: float):
+    """Why the distinct points z are not shown to be all the zeros in the
+    box, each simple, or None when they are.
+
+    Each point must pass the alpha-test, so a zero lies within 2 beta of it;
+    those discs must lie inside the box and be pairwise disjoint, so their
+    zeros are distinct and in the box; and they must be as many as the box
+    winding, so no zero of the box is missed and none is multiple.
+    """
+    if z.size != total:
+        return f"{z.size} polished seeds in the box against a box winding of {total}"
+    if not z.size:
+        return None
+    alpha, beta = _alpha_beta(es, z, r)
+    bad = np.flatnonzero(~(alpha <= _ALPHA_MAX))
+    if bad.size:
+        return f"alpha {alpha[bad[0]]:.3e} at {complex(z[bad[0]])!r}"
+    rad = 2.0 * beta
+    bad = np.flatnonzero(~box.contains(z, pad=-rad))
+    if bad.size:
+        return f"the 2 beta disc about {complex(z[bad[0]])!r} leaves the box"
+    # the points are over 1e-12 apart, so discs that narrow cannot meet
+    i, j = _grid_pairs(z, z, max(2.0 * float(rad.max()), _DEDUP_TOL))
+    bad = np.flatnonzero((i < j) & (_modulus(z[i] - z[j]) <= rad[i] + rad[j]))
+    if bad.size:
+        a, b = complex(z[i[bad[0]]]), complex(z[j[bad[0]]])
+        return f"the 2 beta discs about {a!r} and {b!r} meet"
+    return None
+
+
+def find_zeros_seeded(
+    fvm: FiniteVolumeModel, box: Rectangle, seeds, max_depth: int = 40
+) -> ZeroSearch:
+    """All zeros of the normalized partition function inside a box, located
+    from seeds, such as predicted zeros, that are not trusted.
+
+    The box is wound once and every seed is polished in one array Newton.
+    The polished points inside the box, deduplicated at 1e-12, are then
+    certified (_uncertified): each passes Smale's alpha-test with alpha <=
+    0.01, their 2 beta discs lie inside the box and are pairwise disjoint,
+    and they are as many as the box winding. They are then all the zeros in
+    the box, each simple. Otherwise the quadtree of find_zeros_region
+    locates the zeros from the box winding already counted, down to
+    max_depth, and the result says why. A missing, misplaced or spurious
+    seed therefore costs the quadtree, never a zero.
+    """
+    if max_depth < 0:  # checked here too, as the quadtree may not run
+        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
+    es, total = _wound_box(fvm, box)
+    z, res, why = _polish(es, np.asarray(seeds, dtype=complex), _RESIDUAL_TOL)
+    ok = np.flatnonzero(np.array([w is None for w in why], dtype=bool) & box.contains(z))
+    ok = ok[_first_come(z[ok], _DEDUP_TOL)]
+    found = [(zk, 1, rk) for zk, rk in zip(z[ok].tolist(), res[ok].tolist())]
+    fallback = _uncertified(es, box, z[ok], total, 1.0 / fvm.N)
+    return _search(fvm, es, box, total, "seeded", found, fallback, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import cmath
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import pfzeros.zeros as zeros_mod
 from pfzeros import ModelSpec, PhaseSpec, Rectangle
+from pfzeros.zeros import _ExpSum
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -69,3 +73,26 @@ def m3():
 @pytest.fixture
 def mly():
     return lee_yang_model()
+
+
+@pytest.fixture
+def kernel_counts(monkeypatch):
+    """A Counter of the work the zero locators do from here on: "points"
+    evaluated by the exponential-sum kernel (value_normalized and
+    newton_step points) and "contours" wound."""
+    counts = Counter()
+    for name in ("value_normalized", "newton_step"):
+
+        def counted(self, z, method=getattr(_ExpSum, name)):
+            counts["points"] += np.size(z)
+            return method(self, z)
+
+        monkeypatch.setattr(_ExpSum, name, counted)
+    windings = zeros_mod._windings
+
+    def counted_windings(es, contours, *args, **kwargs):
+        counts["contours"] += len(contours[1])
+        return windings(es, contours, *args, **kwargs)
+
+    monkeypatch.setattr(zeros_mod, "_windings", counted_windings)
+    return counts

@@ -6,7 +6,7 @@ import pytest
 
 import pfzeros
 from pfzeros import Rectangle, ValidationError, find_zeros_region, finite_volume
-from pfzeros.cli import main, read_zeros_csv
+from pfzeros.cli import main, read_zeros_csv, zeros_csv
 from pfzeros.render import emit_svg
 
 from conftest import lee_yang_model, three_phase_model, two_phase_model
@@ -218,7 +218,7 @@ def test_cli_compare_workflow(tmp_path):
     report = (out / "match_report.txt").read_text()
     assert "pairs: 6" in report
     assert "unmatched_predicted: 0" in report
-    assert "violations: 0" in report
+    assert "violations: 0\nbox_winding: 6\nlocator: seeded\npair_table:" in report
     svg = (out / "compare.svg").read_text()
     assert svg.count("<circle") == 12  # predicted and located markers overlap
     assert svg.startswith("<svg")
@@ -235,6 +235,26 @@ def test_cli_compare_reports_delta_L_warnings_once(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("warning: gamma_L=") and "growth condition" in err[0]
     assert "pairs: 64\n" in (out / "match_report.txt").read_text()
+
+
+def test_cli_compare_reports_a_fallback_to_the_quadtree(tmp_path):
+    # around the triple point the (0,1) equations predict 3 of the 9 zeros,
+    # so the seeded locator falls back and the match report shows the miss
+    mp = write_model(tmp_path, three_phase_model())
+    out = tmp_path / "cmp"
+    box = "-0.1,0.1,-0.1,0.1"
+    argv = ["compare", mp, "--pair", "0,1", "--L", "100", f"--box={box}", "--out-dir", str(out)]
+    assert main(argv) == 0
+    report = (out / "match_report.txt").read_text()
+    assert (
+        "box_winding: 9\nlocator: quadtree\n"
+        "fallback: 3 polished seeds in the box against a box winding of 9\n"
+    ) in report
+    assert "unmatched_located: 6\n" in report
+    located = find_zeros_region(
+        finite_volume(three_phase_model(), 100, 1, tau=1.0), Rectangle(*map(float, box.split(",")))
+    )
+    assert (out / "located.csv").read_text() == zeros_csv(located)
 
 
 def test_cli_compare_curved_off_centre(tmp_path):

@@ -19,6 +19,7 @@ from pfzeros import (
     stability,
     trace_curve,
 )
+import pfzeros.diagram as diagram_mod
 from pfzeros.diagram import _coexistence_points, _project_onto_level, _scan_mesh
 from pfzeros.model import _pair_gap
 
@@ -81,6 +82,40 @@ def test_seed_scan_equals_per_seed_solves(m3):
                 expected.append(z)
         got = _coexistence_points(m3, m, n, mesh, cell)
         assert expected and got == expected
+
+
+def _counted_brackets(monkeypatch, **kwargs):
+    """Patch the bracket solver to count its steps per call (calls of f)."""
+    steps = []
+    close = diagram_mod._close_brackets
+
+    def counted(f, *args):
+        steps.append(0)
+
+        def g(t, k):
+            steps[-1] += 1
+            return f(t, k)
+
+        return close(g, *args, **kwargs)
+
+    monkeypatch.setattr(diagram_mod, "_close_brackets", counted)
+    return steps
+
+
+def test_seed_brackets_at_roots_near_0_close_in_few_steps(m3, monkeypatch):
+    # pair (1,2) has roots at Im z ~ 1e-18, which closing to 4 ulps of their
+    # own coordinate took 56 steps
+    steps = _counted_brackets(monkeypatch)
+    mesh, cell, _ = _scan_mesh(m3, (201, 201))
+    points = _coexistence_points(m3, 1, 2, mesh, cell)
+    assert len(points) == 202 and steps == [9]
+
+
+def test_a_seed_bracket_open_at_the_cap_is_warned_about(m3, monkeypatch):
+    _counted_brackets(monkeypatch, max_steps=0)
+    with pytest.warns(UserWarning, match=r"\(0,1\) root from the seed \(0\.3\+0\.1j\)"):
+        with pytest.raises(NoConvergenceError):
+            find_coexistence_point(m3, 0, 1, 0.3 + 0.1j)
 
 
 def test_seed_scans_drop_roots_outside_the_domain():

@@ -59,27 +59,13 @@ def test_axis_zeros_equal_the_quadtrees(seed):
     assert all(w.z.real == 0.0 and w.residual <= 1e-10 for w in found.zeros.zeros)
 
 
-def test_axis_search_evaluates_few_points(monkeypatch):
-    points = []
-    value = _ExpSum.value_normalized
-    newton_step = _ExpSum.newton_step
-
-    def counted_value(self, z):
-        points.append(np.size(z))
-        return value(self, z)
-
-    def counted_newton_step(self, z):
-        points.append(np.size(z))
-        return newton_step(self, z)
-
-    monkeypatch.setattr(_ExpSum, "value_normalized", counted_value)
-    monkeypatch.setattr(_ExpSum, "newton_step", counted_newton_step)
+def test_axis_search_evaluates_few_points(kernel_counts):
     fvm = _seeded(4)
     assert find_zeros_on_axis(fvm, BOX).locator == "axis"
-    on_axis = sum(points)
-    points.clear()
+    on_axis = kernel_counts["points"]
+    kernel_counts.clear()
     find_zeros_region(fvm, BOX)
-    assert on_axis <= 4000 < sum(points)
+    assert on_axis <= 4000 < kernel_counts["points"]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,197 @@
+"""The seeded locator: its zeros against the quadtree's and the closed form,
+its fallbacks, its certificate, its cost, and a 50-digit mpmath reference
+that shares no code with it."""
+
+import math
+import random
+
+import mpmath
+import numpy as np
+import pytest
+
+import pfzeros.zeros as zeros_mod
+from pfzeros import (
+    ContourDegeneracyError,
+    ModelSpec,
+    PhaseSpec,
+    Rectangle,
+    find_zeros_region,
+    find_zeros_seeded,
+    finite_volume,
+    predict_two_phase,
+    random_perturbation,
+    trace_curve,
+)
+from pfzeros.zeros import _ExpSum, _uncertified
+
+from conftest import two_phase_model
+
+BOX = Rectangle(-0.1, 0.1, 0.0, 0.2)
+SPEC = two_phase_model(q1=1, q2=2)
+CURVE = trace_curve(SPEC, 0, 1, 0j, step=0.01, max_steps=30)
+
+
+def _predicted(L, d):
+    """The two-phase zeros of the bare model along its whole curve."""
+    return predict_two_phase(SPEC, 0, 1, CURVE, L=L, d=d).points()
+
+
+def _perturbed(L, d, seed, **kwargs):
+    pert = None if seed is None else random_perturbation(SPEC, seed, degree=3)
+    return finite_volume(SPEC, L=L, d=d, tau=1.0, perturbation=pert, **kwargs)
+
+
+def _closed_form(N, count):
+    """W = e^{Nz} + 2 e^{-Nz} vanishes at (ln 2 + i pi (2k+1)) / (2N)."""
+    return np.array([complex(math.log(2), math.pi * (2 * k + 1)) / (2 * N) for k in range(count)])
+
+
+def _double_zero():
+    """(e^{Nz} - 1)^2 = e^{2Nz} + 2 e^{N(z + i pi)} + 1 for odd N: double
+    zeros at 2 pi i k / N."""
+    return ModelSpec(
+        phases=(
+            PhaseSpec("a", 1, (0j, 2 + 0j)),
+            PhaseSpec("b", 2, (1j * math.pi, 1 + 0j)),
+            PhaseSpec("c", 1, (0j,)),
+        ),
+        domain=Rectangle(-1.2, 1.2, -1.2, 1.2),
+    )
+
+
+def _same_zeros(a, b):
+    assert [w.multiplicity for w in a.zeros] == [w.multiplicity for w in b.zeros]
+    assert np.abs(a.points() - b.points()).max(initial=0.0) <= 1e-14
+
+
+# L=10 keeps e^{-tau L} perturbations visible at N = L^d = 1e2, 1e3, 1e4
+@pytest.mark.parametrize("seed", [None, *range(10)], ids=lambda s: f"perturb{s}")
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_seeded_zeros_equal_the_quadtrees(d, seed):
+    fvm = _perturbed(10, d, seed)
+    found = find_zeros_seeded(fvm, BOX, _predicted(10, d))
+    located = find_zeros_region(fvm, BOX)
+    assert found.locator == "seeded" and found.fallback is None
+    assert found.box_winding == len(found.zeros) == located.total_multiplicity()
+    _same_zeros(found.zeros, located)
+    assert all(w.residual <= 1e-10 for w in found.zeros.zeros)
+
+
+@pytest.mark.parametrize("N", [100, 1000, 10000])
+def test_unperturbed_zeros_sit_at_the_closed_form(N):
+    found = find_zeros_seeded(_perturbed(N, 1, None), BOX, _predicted(N, 1))
+    assert found.locator == "seeded"
+    pts = found.zeros.points()
+    assert np.abs(pts - _closed_form(N, len(pts))).max() <= 1e-12
+    assert len(pts) == math.floor((0.2 * 2 * N / math.pi - 1) / 2) + 1
+
+
+def _box_edge_at(dy):
+    """The N=100 box cut dy above the third zero: it keeps that zero for
+    dy > 0 and loses it for dy < 0."""
+    return Rectangle(-0.1, 0.1, 0.0, _closed_form(100, 3)[2].imag + dy)
+
+
+@pytest.mark.parametrize(
+    "fvm, box, seeds, why",
+    [
+        (_perturbed(100, 1, None), BOX, _closed_form(100, 6)[1:],
+         "5 polished seeds in the box against a box winding of 6"),
+        # in place of the first zero's seed, one that polishes to no zero
+        (_perturbed(100, 1, None), BOX, np.r_[_closed_form(100, 6)[1:], 1.0 + 1.0j],
+         "5 polished seeds in the box against a box winding of 6"),
+        (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
+         [2j * math.pi / 11], "1 polished seeds in the box against a box winding of 2"),
+        # two seeds polish to two points beside the double zero: the count
+        # holds, but Newton's basin there is no simple zero's
+        (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
+         [2j * math.pi / 11 + 1e-3, 2j * math.pi / 11 - 1e-3j], "alpha "),
+    ],
+    ids=["seed_dropped", "spurious_far_seed", "double_zero", "double_zero_two_seeds"],
+)
+def test_seeded_locator_falls_back_to_the_quadtree(fvm, box, seeds, why, monkeypatch):
+    found = find_zeros_seeded(fvm, box, seeds)
+    assert found.locator == "quadtree" and why in found.fallback
+    assert found.zeros == find_zeros_region(fvm, box)
+    assert found.box_winding == found.zeros.total_multiplicity()
+    # the fallback quadtree starts from the box winding already counted
+    windings = []
+    wind = zeros_mod._winding
+    monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
+    find_zeros_seeded(fvm, box, seeds)
+    assert len(windings) == 1
+
+
+@pytest.mark.parametrize("dy, count", [(1e-9, 3), (-1e-9, 2)])
+def test_a_zero_1e_9_from_the_box_edge_is_counted_by_the_box(dy, count):
+    # its 2 beta disc is about 1e-16 wide, so the certificate decides it
+    fvm = _perturbed(100, 1, None)
+    found = find_zeros_seeded(fvm, _box_edge_at(dy), _closed_form(100, 6))
+    assert found.locator == "seeded" and found.box_winding == count
+    _same_zeros(found.zeros, find_zeros_region(fvm, _box_edge_at(dy)))
+
+
+def test_a_zero_on_the_box_edge_is_a_typed_error():
+    fvm = _perturbed(100, 1, None)
+    box = Rectangle(-0.1, _closed_form(100, 1)[0].real, 0.0, 0.2)
+    with pytest.raises(ContourDegeneracyError):
+        find_zeros_seeded(fvm, box, _closed_form(100, 6))
+    with pytest.raises(ContourDegeneracyError):
+        find_zeros_region(fvm, box)
+
+
+@pytest.mark.parametrize(
+    "offsets, box, why",
+    [
+        # points 1e-6 off a zero pass the alpha-test with 2 beta ~ 2e-6 ...
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), None),
+        # ... which must lie inside the box
+        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), "leaves the box"),
+        # ... and not meet another point's disc
+        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), "meet"),
+        # a point far from any zero fails the alpha-test
+        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), "alpha "),
+    ],
+    ids=["certified", "disc_leaves_box", "discs_meet", "far_point"],
+)
+def test_certificate_rejects_what_it_cannot_prove(offsets, box, why):
+    es = _ExpSum.from_fvm(_perturbed(100, 1, None))
+    z = _closed_form(100, 1)[0] + np.array(offsets)
+    reason = _uncertified(es, box, z, len(z), 1.0 / 100)
+    assert reason is None if why is None else why in reason
+
+
+def test_seeded_zeros_against_a_50_digit_reference():
+    fvm = _perturbed(10, 3, 7, xi_strength=0.3)
+    found = find_zeros_seeded(fvm, BOX, _predicted(10, 3))
+    assert found.locator == "seeded" and len(found.zeros) == 64
+
+    def horner(coeffs, z):
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * z + mpmath.mpc(c)
+        return acc
+
+    with mpmath.workdps(50):
+        eps = mpmath.exp(-mpmath.mpf(fvm.tau) * fvm.L)
+        terms = [(phase.degeneracy, phase.exponent, u)
+                 for phase, u in zip(fvm.base.phases, fvm.perturbations)]
+
+        def partition_function(z):
+            return sum(q * mpmath.exp(fvm.N * (horner(p, z) + eps * horner(u, z)))
+                       for q, p, u in terms)
+
+        for w in found.zeros.zeros[::7]:
+            # secant from two starts well inside the zero's basin
+            start = mpmath.mpc(w.z.real, w.z.imag)
+            root = mpmath.findroot(partition_function, (start, start + 1e-9))
+            assert abs(complex(root) - w.z) <= 1e-13
+
+
+def test_seeded_search_winds_one_contour_and_few_points(kernel_counts):
+    # the locate-two-phase compare: N=1e4, seeded perturbation, --theta 0.3
+    fvm = _perturbed(10000, 1, random.Random(1).randrange(2**31), xi_strength=0.3)
+    found = find_zeros_seeded(fvm, BOX, _predicted(10000, 1))
+    assert found.locator == "seeded" and len(found.zeros) == 637
+    assert kernel_counts["contours"] == 1
+    assert kernel_counts["points"] <= 100 * len(found.zeros)
