@@ -88,13 +88,18 @@ def density_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _search_lines(found: zeros.ZeroSearch) -> list[str]:
-    """How a locator found its zeros: the box winding, the locator and,
-    after a fallback to the quadtree, why."""
-    lines = [f"box_winding: {found.box_winding}", f"locator: {found.locator}"]
+def _locator_lines(found) -> list[str]:
+    """Which locator found the zeros of a ZeroSearch, or of a ZeroSet that
+    predict_multipoint located, and, after a fallback to the quadtree, why."""
+    lines = [f"locator: {found.locator}"]
     if found.fallback is not None:
         lines.append(f"fallback: {found.fallback}")
     return lines
+
+
+def _search_lines(found: zeros.ZeroSearch) -> list[str]:
+    """How a locator found its zeros: the box winding, then _locator_lines."""
+    return [f"box_winding: {found.box_winding}", *_locator_lines(found)]
 
 
 def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch) -> str:
@@ -308,13 +313,14 @@ def _multipoint(spec, args, out):
     # the error term scales W by a positive constant, which leaves the
     # winding as it is, so multipoint takes no --theta
     wind = zeros.winding_number(_fvm(spec, args), (mp.z, rho))
-    text = (
-        f"multiple_point: ({_g17(mp.z.real)},{_g17(mp.z.imag)})\n"
-        f"rho_L: {_g17(rho)}\n"
-        f"solutions: {zs.total_multiplicity()}\n"
-        f"disc_winding: {wind}\n"
-    )
-    return written + [_write(out / "multipoint.txt", text)]
+    lines = [
+        f"multiple_point: ({_g17(mp.z.real)},{_g17(mp.z.imag)})",
+        f"rho_L: {_g17(rho)}",
+        f"solutions: {zs.total_multiplicity()}",
+        f"disc_winding: {wind}",
+        *_locator_lines(zs),
+    ]
+    return written + [_write(out / "multipoint.txt", "\n".join(lines) + "\n")]
 
 
 def _asymptotes(spec, args, out):

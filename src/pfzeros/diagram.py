@@ -19,7 +19,7 @@ from .errors import (
     SpuriousRootError,
     ValidationError,
 )
-from .model import ModelSpec, _pair_gap, _require_finite, eval_v, stability
+from .model import ModelSpec, _pair_gap, _require_finite, eval_v
 
 # Residual kept on the level set by re-projection.
 TOL_PROJECT = 1e-12
@@ -452,6 +452,19 @@ def _end_direction(curve: CoexistenceCurve, which: str, origin: complex) -> comp
     return d / abs(d)
 
 
+def _trace_seeds(model: ModelSpec, m: int, n: int, points, eps_mp: float) -> np.ndarray:
+    """The coexistence points of (m, n) a trace may start from: those on the
+    phase diagram, where m and n are both TOL_CURVE-almost stable
+    (model.stability's rule), and outside a triple tie (_third_phase's
+    rule), decided in one log_weights call."""
+    z = np.asarray(points, dtype=complex)
+    re_p = np.real(model.log_weights(z))
+    log_max = re_p.max(axis=0)
+    on_diagram = (re_p[[m, n]] > log_max - TOL_CURVE).all(axis=0)
+    tie = (np.delete(re_p, [m, n], axis=0) >= log_max - eps_mp).any(axis=0)
+    return z[on_diagram & ~tie]
+
+
 def build_phase_diagram(
     model: ModelSpec,
     grid=(41, 41),
@@ -474,14 +487,10 @@ def build_phase_diagram(
     for m in range(model.r):
         for n in range(m + 1, model.r):
             traced_pts: list[np.ndarray] = []
-            for z in _coexistence_points(model, m, n, mesh, cell):
-                rep = stability(model, z, eps_list=(TOL_CURVE,))
-                if not {m, n} <= rep.eps_stable_sets[TOL_CURVE]:
-                    continue  # on the level set but not on the phase diagram
+            seeds = _coexistence_points(model, m, n, mesh, cell)
+            for z in _trace_seeds(model, m, n, seeds, eps_mp).tolist():
                 if any(_point_to_polyline_dist(z, pts) < 2.0 * step for pts in traced_pts):
                     continue
-                if _third_phase(model, (m, n), z, eps_mp) is not None:
-                    continue  # do not start a two-phase trace inside a triple tie
                 curve = trace_curve(model, m, n, z, step, max_steps, eps_mp=eps_mp)
                 if len(curve.samples) < 3:
                     continue

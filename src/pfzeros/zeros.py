@@ -12,6 +12,7 @@ multiple-point exponential-sum equation.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,9 +77,13 @@ class ZeroSet:
     L: int
     d: int
     N: int
+    # How predict_multipoint located the zeros, as in ZeroSearch: "seeded"
+    # or "quadtree", and why the quadtree ran; None for other sets.
+    locator: str | None = None
+    fallback: str | None = None
 
     @classmethod
-    def build(cls, zeros, region, L, d) -> "ZeroSet":
+    def build(cls, zeros, region, L, d, **search) -> "ZeroSet":
         zeros = list(zeros)
         pts = np.array([w.z for w in zeros], dtype=complex)
         # Sorting on the rounded key first keeps zeros on a common vertical
@@ -87,7 +92,7 @@ class ZeroSet:
             (pts.imag, pts.real, np.round(pts.imag / _DEDUP_TOL), np.round(pts.real / _DEDUP_TOL))
         )
         unique = [zeros[order[i]] for i in _first_come(pts[order], _DEDUP_TOL)]
-        return cls(zeros=tuple(unique), region=region, L=int(L), d=int(d), N=_volume(L, d))
+        return cls(tuple(unique), region, int(L), int(d), _volume(L, d), **search)
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -418,6 +423,12 @@ _SPLIT_FRACTIONS = (
 )
 
 
+# Why _polish did not polish a point whose residual is <= tol but whose
+# steps never fell to the stop, as near a multiple zero, where rounding
+# leaves Newton stepping about sqrt(eps) from the zero.
+_UNCONVERGED = "polish ran out of Newton steps"
+
+
 def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
     """Newton from every start at once: arrays z and residual and a list of
     failure reasons, None for a polished point.
@@ -427,7 +438,9 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
     ulp), at most max_iter times, and has the kernel evaluated only while it
     steps. A point fails where the derivative vanishes, keeping the iterate
     it vanished at, or where its residual |W(z)| is not <= tol (so also when
-    it is NaN).
+    it is NaN). A point that met the residual but still stepped after
+    max_iter steps fails with _UNCONVERGED, which the quadtree's cells accept
+    (their windings count it) and the seeded certifier does not.
     """
     z = np.array(starts, dtype=complex).reshape(-1)
     res = np.full(z.size, np.nan)
@@ -450,6 +463,9 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
         res[ok] = _modulus(es.value_normalized(z[ok]))
     for i in np.flatnonzero(ok & ~(res <= tol)).tolist():
         why[i] = f"polish stalled at residual {res[i]:.3e}"
+    for i in act.tolist():  # still stepping after max_iter steps
+        if why[i] is None:
+            why[i] = _UNCONVERGED
     return z, res, why
 
 
@@ -529,12 +545,12 @@ def _quadtree(es: _ExpSum, box: Rectangle, wind: int, min_cell, max_depth, tol):
         for k, (path, rect, w) in enumerate(level):
             if w == 1:
                 zk, rk, failed = polished[k]
-                if failed is None and rect.contains(zk):
+                if failed in (None, _UNCONVERGED) and rect.contains(zk):
                     cands.append((path, zk, rk, 1))
                     continue
             if terminal[k]:
                 zk, rk, failed = polished[k]
-                if failed is not None:
+                if failed not in (None, _UNCONVERGED):
                     raise NoConvergenceError(failed, zk)
                 cands.append((path, zk, rk, None))
                 continue
@@ -696,14 +712,6 @@ def _wound_box(fvm: FiniteVolumeModel, box: Rectangle):
     return es, _winding(es, _rectangles([box]), box)
 
 
-def _search(fvm, es, box, total, method, found, fallback, max_depth=40, **fields) -> ZeroSearch:
-    """The zeros found by a method, or, when fallback says why they were not
-    certified, the quadtree's from the box winding already counted."""
-    if fallback is not None:
-        found = _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth, total=total)
-    return ZeroSearch(_located(fvm, box, found), total, method, fallback, **fields)
-
-
 def _axis_re(es: _ExpSum, y) -> np.ndarray:
     """Re W at the points i y of the axis."""
     return es.value_normalized(1j * np.asarray(y, dtype=float)).real
@@ -757,7 +765,9 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
             if bad.size:
                 k = bad[0]
                 fallback = f"axis root at Im w = {roots[k].item()!r} has residual {res[k]:.3e}"
-    return _search(fvm, es, box, total, "axis", found, fallback, axis_sign_changes=changes)
+    if fallback is not None:
+        found = _find_zeros_expsum(es, box, 1.0 / fvm.N, total=total)
+    return ZeroSearch(_located(fvm, box, found), total, "axis", fallback, changes)
 
 
 # The largest alpha a seeded zero may have: Smale's alpha_0 = (13 - 3 sqrt 17)/4
@@ -822,6 +832,30 @@ def _uncertified(es: _ExpSum, box: Rectangle, z: np.ndarray, total: int, r: floa
     return None
 
 
+def _locate_seeded(es: _ExpSum, box: Rectangle, total: int, seeds, scale: float, max_depth: int):
+    """The zeros of a box whose boundary winding is total, located from
+    seeds that are not trusted, as (z, multiplicity, residual) triples, and
+    why the quadtree located them instead (None when the seeds sufficed).
+
+    Every seed is polished in one array Newton; a point that ran out of
+    Newton steps does not count as polished. The polished points inside the
+    box, deduplicated at 1e-12, are then certified by _uncertified with the
+    Cauchy radius `scale`, the zero spacing. Otherwise the quadtree locates
+    the zeros from the box winding down to max_depth, with terminal cells
+    of 1e-3 scale. A missing, misplaced or spurious seed therefore costs
+    the quadtree, never a zero.
+    """
+    if max_depth < 0:  # checked here too, as the quadtree may not run
+        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
+    z, res, why = _polish(es, np.asarray(seeds, dtype=complex), _RESIDUAL_TOL)
+    ok = np.flatnonzero(np.array([w is None for w in why], dtype=bool) & box.contains(z))
+    ok = ok[_first_come(z[ok], _DEDUP_TOL)]
+    fallback = _uncertified(es, box, z[ok], total, scale)
+    if fallback is not None:
+        return _find_zeros_expsum(es, box, scale, max_depth=max_depth, total=total), fallback
+    return [(zk, 1, rk) for zk, rk in zip(z[ok].tolist(), res[ok].tolist())], None
+
+
 def find_zeros_seeded(
     fvm: FiniteVolumeModel, box: Rectangle, seeds, max_depth: int = 40
 ) -> ZeroSearch:
@@ -835,18 +869,11 @@ def find_zeros_seeded(
     and they are as many as the box winding. They are then all the zeros in
     the box, each simple. Otherwise the quadtree of find_zeros_region
     locates the zeros from the box winding already counted, down to
-    max_depth, and the result says why. A missing, misplaced or spurious
-    seed therefore costs the quadtree, never a zero.
+    max_depth, and the result says why (_locate_seeded).
     """
-    if max_depth < 0:  # checked here too, as the quadtree may not run
-        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     es, total = _wound_box(fvm, box)
-    z, res, why = _polish(es, np.asarray(seeds, dtype=complex), _RESIDUAL_TOL)
-    ok = np.flatnonzero(np.array([w is None for w in why], dtype=bool) & box.contains(z))
-    ok = ok[_first_come(z[ok], _DEDUP_TOL)]
-    found = [(zk, 1, rk) for zk, rk in zip(z[ok].tolist(), res[ok].tolist())]
-    fallback = _uncertified(es, box, z[ok], total, 1.0 / fvm.N)
-    return _search(fvm, es, box, total, "seeded", found, fallback, max_depth)
+    found, fallback = _locate_seeded(es, box, total, seeds, 1.0 / fvm.N, max_depth)
+    return ZeroSearch(_located(fvm, box, found), total, "seeded", fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +970,42 @@ def predict_two_phase(
 # Predicted zeros: multiple-point equation
 
 
+# A two-term seed of G is kept where no other term's modulus exceeds the
+# pair's by more than the factor e, exp of this.
+_SEED_DOMINANCE = 1.0
+
+
+def _multipoint_seeds(qs, phis, vs, R: float) -> np.ndarray:
+    """Zeros of G(zf) = sum_m q_m exp(i phi_m + v_m zf) in the box [-R, R]^2
+    predicted from its two-term balances.
+
+    Where the terms a and b dominate, G = 0 says (v_a - v_b) zf =
+    log(q_b/q_a) + i (phi_b - phi_a) + i pi (2j+1), one zero per integer j
+    on a line. For every pair the solutions in the box are kept where no
+    other term's modulus q_k |exp(v_k zf)| is above e times the pair's.
+    """
+    logq = np.log(np.asarray(qs, dtype=float))
+    v = np.asarray(vs, dtype=complex)
+    seeds = []
+    for a, b in itertools.combinations(range(v.size), 2):
+        dv = v[a] - v[b]
+        if dv == 0:
+            continue
+        z0 = (logq[b] - logq[a] + 1j * (phis[b] - phis[a] + math.pi)) / dv
+        step = 2j * math.pi / dv
+        lo, hi = -math.inf, math.inf  # the j with z0 + j step in the box
+        for p0, dp in ((z0.real, step.real), (z0.imag, step.imag)):
+            if dp != 0.0:
+                t1, t2 = sorted(((-R - p0) / dp, (R - p0) / dp))
+                lo, hi = max(lo, t1), min(hi, t2)
+            elif abs(p0) > R:
+                lo, hi = 1.0, 0.0
+        zf = z0 + np.arange(math.ceil(lo), math.floor(hi) + 1) * step
+        mod = logq[:, None] + (v[:, None] * zf).real
+        seeds.append(zf[mod.max(axis=0) <= mod[a] + _SEED_DOMINANCE])
+    return np.concatenate(seeds) if seeds else np.empty(0, dtype=complex)
+
+
 def predict_multipoint(
     model: ModelSpec,
     mp: MultiplePoint,
@@ -954,8 +1017,14 @@ def predict_multipoint(
     """Solutions of the rescaled exponential-sum equation near a multiple point.
 
     Builds G(zf) = sum_{m in Q} q_m exp(i phi_m + v_m zf) in the rescaled
-    coordinate zf = (z - z_M) N and locates all of its zeros with |zf| <=
-    N rho_L by the same winding machinery, then maps them back.
+    coordinate zf = (z - z_M) N and locates all of its zeros in the box
+    [-R, R]^2, R = N rho_L, then maps those with |zf| <= R back. The zeros
+    are seeded by the two-term balances of G (_multipoint_seeds), which
+    away from z_M put them on the asymptote half-lines, and certified like
+    find_zeros_seeded's against one winding of the box, with the Cauchy
+    radius 1, the zero spacing in zf; when they are not, the quadtree
+    locates them from that winding down to max_depth. The result's locator
+    and fallback say which ran and why.
     """
     if len(mp.stable_set) < 3:
         raise ValidationError("multipoint prediction needs at least three coexisting phases")
@@ -976,7 +1045,9 @@ def predict_multipoint(
         vs.append(mp.v_values[k])
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
-    found = _find_zeros_expsum(es, box, 1.0, max_depth=max_depth)
+    total = _winding(es, _rectangles([box]), box)
+    seeds = _multipoint_seeds(qs, phis, vs, R)
+    found, fallback = _locate_seeded(es, box, total, seeds, 1.0, max_depth)
     zeros = [
         Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)
         for zf, mult, res in found
@@ -985,7 +1056,8 @@ def predict_multipoint(
     region = Rectangle(
         mp.z.real - rho_L, mp.z.real + rho_L, mp.z.imag - rho_L, mp.z.imag + rho_L
     )
-    return ZeroSet.build(zeros, region, L, d)
+    locator = "seeded" if fallback is None else "quadtree"
+    return ZeroSet.build(zeros, region, L, d, locator=locator, fallback=fallback)
 
 
 def asymptote_lines(model: ModelSpec, mp: MultiplePoint) -> list[AsymptoteLine]:

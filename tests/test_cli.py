@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import pfzeros
@@ -257,6 +258,21 @@ def test_cli_compare_reports_a_fallback_to_the_quadtree(tmp_path):
     assert (out / "located.csv").read_text() == zeros_csv(located)
 
 
+def test_cli_multipoint_reports_a_fallback_to_the_quadtree(tmp_path, monkeypatch):
+    # with no asymptote seeds the count fails and the quadtree locates the
+    # disc; the fallback counts the zeros of the box [-R, R]^2 about it
+    monkeypatch.setattr(pfzeros.zeros, "_multipoint_seeds", lambda *a: np.empty(0, complex))
+    mp = write_model(tmp_path, three_phase_model())
+    out = tmp_path / "mp"
+    assert main(["multipoint", mp, "--triple", "0,1,2", "--L", "100", "--rho-scale", "5",
+                 "--out-dir", str(out)]) == 0
+    text = (out / "multipoint.txt").read_text()
+    assert text.endswith(
+        "solutions: 18\ndisc_winding: 18\nlocator: quadtree\n"
+        "fallback: 0 polished seeds in the box against a box winding of 20\n"
+    )
+
+
 def test_cli_compare_curved_off_centre(tmp_path):
     # the curve of curved_model crosses this box near its left edge, at
     # Re z ~ 0.07-0.11, bending as it goes
@@ -403,6 +419,7 @@ def test_cli_multipoint_and_asymptotes(tmp_path):
     sols = int(text.split("solutions: ")[1].split("\n")[0])
     wind = int(text.split("disc_winding: ")[1].split("\n")[0])
     assert sols == wind
+    assert text.endswith(f"disc_winding: {wind}\nlocator: seeded\n")
 
     rc = main(["asymptotes", mp, "--triple", "0,1,2", "--out-dir", str(out)])
     assert rc == 0

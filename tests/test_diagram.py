@@ -20,7 +20,7 @@ from pfzeros import (
     trace_curve,
 )
 import pfzeros.diagram as diagram_mod
-from pfzeros.diagram import _coexistence_points, _project_onto_level, _scan_mesh
+from pfzeros.diagram import TOL_CURVE, _coexistence_points, _project_onto_level, _scan_mesh
 from pfzeros.model import _pair_gap
 
 from conftest import OMEGA, collinear_model, three_phase_model, two_phase_model
@@ -82,6 +82,25 @@ def test_seed_scan_equals_per_seed_solves(m3):
                 expected.append(z)
         got = _coexistence_points(m3, m, n, mesh, cell)
         assert expected and got == expected
+
+
+@pytest.mark.parametrize(
+    "model", [three_phase_model(), three_phase_model(qs=(1, 2, 3), shift=0.1 + 0.05j)]
+)
+def test_trace_seeds_are_the_points_the_scalar_rules_keep(model):
+    # the level-set lines run on past the triple point, where the third
+    # phase dominates, so the rules drop part of every pair's points
+    mesh, cell, _ = _scan_mesh(model, (201, 201))
+    eps = diagram_mod.EPS_MULTIPOINT
+    for m, n in ((0, 1), (0, 2), (1, 2)):
+        points = _coexistence_points(model, m, n, mesh, cell)
+        want = [
+            z for z in points
+            if {m, n} <= stability(model, z, eps_list=(TOL_CURVE,)).eps_stable_sets[TOL_CURVE]
+            and diagram_mod._third_phase(model, (m, n), z, eps) is None
+        ]
+        assert 0 < len(want) < len(points)
+        assert diagram_mod._trace_seeds(model, m, n, points, eps).tolist() == want
 
 
 def _counted_brackets(monkeypatch, **kwargs):

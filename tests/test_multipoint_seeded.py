@@ -1,0 +1,122 @@
+"""The multiple-point disc located from the asymptote seeds: its zeros against
+the quadtree's, its fallbacks, random sums, its cost, and a 50-digit mpmath
+reference on G that shares no code with it."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import pfzeros.zeros as zeros_mod
+from pfzeros import Rectangle, find_multiple_point, predict_multipoint
+from pfzeros.zeros import _ExpSum, _locate_seeded, _multipoint_seeds
+
+from conftest import three_phase_model
+
+M3 = three_phase_model()
+MP = find_multiple_point(M3, (0, 1, 2), 0.05 + 0.05j)
+
+
+def _disc(N, monkeypatch=None, seeds=None):
+    """predict_multipoint on the cube-root model at the benchmark's disc,
+    rho_L = 25 log N / N, with the seeds replaced by seeds(seeds) if given."""
+    if seeds is not None:
+        found = zeros_mod._multipoint_seeds
+        monkeypatch.setattr(zeros_mod, "_multipoint_seeds", lambda *a: seeds(found(*a)))
+    return predict_multipoint(M3, MP, L=N, d=1, rho_L=25 * math.log(N) / N)
+
+
+@pytest.mark.parametrize("N", [100, 1000, 10000, 100000])
+def test_seeded_disc_equals_the_quadtree(N, monkeypatch):
+    seeded = _disc(N)
+    assert seeded.locator == "seeded" and seeded.fallback is None
+    # without seeds the count fails and the quadtree locates the disc
+    quadtree = _disc(N, monkeypatch, lambda s: s[:0])
+    assert quadtree.locator == "quadtree"
+    assert [w.multiplicity for w in seeded.zeros] == [w.multiplicity for w in quadtree.zeros]
+    assert len(seeded) == len(quadtree) > 90
+    assert np.abs(seeded.points() - quadtree.points()).max() <= 1e-14
+    assert all(w.residual <= 1e-10 for w in seeded.zeros)
+
+
+def test_a_dropped_seed_falls_back_to_exactly_the_quadtree(monkeypatch):
+    windings = []
+    wind = zeros_mod._winding
+    monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
+    dropped = _disc(10000, monkeypatch, lambda s: s[1:])
+    assert dropped.locator == "quadtree"
+    assert dropped.fallback == "208 polished seeds in the box against a box winding of 209"
+    # the fallback quadtree starts from the box winding already counted
+    assert len(windings) == 1
+    assert dropped.zeros == _disc(10000, monkeypatch, lambda s: s[:0]).zeros
+
+
+def _random_sum(rng):
+    """3-5 terms with random degeneracies 1-4 and phases, and derivatives
+    v_k at angles 2 pi (k + u_k)/K, |u_k| <= 1/4, of moduli 0.75-1.25: a
+    jittered regular K-gon, strictly convex as at a multiple point."""
+    k = int(rng.integers(3, 6))
+    theta = 2.0 * math.pi * (np.arange(k) + rng.uniform(-0.25, 0.25, k)) / k
+    vs = rng.uniform(0.75, 1.25, k) * np.exp(1j * theta)
+    return rng.integers(1, 5, k).astype(float), rng.uniform(0.0, 2.0 * math.pi, k), vs
+
+
+def test_random_sums_are_certified_from_their_seeds():
+    rng = np.random.default_rng(2024)
+    R = 150.0
+    box = Rectangle(-R, R, -R, R)
+    counts = []
+    for _ in range(30):
+        qs, phis, vs = _random_sum(rng)
+        es = _ExpSum.from_multipoint(qs, phis, vs)
+        total = zeros_mod._winding(es, zeros_mod._rectangles([box]), box)
+        seeds = _multipoint_seeds(qs, phis, vs, R)
+        found, fallback = _locate_seeded(es, box, total, seeds, 1.0, 40)
+        assert fallback is None
+        assert len(found) == total
+        counts.append(total)
+    assert min(counts) > 20
+
+
+def _reference_G(model, mp, N, scale):
+    """G(zf) = sum_m q_m exp(N P_m(z_M) + P_m'(z_M) zf) at 50 digits, from
+    the model's exponent coefficients, times exp(-scale). exp(N Re P_m(z_M))
+    is the same for every phase of the multiple point and dropped too."""
+    def horner(coeffs, z):
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * z + mpmath.mpc(c)
+        return acc
+
+    zm = mpmath.mpc(mp.z.real, mp.z.imag)
+    terms = []
+    for k in mp.stable_set:
+        phase = model.phases[k]
+        p = phase.exponent
+        dp = [j * p[j] for j in range(1, len(p))]
+        terms.append((phase.degeneracy, 1j * N * horner(p, zm).imag, horner(dp, zm)))
+    return lambda zf: sum(q * mpmath.exp(c + v * zf - scale) for q, c, v in terms)
+
+
+def test_disc_zeros_against_a_50_digit_reference():
+    N = 10000
+    zs = _disc(N)
+    assert zs.locator == "seeded" and len(zs) == 189
+    with mpmath.workdps(50):
+        for w in zs.zeros[::10]:
+            zf = (w.z - MP.z) * N
+            # scaled so that the largest term at the zero is of order one
+            G = _reference_G(M3, MP, N, max((v * zf).real for v in MP.v_values.values()))
+            start = mpmath.mpc(zf.real, zf.imag)
+            root = mpmath.findroot(G, (start, start + 1e-9))
+            assert abs(complex(root) - zf) <= 1e-13
+            assert abs(MP.z + complex(root) / N - w.z) <= 1e-17
+
+
+def test_seeded_disc_winds_one_contour_and_few_points(kernel_counts):
+    # the three-phase multipoint invocation: N=1e4, --rho-scale 25
+    zs = _disc(10000)
+    assert zs.locator == "seeded" and len(zs) == 189
+    assert kernel_counts["contours"] == 1
+    assert kernel_counts["points"] <= 100 * len(zs)

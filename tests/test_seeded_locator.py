@@ -100,12 +100,15 @@ def _box_edge_at(dy):
         # in place of the first zero's seed, one that polishes to no zero
         (_perturbed(100, 1, None), BOX, np.r_[_closed_form(100, 6)[1:], 1.0 + 1.0j],
          "5 polished seeds in the box against a box winding of 6"),
+        # Newton from a seed at a double zero runs out of steps about 1e-8
+        # from it, so the seed is not polished
         (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
-         [2j * math.pi / 11], "1 polished seeds in the box against a box winding of 2"),
-        # two seeds polish to two points beside the double zero: the count
-        # holds, but Newton's basin there is no simple zero's
+         [2j * math.pi / 11], "0 polished seeds in the box against a box winding of 2"),
+        # two seeds beside the double zero would meet the count, but neither
+        # is polished
         (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
-         [2j * math.pi / 11 + 1e-3, 2j * math.pi / 11 - 1e-3j], "alpha "),
+         [2j * math.pi / 11 + 1e-3, 2j * math.pi / 11 - 1e-3j],
+         "0 polished seeds in the box against a box winding of 2"),
     ],
     ids=["seed_dropped", "spurious_far_seed", "double_zero", "double_zero_two_seeds"],
 )
@@ -120,6 +123,25 @@ def test_seeded_locator_falls_back_to_the_quadtree(fvm, box, seeds, why, monkeyp
     monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
     find_zeros_seeded(fvm, box, seeds)
     assert len(windings) == 1
+
+
+def test_polish_reports_a_point_that_ran_out_of_newton_steps(monkeypatch):
+    # near the double zero rounding leaves Newton stepping about 1e-8 from
+    # it; the point meets the residual but is not reported as polished
+    fvm = finite_volume(_double_zero(), L=11, d=1, tau=1.0)
+    es = _ExpSum.from_fvm(fvm)
+    steps = []
+    newton_step = _ExpSum.newton_step
+    monkeypatch.setattr(
+        _ExpSum, "newton_step", lambda self, z: steps.append(1) or newton_step(self, z)
+    )
+    zero = 2j * math.pi / 11
+    (z,), (res,), (why,) = zeros_mod._polish(es, [zero], 1e-10)
+    assert why == zeros_mod._UNCONVERGED and len(steps) == 80
+    assert res <= 1e-10 and 1e-12 < abs(z - zero) < 1e-6
+    # a quadtree terminal cell still takes it; the circle counts it twice
+    (w,) = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.3, 1.0)).zeros
+    assert w.multiplicity == 2 and abs(w.z - zero) < 1e-6
 
 
 @pytest.mark.parametrize("dy, count", [(1e-9, 3), (-1e-9, 2)])
