@@ -183,6 +183,11 @@ class _ExpSum:
         dc = np.array([_polyder(tuple(row)) for row in c], dtype=complex)
         self.dc = dc.T.copy()
         self.scale = float(scale)
+        n, k = self.c.shape
+        self.ders, d = np.zeros((n, n * k), dtype=complex), self.c  # derivatives 0..D
+        for i in range(n):
+            self.ders[: n - i, i * k : (i + 1) * k] = d
+            d = np.arange(1.0, len(d))[:, None] * d[1:]  # the next derivative
 
     @classmethod
     def from_fvm(cls, fvm: FiniteVolumeModel) -> "_ExpSum":
@@ -199,9 +204,24 @@ class _ExpSum:
     def exponents(self, z):
         return _polyval_rows(self.c, z)
 
-    def deriv_bound(self, pts) -> np.ndarray:
-        """max_k |g_k'| at each point, the smooth phase-rate scale."""
-        return np.abs(_polyval_rows(self.dc, pts)).max(axis=0)
+    def taylor(self, z, r, first: int = 0, shift: int = 0):
+        """sum_{i >= first} |g_k^(i)(z)| r^(i-shift) / (i-shift)!, shape (K,) + z.shape;
+        from first = shift it bounds |g_k^(shift)| on the disc of radius r about z."""
+        a = np.abs(_polyval_rows(self.ders, z)).reshape((len(self.c), len(self.w)) + np.shape(z))
+        tail = np.zeros(a.shape[1:])
+        for i in range(first, len(a)):
+            tail = tail + a[i] * (r ** (i - shift) / math.factorial(i - shift))
+        return tail
+
+    def rate_bound(self, c, r) -> np.ndarray:
+        """A bound on max_k |g_k'| on the disc of radius r about each point c, exact if linear."""
+        return self.taylor(c, r, 1, 1).max(axis=0)
+
+    def noise_bound(self, c, r) -> np.ndarray:
+        """A bound on the rounding error of value_normalized over the disc
+        of radius r about each point c: 4u scale sum_k |w_k| (max_k |g_k| + K)."""
+        size = self.taylor(c, r).max(axis=0) + len(self.w)
+        return 2.0**-51 * self.scale * float(np.abs(self.w).sum()) * size
 
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
@@ -244,148 +264,152 @@ def _add_terms(terms):
 # ---------------------------------------------------------------------------
 # Argument-principle winding
 #
-# A batch of closed contours is a point map mp(s, cid), from parameters s in
-# [0, 1] and contour ids to points, with the list of the contours' lengths.
+# A closed contour is wound as the sum of the argument increments along its
+# pieces. A batch of paths is (mp, lengths, centres, radii, shares): a point
+# map mp(s, pid) from s in [0, 1] and path ids to points, and per path its
+# length, a disc that holds it, and its share of one contour (_node_count).
 
-# Every kernel call of a batched winding holds at most the larger of this
-# floor and the largest initial node set of one contour in the batch, which
-# a contour wound by itself evaluates in one call anyway. Unbounded calls on
-# whole quadtree levels raised peak memory by a fifth on the three-phase
-# disc; a cap of the root contour's size alone split every level of the
-# small lee-yang searches (the largest holds 4,224 nodes) and lost their gain.
-_BATCH_FLOOR = 8192
+# Points per kernel call. A fixed size keeps memory flat: the root contour
+# held 2.0e6 points at N=1e6, whole quadtree levels raised the disc's peak 20%.
+_BATCH = 8192
 
 
-def _polylines(vertices, lengths):
-    """Closed piecewise-linear contours through the rows of a (C, V) vertex
-    array, each row ending where it starts."""
-    verts = np.asarray(vertices, dtype=complex)
-    nseg = verts.shape[1] - 1
+def _segments(a, b, span):
+    """Straight paths from the points a to the points b, each a piece of a
+    closed contour of length span."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
 
-    def mp(s, cid):
-        u = np.clip(s, 0.0, 1.0) * nseg
-        seg = np.minimum(u.astype(int), nseg - 1)
-        frac = u - seg
-        return verts[cid, seg] * (1.0 - frac) + verts[cid, seg + 1] * frac
+    def mp(s, pid):
+        return a[pid] * (1.0 - s) + b[pid] * s
 
-    return mp, lengths
-
-
-def _rectangles(rects):
-    """Rectangle boundaries, counterclockwise from the lower-left corner."""
-    verts = [c + c[:1] for c in (r.corners() for r in rects)]
-    return _polylines(verts, [2.0 * (r.width + r.height) for r in rects])
+    length = np.abs(b - a)
+    return mp, length, 0.5 * (a + b), 0.5 * length, length / span
 
 
 def _circles(centres, radii):
     """Circles, counterclockwise from the point right of each centre."""
-    c = np.asarray(centres, dtype=complex)
-    r = np.asarray(radii, dtype=float)
+    c, r = np.asarray(centres, dtype=complex), np.asarray(radii, dtype=float)
 
-    def mp(s, cid):
-        return c[cid] + r[cid] * np.exp(2j * np.pi * s)
+    def mp(s, pid):
+        return c[pid] + r[pid] * np.exp(2j * np.pi * s)
 
-    return mp, [2.0 * math.pi * x for x in radii]
-
-
-def _values(es: _ExpSum, mp, s, cid, cap: int) -> np.ndarray:
-    """Normalized values at the points of (s, cid), at most cap per call."""
-    return np.concatenate(
-        [es.value_normalized(mp(s[a : a + cap], cid[a : a + cap])) for a in range(0, s.size, cap)]
-    )
+    return mp, 2.0 * math.pi * r, c, r, np.ones(r.shape)
 
 
-def _node_count(k: int, length: float, rate: float) -> int:
-    """Segments for a path of this length along which the exponents of K
+# A box's bottom, right, top and left sides, taken rightwards or upwards,
+# wind it counterclockwise with these signs.
+_CCW = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _box_sides(box: Rectangle):
+    """The sides of a box in _CCW order."""
+    p00, p10, p11, p01 = box.corners()
+    return _segments([p00, p10, p01, p00], [p10, p11, p11, p01], 2.0 * (box.width + box.height))
+
+
+def _values(es: _ExpSum, mp, s, pid) -> np.ndarray:
+    """Normalized values at the points of (s, pid), _BATCH per call."""
+    chunks = [slice(a, a + _BATCH) for a in range(0, s.size, _BATCH)]
+    return np.concatenate([es.value_normalized(mp(s[k], pid[k])) for k in chunks])
+
+
+def _node_count(k: int, length, rate, share):
+    """Segments for paths of these lengths along which the exponents of K
     terms turn at rate at most `rate`: a phase budget of 1.2 rad per segment,
-    65 to 2.0e6 of them."""
-    return int(min(max(65.0, (2 * k + 1) * length * rate / 1.2), 2.0e6))
+    65 to 2.0e6 per contour, of which a piece takes its share, and one at least."""
+    n = np.clip((2 * k + 1) * np.asarray(length) * rate / 1.2, 65.0 * share, 2.0e6 * share)
+    return np.maximum(n, 1.0).astype(int)
 
 
-def _windings(es: _ExpSum, contours, max_nodes=400000, min_gap=1e-12) -> list:
-    """Winding of each contour of a batch: its total argument change / 2 pi,
-    or a str saying why it could not be counted.
+def _increments(es: _ExpSum, paths, max_nodes=400000, min_gap=1e-12):
+    """Argument change along each path of a batch, NaN where it could not be
+    taken, and a list of the reasons why not.
 
-    A single dominant term rotates the argument at rate at most max|g'|
-    along a contour (probed at 129 points); sums of K terms can beat that
-    only near cancellations, which refinement then localizes. The initial
-    nodes keep a phase budget of 1.2 rad per segment, under the pi/2 cap, so
-    no full turn can hide between neighbouring samples. Midpoints are then
+    A single dominant term turns the argument at rate at most max|g'|, which
+    es.rate_bound bounds on a path's disc; sums of K terms can beat that only
+    near cancellations, which refinement then localizes. The initial nodes
+    keep a phase budget of 1.2 rad per segment, under the pi/2 cap, so no
+    full turn can hide between neighbouring samples. Midpoints are then
     inserted wherever a phase step is at least pi/2, which pins the branch
-    of the argument for an analytic integrand.
+    of the argument for an analytic integrand. A path fails at a sample
+    below its disc's es.noise_bound, whose phase is noise, or when its share
+    of a contour's max_nodes or of its length for the gap min_gap runs out.
 
-    All contours are sampled and refined in lockstep, one kernel pass per
-    round, on flat arrays of parameter and value that hold each unfinished
-    contour's nodes in one run; each contour finishes or fails on its own
-    samples, as if wound alone.
+    All paths are sampled and refined in lockstep, one pass per round, on
+    flat arrays that hold each unfinished path's nodes in one run; each path
+    finishes or fails on its own samples, as if taken alone.
     """
-    mp, lengths = contours
-    k = len(es.w)
-    probe = np.linspace(0.0, 1.0, 129)
-    per_call = _BATCH_FLOOR // probe.size
-    rate = np.empty(len(lengths))
-    for a in range(0, len(lengths), per_call):
-        part = np.arange(a, min(a + per_call, len(lengths)))
-        pts = mp(np.tile(probe, part.size), np.repeat(part, probe.size))
-        rate[part] = es.deriv_bound(pts).reshape(part.size, probe.size).max(axis=1)
-    n0 = [_node_count(k, length, r) for length, r in zip(lengths, rate.tolist())]
-    cap = max(_BATCH_FLOOR, max(n0) + 1)
+    mp, lengths, centres, radii, shares = paths
+    n0 = _node_count(len(es.w), lengths, es.rate_bound(centres, radii), shares).tolist()
+    noise = es.noise_bound(centres, radii)
     grids = {n: np.linspace(0.0, 1.0, n + 1) for n in set(n0)}
     s = np.concatenate([grids[n] for n in n0])
-    ids = np.arange(len(n0))  # the contours still refined, in node order
+    ids = np.arange(len(n0))  # the paths still refined, in node order
     counts = np.array(n0) + 1  # and their node counts
-    w = _values(es, mp, s, np.repeat(ids, counts), cap)
+    w = _values(es, mp, s, np.repeat(ids, counts))
 
-    out: list = [None] * len(n0)
+    inc, why = np.full(len(n0), np.nan), [None] * len(n0)
     for _ in range(64):
         starts = np.cumsum(counts) - counts
-        tiny = np.logical_or.reduceat((np.abs(w) < 1e-280) | ~np.isfinite(w), starts)
-        with np.errstate(all="ignore"):  # only tiny contours divide by ~0
-            dphi = np.angle(w[1:] / w[:-1])
-        bad = np.append(np.abs(dphi) >= HALF_PI, False)
-        bad[starts[1:] - 1] = False  # pairs across two contours
+        noisy = ~(np.abs(w) >= np.repeat(noise[ids], counts)) | ~np.isfinite(w)
+        tiny = np.logical_or.reduceat(noisy, starts)
+        with np.errstate(all="ignore"):  # only tiny paths divide by ~0
+            dphi = np.append(np.angle(w[1:] / w[:-1]), 0.0)
+        dphi[starts[1:] - 1] = 0.0  # pairs across two paths
+        bad = np.abs(dphi) >= HALF_PI
         n_bad = np.add.reduceat(bad, starts)
         refine = (n_bad > 0) & ~tiny
-        for c, a, n in zip(*(x[~refine & ~tiny].tolist() for x in (ids, starts, counts))):
-            total = float(dphi[a : a + n - 1].sum()) / (2.0 * math.pi)
-            wind = round(total)
-            out[c] = (
-                wind if abs(total - wind) <= 0.25 else f"winding {total} did not settle on an integer"
-            )
+        done = ~refine & ~tiny
+        inc[ids[done]] = np.add.reduceat(dphi, starts)[done]
         gap = np.minimum.reduceat(np.where(bad, np.append(np.diff(s), 0.0), np.inf), starts)
-        over = refine & (counts > max_nodes)
-        floor = refine & ~over & (gap < min_gap)
-        for failed, why in (
+        over = refine & (counts > max_nodes * shares[ids])
+        floor = refine & ~over & (gap < min_gap / shares[ids])
+        for failed, reason in (
             (tiny, "zero on or numerically near the contour"),
             (over, "contour refinement exceeded its node budget"),
             (floor, "contour refinement hit the resolution floor (zero on contour?)"),
         ):
             for c in ids[failed].tolist():
-                out[c] = why
+                why[c] = reason
         go = refine & ~over & ~floor
         if not go.any():
-            return out
+            return inc, why
         if not go.all():
             keep = np.repeat(go, counts)
             s, w, bad = s[keep], w[keep], bad[keep]
             ids, counts, n_bad = ids[go], counts[go], n_bad[go]
         idx = np.flatnonzero(bad)
         mids = 0.5 * (s[idx] + s[idx + 1])
-        w_m = _values(es, mp, mids, np.repeat(ids, n_bad), cap)
+        w_m = _values(es, mp, mids, np.repeat(ids, n_bad))
         s = np.insert(s, idx + 1, mids)
         w = np.insert(w, idx + 1, w_m)
         counts = counts + n_bad
     for c in ids.tolist():
-        out[c] = "contour refinement did not converge"
-    return out
+        why[c] = "contour refinement did not converge"
+    return inc, why
 
 
-def _winding(es: _ExpSum, contours, contour) -> int:
-    """Winding of a batch of one contour; a failure names the contour."""
-    (wind,) = _windings(es, contours)
+def _windings(totals) -> list:
+    """Winding of each closed contour from its total argument increment: an
+    int, or a str when the total / 2 pi is not within 1/4 of an integer."""
+    turns = (np.asarray(totals, dtype=float) / (2.0 * math.pi)).tolist()
+    bad = "winding {} did not settle on an integer"
+    return [round(t) if abs(t - round(t)) <= 0.25 else bad.format(t) for t in turns]
+
+
+def _winding(es: _ExpSum, paths, signs, contour):
+    """Winding of the closed contour made of a batch of paths, each taken
+    with its sign, and the paths' increments; a failure names the contour."""
+    inc, why = _increments(es, paths)
+    (wind,) = [next(x for x in why if x)] if any(why) else _windings([np.dot(signs, inc)])
     if isinstance(wind, str):
         raise ContourDegeneracyError(f"{wind} on {contour}", contour)
-    return wind
+    return wind, inc
+
+
+def _box_winding(es: _ExpSum, box: Rectangle):
+    """(winding, sides): a box's winding and the increments along its sides."""
+    return _winding(es, _box_sides(box), _CCW, box)
 
 
 def winding_number(fvm: FiniteVolumeModel, contour) -> int:
@@ -396,17 +420,19 @@ def winding_number(fvm: FiniteVolumeModel, contour) -> int:
     """
     es = _ExpSum.from_fvm(fvm)
     if isinstance(contour, Rectangle):
-        contours = _rectangles([contour])
+        paths, signs = _box_sides(contour), _CCW
     elif isinstance(contour, tuple) and len(contour) == 2 and np.ndim(contour[1]) == 0:
-        contours = _circles([complex(contour[0])], [float(contour[1])])
+        paths, signs = _circles([complex(contour[0])], [float(contour[1])]), [1.0]
     else:
         pts = [complex(v) for v in contour]
         if abs(pts[0] - pts[-1]) > 0.0:
             pts = pts + [pts[0]]
-        contours = _polylines([pts], [float(np.abs(np.diff(pts)).sum())])
-    if not fvm.domain.contains(contours[0](np.linspace(0.0, 1.0, 64), 0)).all():
+        span = float(np.abs(np.diff(pts)).sum())
+        paths, signs = _segments(pts[:-1], pts[1:], span), np.ones(len(pts) - 1)
+    s = np.tile(np.linspace(0.0, 1.0, 64), len(signs))
+    if not fvm.domain.contains(paths[0](s, np.arange(len(signs)).repeat(64))).all():
         raise ValidationError(f"contour leaves the model domain {fvm.domain}")
-    return _winding(es, contours, contour)
+    return _winding(es, paths, signs, contour)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +497,8 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
 
 def _multiplicity(es: _ExpSum, z: complex, radius: float) -> int:
     for factor in (1.0, 1.3, 0.77, 1.69, 0.59):
-        (wind,) = _windings(es, _circles([z], [radius * factor]))
+        inc, why = _increments(es, _circles([z], [radius * factor]))
+        (wind,) = why if why[0] is not None else _windings(inc)
         if not isinstance(wind, str):
             return wind
     raise ContourDegeneracyError(
@@ -492,57 +519,75 @@ def _children(rect: Rectangle, fx: float, fy: float) -> list[Rectangle]:
 
 
 def _split(es: _ExpSum, cells):
-    """(path, child, winding) for the children of every (path, cell, winding).
+    """(path, child, winding, sides) for the children of every (path, cell,
+    winding, sides), sides being the increments along a cell's _box_sides.
 
-    The children of all cells are wound in one batch. A cell whose children
-    fail to wind, or whose child windings do not sum to its own, retries at
-    its next split fraction in the next batch.
+    A split at the children's shared corner c winds eight paths: the four
+    from c to the cell's sides and the lower or left part of every side,
+    whose other part is the side's increment minus it, so that cells sharing
+    a side wind its part once. The paths of all cells are wound in one
+    batch. A cell whose paths fail, or whose child windings do not sum to
+    its own, retries at its next split fraction in the next batch.
     """
     out = []
     tries = [(cell, 0) for cell in cells]
     while tries:
+        ends: dict = {}  # (start, end) of each path to wind -> (index, span)
         kids = [_children(cell[1], *_SPLIT_FRACTIONS[f]) for cell, f in tries]
-        winds = _windings(es, _rectangles([c for four in kids for c in four]))
+        plans = []
+        for (cell, _), (ll, lr, ul, _) in zip(tries, kids):
+            (p00, b, c, lt), (_, p10, rt, _), (_, _, t, p01) = ll.corners(), lr.corners(), ul.corners()
+            paths = ((p00, b), (p10, rt), (p01, t), (p00, lt), (lt, c), (c, rt), (b, c), (c, t))
+            span = cell[1].width + cell[1].height  # a child's perimeter
+            plans.append([ends.setdefault(ab, (len(ends), span))[0] for ab in paths])
+        (starts, stops), (_, spans) = zip(*ends), zip(*ends.values())
+        inc, _ = _increments(es, _segments(starts, stops, np.array(spans)))
+        b1, r1, t1, l1, h1, h2, v1, v2 = inc[np.array(plans)].T
+        bo, ri, to, le = np.array([cell[3] for cell, _ in tries]).T
+        sides = np.array([(b1, v1, h1, l1), (bo - b1, r1, h2, v1), (h1, v2, t1, le - l1),
+                          (h2, ri - r1, to - t1, v2)]).transpose(2, 0, 1)  # cell, child, side
+        ok = ~np.isnan(sides).any(axis=(1, 2))  # NaN where a path failed
+        winds = iter(_windings((sides[ok] @ _CCW).ravel()))
         retry = []
-        for j, ((path, rect, wind), f) in enumerate(tries):
-            ws = winds[4 * j : 4 * j + 4]
-            if not any(isinstance(x, str) for x in ws) and sum(ws) == wind:
-                out.extend((path + (i,), c, x) for i, (c, x) in enumerate(zip(kids[j], ws)))
+        for (cell, f), four, good, kid_sides in zip(tries, kids, ok.tolist(), sides):
+            ws = [next(winds) for _ in four] if good else ["failed"]
+            if not any(isinstance(x, str) for x in ws) and sum(ws) == cell[2]:
+                out.extend((cell[0] + (i,), *kid) for i, kid in enumerate(zip(four, ws, kid_sides)))
             elif f + 1 < len(_SPLIT_FRACTIONS):
-                retry.append(((path, rect, wind), f + 1))
+                retry.append((cell, f + 1))
             else:
                 raise UnresolvedClusterError(
-                    f"subdivision of {rect} kept hitting zeros on internal edges", rect
+                    f"subdivision of {cell[1]} kept hitting zeros on internal edges", cell[1]
                 )
         tries = retry
     return out
 
 
-def _quadtree(es: _ExpSum, box: Rectangle, wind: int, min_cell, max_depth, tol):
-    """Candidate zeros of a box whose boundary winding is `wind`.
+def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, tol):
+    """Candidate zeros of a box whose _box_winding is `wound`.
 
     Returns (z, residual, multiplicity) in depth-first order of the cells,
     with multiplicity None when it still has to be counted by a small
     circle. The tree is walked one depth at a time. A winding-1 cell from
     whose centre Newton converges inside the cell holds exactly that zero,
     simple, so its descent stops there; every other cell with zeros is
-    split, the children of all cells split at one depth wound together, down
-    to min_cell, and terminal cells are polished from their centres. The
+    split down to min_cell (_split, the cells of one depth in one batch of
+    side increments), and terminal cells are polished from their centres. The
     winding-1 and terminal cells of a depth are polished in one batch, then
     visited in path order, so a failure raises where the cell-by-cell walk
     would have raised it.
     """
     cands = []
-    level = [((), box, wind)]
+    level = [((), box, *wound)]
     depth = 0
     while level:
         level = sorted((cell for cell in level if cell[2] != 0), key=lambda cell: cell[0])
-        terminal = [max(rect.width, rect.height) < min_cell for _, rect, _ in level]
+        terminal = [max(rect.width, rect.height) < min_cell for _, rect, _, _ in level]
         todo = [k for k, (cell, t) in enumerate(zip(level, terminal)) if cell[2] == 1 or t]
         z, res, why = _polish(es, [level[k][1].center for k in todo], tol)
         polished = dict(zip(todo, zip(z.tolist(), res.tolist(), why)))
         splits = []
-        for k, (path, rect, w) in enumerate(level):
+        for k, (path, rect, w, _) in enumerate(level):
             if w == 1:
                 zk, rk, failed = polished[k]
                 if failed in (None, _UNCONVERGED) and rect.contains(zk):
@@ -558,7 +603,7 @@ def _quadtree(es: _ExpSum, box: Rectangle, wind: int, min_cell, max_depth, tol):
                 raise UnresolvedClusterError(
                     f"depth {max_depth} exhausted with winding {w} in {rect}", rect
                 )
-            splits.append((path, rect, w))
+            splits.append(level[k])
         level = _split(es, splits) if splits else []
         depth += 1
     cands.sort(key=lambda cand: cand[0])
@@ -571,7 +616,7 @@ def _find_zeros_expsum(
     char_scale: float,
     max_depth: int = 40,
     residual_tol: float = _RESIDUAL_TOL,
-    total: int | None = None,
+    wound=None,
 ):
     """All zeros of an exponential sum in a box, with multiplicities.
 
@@ -581,16 +626,16 @@ def _find_zeros_expsum(
     cell once Newton stays inside that cell. Candidates closer than half the
     circle radius are merged, and every merged or terminal-cell zero has its
     multiplicity counted by the circle, so a multiple zero that rounding
-    splits across a cell edge is still counted in full. total is the box
-    winding when the caller has already counted it.
+    splits across a cell edge is still counted in full. wound is the box's
+    _box_winding when the caller has already counted it.
     """
     if max_depth < 0:
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     min_cell = 1e-3 * char_scale
     r_mult = 1e-2 * char_scale
-    if total is None:
-        total = _winding(es, _rectangles([box]), box)
-    cands = _quadtree(es, box, total, min_cell, max_depth, residual_tol) if total > 0 else []
+    wound = wound or _box_winding(es, box)
+    total = wound[0]
+    cands = _quadtree(es, box, wound, min_cell, max_depth, residual_tol) if total > 0 else []
 
     near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
     kept: set[int] = set()
@@ -653,8 +698,9 @@ def find_zeros_region(
     Cells of higher winding descend to 1e-3/N and each terminal cell is
     polished, with a small-circle winding for its multiplicity. The
     multiplicities are required to add up to the winding of the whole box.
-    The tree goes one depth at a time: one batched winding pass for the
-    children of a depth's splits and one array Newton for its polishes.
+    A cell winds as the sum of the increments along its sides, so a split
+    winds only the half-edges from the new corner and part of each side
+    (_split); a depth takes one batch of such paths and one array Newton.
 
     It needs no seeds, so find-zeros runs it. Where predicted zeros exist
     (compare, density) find_zeros_seeded is far cheaper and runs this
@@ -706,10 +752,10 @@ class ZeroSearch:
 
 
 def _wound_box(fvm: FiniteVolumeModel, box: Rectangle):
-    """The model's kernel and the winding of a box in its domain."""
+    """The model's kernel and the _box_winding of a box in its domain."""
     _require_box_in_domain(fvm, box)
     es = _ExpSum.from_fvm(fvm)
-    return es, _winding(es, _rectangles([box]), box)
+    return es, _box_winding(es, box)
 
 
 def _axis_re(es: _ExpSum, y) -> np.ndarray:
@@ -734,14 +780,13 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     find_zeros_region locates the zeros from the box winding already
     counted, and the result says why.
     """
-    es, total = _wound_box(fvm, box)
-    changes, found = 0, []
+    es, wound = _wound_box(fvm, box)
+    total, changes, found = wound[0], 0, []
     if not box.re_lo < 0.0 < box.re_hi:
         fallback = "the box does not straddle the axis Re w = 0"
     else:
-        probe = np.linspace(box.im_lo, box.im_hi, 129)
-        rate = float(es.deriv_bound(1j * probe).max())
-        y = np.linspace(box.im_lo, box.im_hi, _node_count(len(es.w), box.height, rate) + 1)
+        rate = es.rate_bound(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height)
+        y = np.linspace(box.im_lo, box.im_hi, _node_count(len(es.w), box.height, rate, 1.0) + 1)
         f = _axis_re(es, y)
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         changes = int(i.size)
@@ -766,7 +811,7 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
                 k = bad[0]
                 fallback = f"axis root at Im w = {roots[k].item()!r} has residual {res[k]:.3e}"
     if fallback is not None:
-        found = _find_zeros_expsum(es, box, 1.0 / fvm.N, total=total)
+        found = _find_zeros_expsum(es, box, 1.0 / fvm.N, wound=wound)
     return ZeroSearch(_located(fvm, box, found), total, "axis", fallback, changes)
 
 
@@ -791,11 +836,7 @@ def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
     a = np.abs(es._weights(z) * es._normalized_terms(z))
     size = _polyval_rows(np.abs(es.c), np.abs(z)).real
     slack = 2.0**-51 * _add_terms(a * (size + len(es.w)))
-    tail, d = 0.0, es.c
-    for i in range(1, len(es.c)):
-        d = np.arange(1.0, len(d))[:, None] * d[1:]  # the i-th derivative
-        tail = tail + np.abs(_polyval_rows(d, z)) * (r**i / math.factorial(i))
-    bound = _add_terms(a * np.exp(tail))
+    bound = _add_terms(a * np.exp(es.taylor(z, r, first=1)))
     with np.errstate(divide="ignore"):
         beta = (_modulus(v) + slack) / _modulus(dv)
         gamma = np.maximum(1.0, bound / (r * _modulus(dv))) / r
@@ -832,8 +873,8 @@ def _uncertified(es: _ExpSum, box: Rectangle, z: np.ndarray, total: int, r: floa
     return None
 
 
-def _locate_seeded(es: _ExpSum, box: Rectangle, total: int, seeds, scale: float, max_depth: int):
-    """The zeros of a box whose boundary winding is total, located from
+def _locate_seeded(es: _ExpSum, box: Rectangle, wound, seeds, scale: float, max_depth: int):
+    """The zeros of a box wound as wound = _box_winding(es, box), located from
     seeds that are not trusted, as (z, multiplicity, residual) triples, and
     why the quadtree located them instead (None when the seeds sufficed).
 
@@ -850,9 +891,9 @@ def _locate_seeded(es: _ExpSum, box: Rectangle, total: int, seeds, scale: float,
     z, res, why = _polish(es, np.asarray(seeds, dtype=complex), _RESIDUAL_TOL)
     ok = np.flatnonzero(np.array([w is None for w in why], dtype=bool) & box.contains(z))
     ok = ok[_first_come(z[ok], _DEDUP_TOL)]
-    fallback = _uncertified(es, box, z[ok], total, scale)
+    fallback = _uncertified(es, box, z[ok], wound[0], scale)
     if fallback is not None:
-        return _find_zeros_expsum(es, box, scale, max_depth=max_depth, total=total), fallback
+        return _find_zeros_expsum(es, box, scale, max_depth=max_depth, wound=wound), fallback
     return [(zk, 1, rk) for zk, rk in zip(z[ok].tolist(), res[ok].tolist())], None
 
 
@@ -871,9 +912,9 @@ def find_zeros_seeded(
     locates the zeros from the box winding already counted, down to
     max_depth, and the result says why (_locate_seeded).
     """
-    es, total = _wound_box(fvm, box)
-    found, fallback = _locate_seeded(es, box, total, seeds, 1.0 / fvm.N, max_depth)
-    return ZeroSearch(_located(fvm, box, found), total, "seeded", fallback)
+    es, wound = _wound_box(fvm, box)
+    found, fallback = _locate_seeded(es, box, wound, seeds, 1.0 / fvm.N, max_depth)
+    return ZeroSearch(_located(fvm, box, found), wound[0], "seeded", fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,9 +1086,8 @@ def predict_multipoint(
         vs.append(mp.v_values[k])
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
-    total = _winding(es, _rectangles([box]), box)
     seeds = _multipoint_seeds(qs, phis, vs, R)
-    found, fallback = _locate_seeded(es, box, total, seeds, 1.0, max_depth)
+    found, fallback = _locate_seeded(es, box, _box_winding(es, box), seeds, 1.0, max_depth)
     zeros = [
         Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)
         for zf, mult, res in found

@@ -79,20 +79,22 @@ def mly():
 def kernel_counts(monkeypatch):
     """A Counter of the work the zero locators do from here on: "points"
     evaluated by the exponential-sum kernel (value_normalized and
-    newton_step points) and "contours" wound."""
+    newton_step points) and by the per-path bounds that size and check the
+    winding samples (rate_bound and noise_bound disc centres), and
+    "contours" wound (closed contours and quadtree cells)."""
     counts = Counter()
-    for name in ("value_normalized", "newton_step"):
+    for name in ("value_normalized", "newton_step", "rate_bound", "noise_bound"):
 
-        def counted(self, z, method=getattr(_ExpSum, name)):
+        def counted(self, z, *args, method=getattr(_ExpSum, name)):
             counts["points"] += np.size(z)
-            return method(self, z)
+            return method(self, z, *args)
 
         monkeypatch.setattr(_ExpSum, name, counted)
     windings = zeros_mod._windings
 
-    def counted_windings(es, contours, *args, **kwargs):
-        counts["contours"] += len(contours[1])
-        return windings(es, contours, *args, **kwargs)
+    def counted_windings(totals):
+        counts["contours"] += len(totals)
+        return windings(totals)
 
     monkeypatch.setattr(zeros_mod, "_windings", counted_windings)
     return counts

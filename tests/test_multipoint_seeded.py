@@ -70,9 +70,10 @@ def test_random_sums_are_certified_from_their_seeds():
     for _ in range(30):
         qs, phis, vs = _random_sum(rng)
         es = _ExpSum.from_multipoint(qs, phis, vs)
-        total = zeros_mod._winding(es, zeros_mod._rectangles([box]), box)
+        wound = zeros_mod._box_winding(es, box)
+        total = wound[0]
         seeds = _multipoint_seeds(qs, phis, vs, R)
-        found, fallback = _locate_seeded(es, box, total, seeds, 1.0, 40)
+        found, fallback = _locate_seeded(es, box, wound, seeds, 1.0, 40)
         assert fallback is None
         assert len(found) == total
         counts.append(total)

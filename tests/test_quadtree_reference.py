@@ -1,18 +1,22 @@
 """The batched, level-synchronous quadtree against the contour-at-a-time one.
 
-The reference below is the winding and quadtree code that wound one contour
-per kernel call and descended the tree depth first. It is kept verbatim,
-except that the rate probe of _initial_nodes inlines the old
-_ExpSum.deriv_bound, which then returned the maximum over all points, and
-that it polishes through _polish_one, a batch of one of the batched _polish.
-It shares only the kernel (_ExpSum), _polish and _neighbours with the finder.
+The reference below is the winding and quadtree code that wound one closed
+contour per kernel call and descended the tree depth first. It is kept
+verbatim, except that the rate probe of _initial_nodes inlines the old
+_ExpSum.deriv_bound, which then returned the maximum over all points, that
+it polishes through _polish_one, a batch of one of the batched _polish,
+that a sample fails its contour below a rounding floor written here
+(_rounding_floor) where the old code had |W| < 1e-280, and that a
+rectangle is also sampled at its corners, so that a zero on a corner fails
+it as it fails the finder's sides. It shares only the kernel (_ExpSum),
+_polish and _neighbours with the finder.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pfzeros.zeros as zeros_mod
@@ -63,14 +67,14 @@ def _rect_contour(rect: Rectangle):
         frac = u - seg
         return corners[seg] * (1.0 - frac) + corners[seg + 1] * frac
 
-    return mp, 2.0 * (rect.width + rect.height)
+    return mp, 2.0 * (rect.width + rect.height), (0.25, 0.5, 0.75)
 
 
 def _circle_contour(center: complex, radius: float):
     def mp(s):
         return center + radius * np.exp(2j * np.pi * np.asarray(s, dtype=float))
 
-    return mp, 2.0 * math.pi * radius
+    return mp, 2.0 * math.pi * radius, ()
 
 
 def _initial_nodes(es: _ExpSum, mp, length: float) -> np.ndarray:
@@ -89,7 +93,18 @@ def _initial_nodes(es: _ExpSum, mp, length: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n0 + 1)
 
 
-def _winding_adaptive(value_fn, map_fn, s_init, max_nodes=400000, min_gap=1e-12) -> int:
+def _rounding_floor(es: _ExpSum, pts) -> float:
+    """4u scale sum_k |w_k| (max_k |g_k| + K), with max |g_k| taken over the
+    points by numpy's polynomial evaluation: below this modulus a computed W
+    is rounding noise."""
+    g = max(
+        float(np.abs(np.polynomial.polynomial.polyval(pts, es.c[:, k])).max())
+        for k in range(len(es.w))
+    )
+    return 2.0**-51 * es.scale * float(np.abs(es.w).sum()) * (g + len(es.w))
+
+
+def _winding_adaptive(value_fn, map_fn, s_init, floor, max_nodes=400000, min_gap=1e-12) -> int:
     """Total argument change / 2 pi along a closed parametric contour.
 
     Consecutive samples are refined until each phase step is below pi/2,
@@ -98,7 +113,7 @@ def _winding_adaptive(value_fn, map_fn, s_init, max_nodes=400000, min_gap=1e-12)
     s = np.asarray(s_init, dtype=float)
     w = np.asarray(value_fn(map_fn(s)), dtype=complex)
     for _ in range(64):
-        if np.any(np.abs(w) < 1e-280) or np.any(~np.isfinite(w)):
+        if np.any(~(np.abs(w) >= floor)) or np.any(~np.isfinite(w)):
             raise ContourDegeneracyError("zero on or numerically near the contour")
         dphi = np.angle(w[1:] / w[:-1])
         bad = np.abs(dphi) >= HALF_PI
@@ -135,18 +150,19 @@ _SPLIT_FRACTIONS = (
 )
 
 
+def _contour_winding(es: _ExpSum, mp, length: float, corners) -> int:
+    s = np.union1d(_initial_nodes(es, mp, length), corners)
+    return _winding_adaptive(es.value_normalized, mp, s, _rounding_floor(es, mp(s)))
+
+
 def _box_winding(es: _ExpSum, rect: Rectangle) -> int:
-    mp, length = _rect_contour(rect)
-    return _winding_adaptive(es.value_normalized, mp, _initial_nodes(es, mp, length))
+    return _contour_winding(es, *_rect_contour(rect))
 
 
 def _multiplicity(es: _ExpSum, z: complex, radius: float) -> int:
     for factor in (1.0, 1.3, 0.77, 1.69, 0.59):
         try:
-            mp, length = _circle_contour(z, radius * factor)
-            return _winding_adaptive(
-                es.value_normalized, mp, _initial_nodes(es, mp, length)
-            )
+            return _contour_winding(es, *_circle_contour(z, radius * factor))
         except ContourDegeneracyError:
             continue
     raise ContourDegeneracyError(f"could not count multiplicity around {z}")
@@ -314,29 +330,52 @@ def _contour(spec, zeros):
 
 
 def _reference_winding(es, kind, geom):
-    mp, length = _rect_contour(geom) if kind == "rect" else _circle_contour(*geom)
+    contour = _rect_contour(geom) if kind == "rect" else _circle_contour(*geom)
     try:
-        return _winding_adaptive(es.value_normalized, mp, _initial_nodes(es, mp, length))
+        return _contour_winding(es, *contour)
     except ContourDegeneracyError:
         return "degenerate"
+
+
+def _finder_box_winding(es, rect):
+    try:
+        return zeros_mod._box_winding(es, rect)
+    except ContourDegeneracyError:
+        return "degenerate", None
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(_FVMS)), specs=st.lists(_contour_spec, min_size=1, max_size=6))
 def test_batched_windings_equal_reference(name, specs):
+    # rectangles are wound from their four sides, circles in one batch
     es = _ExpSum.from_fvm(_FVMS[name])
     contours = [_contour(spec, _zeros_of(name)) for spec in specs]
     rects = [g for kind, g in contours if kind == "rect"]
     circles = [g for kind, g in contours if kind == "circle"]
-    got = []
-    if rects:
-        got += zeros_mod._windings(es, zeros_mod._rectangles(rects))
+    got = [_finder_box_winding(es, g)[0] for g in rects]
     if circles:
-        got += zeros_mod._windings(es, zeros_mod._circles(*zip(*circles)))
-    got = ["degenerate" if isinstance(w, str) else w for w in got]
+        inc, why = zeros_mod._increments(es, zeros_mod._circles(*zip(*circles)))
+        for x, reason in zip(inc.tolist(), why):
+            (w,) = [reason] if reason else zeros_mod._windings([x])
+            got.append("degenerate" if isinstance(w, str) else w)
     want = [_reference_winding(es, "rect", g) for g in rects]
     want += [_reference_winding(es, "circle", g) for g in circles]
     assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_FVMS)), spec=st.tuples(st.just("rect"), _pos, _pos, _size, _size))
+def test_edge_increments_sum_to_closed_contour_windings(name, spec):
+    # a box and the children of its split are wound from side increments,
+    # the children's outer sides as the box's side and its parts' difference
+    es = _ExpSum.from_fvm(_FVMS[name])
+    _, rect = _contour(spec, None)
+    wind, sides = _finder_box_winding(es, rect)
+    assert wind == _reference_winding(es, "rect", rect)
+    assume(sides is not None)
+    kids = zeros_mod._split(es, [((), rect, wind, sides)])
+    assert [w for _, _, w, _ in kids] == [_reference_winding(es, "rect", k) for _, k, _, _ in kids]
+    assert sum(w for _, _, w, _ in kids) == wind
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +395,9 @@ def _double_zero_fvm():
     return finite_volume(model, L=1, d=1, tau=1.0)
 
 
+_DISC_RHO = 25 * math.log(10000) / 10000
+
+
 def _lee_yang_fvm():
     up, un = symmetric_pair_perturbation(seed=4)
     return finite_volume(lee_yang_model(), L=10, d=2, tau=2.0, perturbation=[up, un])
@@ -370,8 +412,11 @@ def _lee_yang_fvm():
         (_double_zero_fvm, Rectangle(-1.0, 1.1, -1.0, 7.0)),
         (lambda: finite_volume(three_phase_model(), L=1000, d=1, tau=1.0),
          Rectangle(-0.17, 0.17, -0.17, 0.17)),
+        # the three-phase benchmark's find-zeros disc, rho = 25 log N / N
+        (lambda: finite_volume(three_phase_model(), L=10000, d=1, tau=1.0),
+         Rectangle(-_DISC_RHO, _DISC_RHO, -_DISC_RHO, _DISC_RHO)),
     ],
-    ids=["lee_yang_retries", "double_zeros", "three_phase"],
+    ids=["lee_yang_retries", "double_zeros", "three_phase", "three_phase_disc"],
 )
 def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
     fvm = make_fvm()

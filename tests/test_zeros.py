@@ -195,9 +195,9 @@ def test_find_zeros_windings_per_zero(m2, monkeypatch):
     value = zeros_mod._ExpSum.value_normalized
     polish = zeros_mod._polish
 
-    def counted_windings(es, batch, *args, **kwargs):
-        contours.append(len(batch[1]))
-        return windings(es, batch, *args, **kwargs)
+    def counted_windings(totals):
+        contours.append(len(totals))
+        return windings(totals)
 
     def counted_value(self, z):
         kernel_calls.append(1)
@@ -215,6 +215,19 @@ def test_find_zeros_windings_per_zero(m2, monkeypatch):
     assert len(zs) == len(axis_zeros(1000)) == 64
     assert sum(contours) <= 8 * len(zs)
     assert len(kernel_calls) - len(polishes) <= 60
+
+
+def test_find_zeros_on_the_three_phase_disc_evaluates_few_points(kernel_counts):
+    # the three-phase find-zeros invocation: N=1e4 on [-rho, rho]^2 with
+    # rho = 25 log N / N. Winding every cell as a fresh closed contour with
+    # a 129-point rate probe cost 505,860 points; cells wound from shared
+    # side increments sized by the Taylor rate bound cost about a third
+    N = 10000
+    rho = 25 * math.log(N) / N
+    fvm = finite_volume(three_phase_model(), L=N, d=1, tau=1.0)
+    zs = find_zeros_region(fvm, Rectangle(-rho, rho, -rho, rho))
+    assert len(zs) == zs.total_multiplicity() == 209
+    assert kernel_counts["points"] <= 200_000
 
 
 def test_find_zeros_polishes_once_per_level(m2, monkeypatch):
@@ -291,7 +304,7 @@ def test_contour_errors_name_their_contour(m2, monkeypatch):
     with pytest.raises(ContourDegeneracyError) as err:
         winding_number(fvm, circle)
     assert err.value.contour == circle
-    monkeypatch.setattr(zeros_mod, "_windings", lambda es, contours: ["no count"])
+    monkeypatch.setattr(zeros_mod, "_windings", lambda totals: ["no count"])
     with pytest.raises(ContourDegeneracyError) as err:
         zeros_mod._multiplicity(zeros_mod._ExpSum.from_fvm(fvm), 0.01j, 1e-4)
     assert err.value.contour == (0.01j, 1e-4)
