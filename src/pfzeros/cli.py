@@ -88,18 +88,10 @@ def density_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _locator_lines(found) -> list[str]:
-    """Which locator found the zeros of a ZeroSearch, or of a ZeroSet that
-    predict_multipoint located, and, after a fallback to the quadtree, why."""
-    lines = [f"locator: {found.locator}"]
-    if found.fallback is not None:
-        lines.append(f"fallback: {found.fallback}")
-    return lines
-
-
 def _search_lines(found: zeros.ZeroSearch) -> list[str]:
-    """How a locator found its zeros: the box winding, then _locator_lines."""
-    return [f"box_winding: {found.box_winding}", *_locator_lines(found)]
+    """How a locator found its zeros: the box winding, and how many of them
+    the quadtree located."""
+    return [f"box_winding: {found.box_winding}", f"quadtree_located: {found.quadtree_located}"]
 
 
 def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch) -> str:
@@ -318,7 +310,7 @@ def _multipoint(spec, args, out):
         f"rho_L: {_g17(rho)}",
         f"solutions: {zs.total_multiplicity()}",
         f"disc_winding: {wind}",
-        *_locator_lines(zs),
+        f"quadtree_located: {zs.quadtree_located}",
     ]
     return written + [_write(out / "multipoint.txt", "\n".join(lines) + "\n")]
 
@@ -329,8 +321,8 @@ def _asymptotes(spec, args, out):
 
 
 def _lee_yang(spec, args, out):
-    """Check the theorem's hypotheses, then locate the zeros on the axis (or
-    by the quadtree it falls back to) and report them."""
+    """Check the theorem's hypotheses, then locate the zeros, those on the
+    axis from the axis, and report them."""
     spec.check_phase(args.plus)
     spec.check_phase(args.minus)
     perturbation = None

@@ -2,11 +2,12 @@
 
 All arithmetic happens on exponential sums sum_k w_k exp(g_k(z)) normalized
 per point by exp(max_k Re g_k(z)), so nothing overflows no matter how large
-the volume. Zeros are located by argument-principle counting on adaptively
-refined contours plus quadtree subdivision and Newton polishing, or from
-seeds polished and certified by Smale's alpha-test against one box winding,
-and independently predicted from the two-phase balance equations and the
-multiple-point exponential-sum equation.
+the volume. Zeros are located from candidates kept one by one by Smale's
+alpha-test, and by argument-principle counting on adaptively refined
+contours plus quadtree subdivision and Newton polishing wherever the box
+winding is not accounted for by them; they are independently predicted
+from the two-phase balance equations and the multiple-point
+exponential-sum equation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import _BRACKET_STEPS, CoexistenceCurve, MultiplePoint, _close_brackets
+from .diagram import CoexistenceCurve, MultiplePoint, _close_brackets
 from .errors import (
     ContourDegeneracyError,
     ConvexityError,
@@ -77,10 +78,9 @@ class ZeroSet:
     L: int
     d: int
     N: int
-    # How predict_multipoint located the zeros, as in ZeroSearch: "seeded"
-    # or "quadtree", and why the quadtree ran; None for other sets.
-    locator: str | None = None
-    fallback: str | None = None
+    # How many of predict_multipoint's zeros of its box the quadtree
+    # located, as in ZeroSearch; None for other sets.
+    quadtree_located: int | None = None
 
     @classmethod
     def build(cls, zeros, region, L, d, **search) -> "ZeroSet":
@@ -233,10 +233,16 @@ class _ExpSum:
     def newton_step(self, z):
         """(value, derivative) at z with the shared normalization cancelled;
         their quotient is the Newton step. Elementwise for an array z."""
+        return self._newton_terms(z)[1:]
+
+    def _newton_terms(self, z):
+        """(terms, value, derivative): the normalized terms w_k exp(g_k(z) -
+        max_j Re g_j(z)) and newton_step's two sums."""
         z = np.asarray(z)
         e = self._normalized_terms(z)
         w = self._weights(z)
-        return _add_terms(w * e), _add_terms(w * _polyval_rows(self.dc, z) * e)
+        terms = w * e
+        return terms, _add_terms(terms), _add_terms(w * _polyval_rows(self.dc, z) * e)
 
     def _normalized_terms(self, z):
         """exp(g_k(z) - max_j Re g_j(z)), computed in place."""
@@ -518,146 +524,193 @@ def _children(rect: Rectangle, fx: float, fy: float) -> list[Rectangle]:
     ]
 
 
-def _split(es: _ExpSum, cells):
+def _split(es: _ExpSum, cells, kept=None):
     """(path, child, winding, sides) for the children of every (path, cell,
-    winding, sides), sides being the increments along a cell's _box_sides.
+    winding, sides), sides being the increments along a cell's _box_sides;
+    four children per cell, in the order of the cells.
 
     A split at the children's shared corner c winds eight paths: the four
     from c to the cell's sides and the lower or left part of every side,
     whose other part is the side's increment minus it, so that cells sharing
     a side wind its part once. The paths of all cells are wound in one
-    batch. A cell whose paths fail, or whose child windings do not sum to
-    its own, retries at its next split fraction in the next batch.
+    batch. A cell whose paths fail, whose child windings do not sum to its
+    own, or whose cross through c meets a kept disc inside it retries at
+    its next split fraction in the next batch; such a cross is not wound.
+    kept = (centres, radii, cell) holds the kept zeros' discs and the index
+    of the cell holding each, -1 for none.
     """
-    out = []
-    tries = [(cell, 0) for cell in cells]
+    out = [None] * (4 * len(cells))
+    tries = [(k, 0) for k in range(len(cells))]
     while tries:
+        kids = [_children(cells[k][1], *_SPLIT_FRACTIONS[f]) for k, f in tries]
         ends: dict = {}  # (start, end) of each path to wind -> (index, span)
-        kids = [_children(cell[1], *_SPLIT_FRACTIONS[f]) for cell, f in tries]
         plans = []
-        for (cell, _), (ll, lr, ul, _) in zip(tries, kids):
+        clear = _clear(kept, len(cells), tries, kids)
+        for (k, _), (ll, lr, ul, _), free in zip(tries, kids, clear):
+            if not free:
+                plans.append([-1] * 8)  # the NaN of a failed path
+                continue
             (p00, b, c, lt), (_, p10, rt, _), (_, _, t, p01) = ll.corners(), lr.corners(), ul.corners()
             paths = ((p00, b), (p10, rt), (p01, t), (p00, lt), (lt, c), (c, rt), (b, c), (c, t))
-            span = cell[1].width + cell[1].height  # a child's perimeter
+            span = cells[k][1].width + cells[k][1].height  # a child's perimeter
             plans.append([ends.setdefault(ab, (len(ends), span))[0] for ab in paths])
-        (starts, stops), (_, spans) = zip(*ends), zip(*ends.values())
-        inc, _ = _increments(es, _segments(starts, stops, np.array(spans)))
+        inc = np.full(len(ends) + 1, np.nan)
+        if ends:
+            (starts, stops), (_, spans) = zip(*ends), zip(*ends.values())
+            inc[:-1], _ = _increments(es, _segments(starts, stops, np.array(spans)))
         b1, r1, t1, l1, h1, h2, v1, v2 = inc[np.array(plans)].T
-        bo, ri, to, le = np.array([cell[3] for cell, _ in tries]).T
+        bo, ri, to, le = np.array([cells[k][3] for k, _ in tries]).T
         sides = np.array([(b1, v1, h1, l1), (bo - b1, r1, h2, v1), (h1, v2, t1, le - l1),
                           (h2, ri - r1, to - t1, v2)]).transpose(2, 0, 1)  # cell, child, side
         ok = ~np.isnan(sides).any(axis=(1, 2))  # NaN where a path failed
         winds = iter(_windings((sides[ok] @ _CCW).ravel()))
         retry = []
-        for (cell, f), four, good, kid_sides in zip(tries, kids, ok.tolist(), sides):
+        for (k, f), four, good, kid_sides in zip(tries, kids, ok.tolist(), sides):
+            path, rect, w, _ = cells[k]
             ws = [next(winds) for _ in four] if good else ["failed"]
-            if not any(isinstance(x, str) for x in ws) and sum(ws) == cell[2]:
-                out.extend((cell[0] + (i,), *kid) for i, kid in enumerate(zip(four, ws, kid_sides)))
+            if not any(isinstance(x, str) for x in ws) and sum(ws) == w:
+                kid_paths = [path + (i,) for i in range(4)]
+                out[4 * k : 4 * k + 4] = zip(kid_paths, four, ws, kid_sides)
             elif f + 1 < len(_SPLIT_FRACTIONS):
-                retry.append((cell, f + 1))
+                retry.append((k, f + 1))
             else:
                 raise UnresolvedClusterError(
-                    f"subdivision of {cell[1]} kept hitting zeros on internal edges", cell[1]
+                    f"subdivision of {rect} kept hitting zeros on internal edges", rect
                 )
         tries = retry
     return out
 
 
-def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, tol):
-    """Candidate zeros of a box whose _box_winding is `wound`.
+def _clear(kept, n, tries, kids) -> list:
+    """Whether the cross through each try's split corner misses the kept
+    discs inside its cell, for _split on n cells."""
+    if kept is None or not kept[0].size:
+        return [True] * len(tries)
+    z, r, cell = kept
+    xm, ym = np.full(n + 1, np.nan), np.full(n + 1, np.nan)  # cell -1 reads NaN
+    for (k, _), (ll, _, _, _) in zip(tries, kids):
+        xm[k], ym[k] = ll.re_hi, ll.im_hi
+    hit = set(cell[(np.abs(z.real - xm[cell]) <= r) | (np.abs(z.imag - ym[cell]) <= r)].tolist())
+    return [k not in hit for k, _ in tries]
 
-    Returns (z, residual, multiplicity) in depth-first order of the cells,
+
+def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, kept):
+    """Candidate zeros of a box whose _box_winding is `wound`, besides the
+    kept zeros whose centres and disjoint disc radii kept = (z, r) holds.
+
+    Returns (z, multiplicity, residual) in depth-first order of the cells,
     with multiplicity None when it still has to be counted by a small
-    circle. The tree is walked one depth at a time. A winding-1 cell from
-    whose centre Newton converges inside the cell holds exactly that zero,
-    simple, so its descent stops there; every other cell with zeros is
-    split down to min_cell (_split, the cells of one depth in one batch of
-    side increments), and terminal cells are polished from their centres. The
-    winding-1 and terminal cells of a depth are polished in one batch, then
-    visited in path order, so a failure raises where the cell-by-cell walk
-    would have raised it.
+    circle. The tree is walked one depth at a time. A cell is finished when
+    its winding equals the number of kept zeros inside it; no kept disc
+    meets a cell edge (_split), so each lies in one cell. An unfinished
+    winding-1 cell holds no kept zero; when Newton from its centre converges
+    inside it, that point is its only zero, simple, and its descent stops
+    there. Every other unfinished cell is split down to min_cell (_split,
+    the cells of one depth in one batch of side increments), and terminal
+    cells are polished from their centres. The winding-1 and terminal cells
+    of a depth are polished in one batch, then visited in path order, so a
+    failure raises where the cell-by-cell walk would have raised it.
     """
+    kz, kr = kept
+    cell = np.zeros(kz.size, dtype=int)  # the cell of the level holding each kept zero, or -1
     cands = []
     level = [((), box, *wound)]
     depth = 0
     while level:
-        level = sorted((cell for cell in level if cell[2] != 0), key=lambda cell: cell[0])
-        terminal = [max(rect.width, rect.height) < min_cell for _, rect, _, _ in level]
-        todo = [k for k, (cell, t) in enumerate(zip(level, terminal)) if cell[2] == 1 or t]
-        z, res, why = _polish(es, [level[k][1].center for k in todo], tol)
+        held = [0] * len(level)  # the kept zeros inside each cell
+        if kz.size:
+            held = np.bincount(cell[cell >= 0], minlength=len(level)).tolist()
+        live = [k for k, (_, _, w, _) in enumerate(level) if w != held[k]]
+        terminal = {k: max(level[k][1].width, level[k][1].height) < min_cell for k in live}
+        todo = [k for k in live if level[k][2] == 1 or terminal[k]]
+        z, res, why = _polish(es, [level[k][1].center for k in todo], _RESIDUAL_TOL)
         polished = dict(zip(todo, zip(z.tolist(), res.tolist(), why)))
         splits = []
-        for k, (path, rect, w, _) in enumerate(level):
-            if w == 1:
+        for k in live:
+            path, rect, w, _ = level[k]
+            if w < held[k]:
+                raise UnresolvedClusterError(f"{rect} winds {w} around {held[k]} kept zeros", rect)
+            if w == 1:  # and so holds no kept zero
                 zk, rk, failed = polished[k]
                 if failed in (None, _UNCONVERGED) and rect.contains(zk):
-                    cands.append((path, zk, rk, 1))
+                    cands.append((path, zk, 1, rk))
                     continue
             if terminal[k]:
                 zk, rk, failed = polished[k]
                 if failed not in (None, _UNCONVERGED):
                     raise NoConvergenceError(failed, zk)
-                cands.append((path, zk, rk, None))
+                cands.append((path, zk, None, rk))
                 continue
             if depth >= max_depth:
                 raise UnresolvedClusterError(
                     f"depth {max_depth} exhausted with winding {w} in {rect}", rect
                 )
-            splits.append(level[k])
-        level = _split(es, splits) if splits else []
+            splits.append(k)
+        if kz.size and splits:
+            at = np.full(len(level) + 1, -1)  # the split of each cell; -1 reads the last slot
+            at[splits] = np.arange(len(splits))
+            cell = at[cell]
+        level = _split(es, [level[k] for k in splits], (kz, kr, cell)) if splits else []
+        if kz.size and splits:
+            # the child quadrant of each kept zero, which no cross meets
+            corner = np.array([complex(ll.re_hi, ll.im_hi) for _, ll, _, _ in level[::4]])
+            own = cell >= 0
+            c = corner[cell[own]]
+            cell[own] = 4 * cell[own] + (kz.real[own] > c.real) + 2 * (kz.imag[own] > c.imag)
         depth += 1
     cands.sort(key=lambda cand: cand[0])
     return [cand[1:] for cand in cands]
 
 
-def _find_zeros_expsum(
-    es: _ExpSum,
-    box: Rectangle,
-    char_scale: float,
-    max_depth: int = 40,
-    residual_tol: float = _RESIDUAL_TOL,
-    wound=None,
-):
-    """All zeros of an exponential sum in a box, with multiplicities.
+def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float, max_depth: int):
+    """(found, k): the zeros of a box whose _box_winding is wound, as (z,
+    multiplicity, residual) triples, and how many of them the quadtree
+    located.
 
-    char_scale is the natural zero-spacing scale (1/N for volume sums); the
-    terminal cell size is 1e-3 of it and the multiplicity circle 1e-2 of it.
-    A simple zero is usually certified by the winding of its own quadtree
-    cell once Newton stays inside that cell. Candidates closer than half the
-    circle radius are merged, and every merged or terminal-cell zero has its
-    multiplicity counted by the circle, so a multiple zero that rounding
-    splits across a cell edge is still counted in full. wound is the box's
-    _box_winding when the caller has already counted it.
+    z and res are candidate points, not trusted, and their residuals |W|.
+    Those that _kept keeps, with the Cauchy radius scale (the zero spacing),
+    are distinct simple zeros; when they are as many as the box winding,
+    they are all of them. Otherwise the quadtree runs, down to max_depth
+    and to terminal cells of 1e-3 scale, on the cells whose winding the
+    kept zeros leave unaccounted for. Candidates closer than half the
+    multiplicity circle of 1e-2 scale are merged, and every merged or
+    terminal-cell zero has its multiplicity counted by that circle, so a
+    multiple zero that rounding splits across a cell edge is counted in
+    full; the multiplicities must sum to the box winding. With no
+    candidates this is the seedless quadtree.
     """
     if max_depth < 0:
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
-    min_cell = 1e-3 * char_scale
-    r_mult = 1e-2 * char_scale
-    wound = wound or _box_winding(es, box)
+    z = np.asarray(z, dtype=complex)
+    keep, rad = _kept(es, box, z, scale)
+    cands = [(zk, 1, rk) for zk, rk in zip(z[keep].tolist(), np.asarray(res)[keep].tolist())]
     total = wound[0]
-    cands = _quadtree(es, box, wound, min_cell, max_depth, residual_tol) if total > 0 else []
+    if len(cands) == total:
+        return cands, 0
+    min_cell, r_mult = 1e-3 * scale, 1e-2 * scale
+    cands += _quadtree(es, box, wound, min_cell, max_depth, (z[keep], rad))
 
     near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
-    kept: set[int] = set()
+    taken: set[int] = set()
     found: list[tuple[complex, int, float]] = []
-    for i, (z, res, mult) in enumerate(cands):
-        if not box.contains(z, pad=min_cell):
+    for i, (zi, mult, res_i) in enumerate(cands):
+        if not box.contains(zi, pad=min_cell):
             continue
-        if not kept.isdisjoint(near.get(i, ())):
+        if not taken.isdisjoint(near.get(i, ())):
             continue
         if mult is None or i in near:
-            mult = _multiplicity(es, z, r_mult)
+            mult = _multiplicity(es, zi, r_mult)
             if mult < 1:
                 continue
-        kept.add(i)
-        found.append((z, mult, res))
+        taken.add(i)
+        found.append((zi, mult, res_i))
     if sum(m for _, m, _ in found) != total:
         raise UnresolvedClusterError(
             f"polished multiplicities sum to {sum(m for _, m, _ in found)}, "
             f"box winding is {total}",
             box,
         )
-    return found
+    return found, sum(i >= keep.size for i in taken)
 
 
 def eval_logZ_normalized(fvm: FiniteVolumeModel, z: complex) -> complex:
@@ -702,14 +755,13 @@ def find_zeros_region(
     winds only the half-edges from the new corner and part of each side
     (_split); a depth takes one batch of such paths and one array Newton.
 
-    It needs no seeds, so find-zeros runs it. Where predicted zeros exist
-    (compare, density) find_zeros_seeded is far cheaper and runs this
-    quadtree only when it cannot certify them; find_zeros_on_axis does the
-    same for symmetric models.
+    It is _locate with no candidates, so find-zeros runs it as the
+    independent check. Given candidates, such as predicted zeros or the axis
+    roots of symmetric models, _locate runs this quadtree only on the
+    winding that the candidates it keeps leave unaccounted for.
     """
-    _require_box_in_domain(fvm, box)
-    es = _ExpSum.from_fvm(fvm)
-    return _located(fvm, box, _find_zeros_expsum(es, box, 1.0 / fvm.N, max_depth=max_depth))
+    es, wound = _wound_box(fvm, box)
+    return _located(fvm, box, _locate(es, box, wound, (), (), 1.0 / fvm.N, max_depth)[0])
 
 
 def _require_box_in_domain(fvm: FiniteVolumeModel, box: Rectangle) -> None:
@@ -731,24 +783,18 @@ def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
 class ZeroSearch:
     """The zeros of a box and how a locator found them.
 
-    box_winding is the winding of the box boundary. method names the
-    locator's own method, "axis" (find_zeros_on_axis) or "seeded"
-    (find_zeros_seeded); fallback says why the quadtree of find_zeros_region
-    located the zeros instead, and is None when the method did.
-    axis_sign_changes counts the sign changes of Re W along the box's
-    segment of the axis Re w = 0 (0 when the box does not straddle it); the
-    seeded locator leaves it None.
+    box_winding is the winding of the box boundary. quadtree_located counts
+    the zeros that the quadtree located, in the cells whose winding the kept
+    candidates leave unaccounted for (_locate): 0 when the candidates
+    account for the whole box. axis_sign_changes counts the sign changes of
+    Re W along the box's segment of the axis Re w = 0 (0 when the box does
+    not straddle it); the seeded locator leaves it None.
     """
 
     zeros: ZeroSet
     box_winding: int
-    method: str
-    fallback: str | None
+    quadtree_located: int
     axis_sign_changes: int | None = None
-
-    @property
-    def locator(self) -> str:
-        return self.method if self.fallback is None else "quadtree"
 
 
 def _wound_box(fvm: FiniteVolumeModel, box: Rectangle):
@@ -764,58 +810,42 @@ def _axis_re(es: _ExpSum, y) -> np.ndarray:
 
 
 def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
-    """All zeros of the normalized partition function inside a box, located
-    on the axis Re w = 0 when the local Lee-Yang theorem puts them there.
+    """All zeros of the normalized partition function inside a box, those
+    on the axis Re w = 0 taken from the axis, where the local Lee-Yang
+    theorem puts them.
 
     For a plus/minus symmetric model (analysis.lee_yang_hypotheses) W(i y)
     is real, so every sign change of Re W along the box's segment of the
     axis brackets a zero of odd multiplicity. The segment is sampled in one
-    kernel call at the phase-rate node count of the box winding, every
-    bracket is closed by diagram._close_brackets (a bracket left open raises
-    NoConvergenceError at its point i y), and a root is kept when its complex
-    residual |W| is <= 1e-10, the quadtree's rule. When the roots are as
-    many as the box winding, they are all the zeros in the box, each simple:
-    the theorem's conclusion, checked rather than assumed. Otherwise, and
-    when the box does not straddle the axis, the quadtree of
-    find_zeros_region locates the zeros from the box winding already
-    counted, and the result says why.
+    kernel call at the phase-rate node count of the box winding, and every
+    bracket is closed by diagram._close_brackets; the end of a bracket still
+    open after its steps is a root like the others. The roots whose complex
+    residual |W| is <= 1e-10, the quadtree's rule, are _locate's candidates
+    as they are, without Newton, so a kept root has Re w exactly 0; the rule
+    drops a bracket end too far from its zero, which the alpha-test alone
+    could keep, as it only asks Newton to converge. The quadtree locates
+    only the zeros the kept roots leave unaccounted for: zeros off the axis,
+    multiple zeros, and every zero of a box that does not straddle the axis.
+    When the kept roots are as many as the box winding, every zero in the
+    box is simple and on the axis: the theorem's conclusion, checked rather
+    than assumed.
     """
     es, wound = _wound_box(fvm, box)
-    total, changes, found = wound[0], 0, []
-    if not box.re_lo < 0.0 < box.re_hi:
-        fallback = "the box does not straddle the axis Re w = 0"
-    else:
+    roots = np.zeros(0)
+    if box.re_lo < 0.0 < box.re_hi:
         rate = es.rate_bound(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height)
         y = np.linspace(box.im_lo, box.im_hi, _node_count(len(es.w), box.height, rate, 1.0) + 1)
         f = _axis_re(es, y)
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
-        changes = int(i.size)
-        if changes != total:
-            fallback = f"{changes} axis sign changes against a box winding of {total}"
-        else:
-            roots, closed = _close_brackets(
-                lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1]
-            )
-            if not closed.all():
-                k = np.flatnonzero(~closed)[0]
-                raise NoConvergenceError(
-                    f"axis bracket at Im w = {roots[k].item()!r} still open after "
-                    f"{_BRACKET_STEPS} steps",
-                    complex(0.0, roots[k].item()),
-                )
-            res = _modulus(es.value_normalized(1j * roots))
-            found = [(complex(0.0, r), 1, e) for r, e in zip(roots.tolist(), res.tolist())]
-            bad = np.flatnonzero(~(res <= _RESIDUAL_TOL))
-            fallback = None
-            if bad.size:
-                k = bad[0]
-                fallback = f"axis root at Im w = {roots[k].item()!r} has residual {res[k]:.3e}"
-    if fallback is not None:
-        found = _find_zeros_expsum(es, box, 1.0 / fvm.N, wound=wound)
-    return ZeroSearch(_located(fvm, box, found), total, "axis", fallback, changes)
+        roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])
+    res = _modulus(es.value_normalized(1j * roots))
+    ok = res <= _RESIDUAL_TOL
+    z = np.array([complex(0.0, r) for r in roots[ok].tolist()], dtype=complex)
+    found, k = _locate(es, box, wound, z, res[ok], 1.0 / fvm.N, 40)
+    return ZeroSearch(_located(fvm, box, found), wound[0], k, int(roots.size))
 
 
-# The largest alpha a seeded zero may have: Smale's alpha_0 = (13 - 3 sqrt 17)/4
+# The largest alpha a kept zero may have: Smale's alpha_0 = (13 - 3 sqrt 17)/4
 # = 0.1577, with room for the rounding of |V'| and M in the computed alpha.
 _ALPHA_MAX = 0.01
 
@@ -831,70 +861,47 @@ def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
     over i >= 2 is bounded by Cauchy's estimate on the disc of radius r
     about z, where |V| <= M = sum_k a_k exp(sum_i |g_k^(i)(z)| r^i/i!), the
     polynomial g_k being its own Taylor series: gamma <= max(1, M/(r|V'|))/r.
+    The terms are evaluated once, by newton_step's kernel.
     """
-    v, dv = es.newton_step(z)
-    a = np.abs(es._weights(z) * es._normalized_terms(z))
+    terms, v, dv = es._newton_terms(z)
+    a = np.abs(terms)
     size = _polyval_rows(np.abs(es.c), np.abs(z)).real
     slack = 2.0**-51 * _add_terms(a * (size + len(es.w)))
     bound = _add_terms(a * np.exp(es.taylor(z, r, first=1)))
+    m = _modulus(dv)
     with np.errstate(divide="ignore"):
-        beta = (_modulus(v) + slack) / _modulus(dv)
-        gamma = np.maximum(1.0, bound / (r * _modulus(dv))) / r
+        beta = (_modulus(v) + slack) / m
+        gamma = np.maximum(1.0, bound / (r * m)) / r
     return beta * gamma, beta
 
 
-def _uncertified(es: _ExpSum, box: Rectangle, z: np.ndarray, total: int, r: float):
-    """Why the distinct points z are not shown to be all the zeros in the
-    box, each simple, or None when they are.
+def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, r: float):
+    """(indices, radii): the candidates z kept, in order, and their 2 beta.
 
-    Each point must pass the alpha-test, so a zero lies within 2 beta of it;
-    those discs must lie inside the box and be pairwise disjoint, so their
-    zeros are distinct and in the box; and they must be as many as the box
-    winding, so no zero of the box is missed and none is multiple.
+    A candidate is kept when it passes Smale's alpha-test with alpha <= 0.01
+    and the Cauchy radius r, so a zero lies within 2 beta of it, unique and
+    simple there, when that 2 beta disc lies inside the box, and when it is
+    farther than twice the largest such radius (and 1e-12) from every
+    candidate kept before it, so that its disc meets none of theirs. The
+    kept discs hold distinct simple zeros of the box.
     """
-    if z.size != total:
-        return f"{z.size} polished seeds in the box against a box winding of {total}"
     if not z.size:
-        return None
+        return np.zeros(0, dtype=int), np.zeros(0)
     alpha, beta = _alpha_beta(es, z, r)
-    bad = np.flatnonzero(~(alpha <= _ALPHA_MAX))
-    if bad.size:
-        return f"alpha {alpha[bad[0]]:.3e} at {complex(z[bad[0]])!r}"
     rad = 2.0 * beta
-    bad = np.flatnonzero(~box.contains(z, pad=-rad))
-    if bad.size:
-        return f"the 2 beta disc about {complex(z[bad[0]])!r} leaves the box"
-    # the points are over 1e-12 apart, so discs that narrow cannot meet
-    i, j = _grid_pairs(z, z, max(2.0 * float(rad.max()), _DEDUP_TOL))
-    bad = np.flatnonzero((i < j) & (_modulus(z[i] - z[j]) <= rad[i] + rad[j]))
-    if bad.size:
-        a, b = complex(z[i[bad[0]]]), complex(z[j[bad[0]]])
-        return f"the 2 beta discs about {a!r} and {b!r} meet"
-    return None
+    ok = np.flatnonzero((alpha <= _ALPHA_MAX) & box.contains(z, pad=-rad))
+    ok = ok[_first_come(z[ok], max(2.0 * float(rad[ok].max(initial=0.0)), _DEDUP_TOL))]
+    return ok, rad[ok]
 
 
-def _locate_seeded(es: _ExpSum, box: Rectangle, wound, seeds, scale: float, max_depth: int):
-    """The zeros of a box wound as wound = _box_winding(es, box), located from
-    seeds that are not trusted, as (z, multiplicity, residual) triples, and
-    why the quadtree located them instead (None when the seeds sufficed).
-
-    Every seed is polished in one array Newton; a point that ran out of
-    Newton steps does not count as polished. The polished points inside the
-    box, deduplicated at 1e-12, are then certified by _uncertified with the
-    Cauchy radius `scale`, the zero spacing. Otherwise the quadtree locates
-    the zeros from the box winding down to max_depth, with terminal cells
-    of 1e-3 scale. A missing, misplaced or spurious seed therefore costs
-    the quadtree, never a zero.
-    """
-    if max_depth < 0:  # checked here too, as the quadtree may not run
-        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
+def _polished(es: _ExpSum, box: Rectangle, seeds):
+    """(z, residual) of the distinct points inside the box that the seeds
+    polish to in one array Newton, deduplicated at 1e-12; a seed that ran
+    out of Newton steps does not count as polished."""
     z, res, why = _polish(es, np.asarray(seeds, dtype=complex), _RESIDUAL_TOL)
     ok = np.flatnonzero(np.array([w is None for w in why], dtype=bool) & box.contains(z))
     ok = ok[_first_come(z[ok], _DEDUP_TOL)]
-    fallback = _uncertified(es, box, z[ok], wound[0], scale)
-    if fallback is not None:
-        return _find_zeros_expsum(es, box, scale, max_depth=max_depth, wound=wound), fallback
-    return [(zk, 1, rk) for zk, rk in zip(z[ok].tolist(), res[ok].tolist())], None
+    return z[ok], res[ok]
 
 
 def find_zeros_seeded(
@@ -903,18 +910,14 @@ def find_zeros_seeded(
     """All zeros of the normalized partition function inside a box, located
     from seeds, such as predicted zeros, that are not trusted.
 
-    The box is wound once and every seed is polished in one array Newton.
-    The polished points inside the box, deduplicated at 1e-12, are then
-    certified (_uncertified): each passes Smale's alpha-test with alpha <=
-    0.01, their 2 beta discs lie inside the box and are pairwise disjoint,
-    and they are as many as the box winding. They are then all the zeros in
-    the box, each simple. Otherwise the quadtree of find_zeros_region
-    locates the zeros from the box winding already counted, down to
-    max_depth, and the result says why (_locate_seeded).
+    The box is wound once and the seeds are polished (_polished). _locate
+    keeps the polished points that Smale's alpha-test certifies as distinct
+    simple zeros, and the quadtree of find_zeros_region locates, down to
+    max_depth, only the zeros they leave unaccounted for in the box winding.
     """
     es, wound = _wound_box(fvm, box)
-    found, fallback = _locate_seeded(es, box, wound, seeds, 1.0 / fvm.N, max_depth)
-    return ZeroSearch(_located(fvm, box, found), wound[0], "seeded", fallback)
+    found, k = _locate(es, box, wound, *_polished(es, box, seeds), 1.0 / fvm.N, max_depth)
+    return ZeroSearch(_located(fvm, box, found), wound[0], k)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,11 +1064,11 @@ def predict_multipoint(
     coordinate zf = (z - z_M) N and locates all of its zeros in the box
     [-R, R]^2, R = N rho_L, then maps those with |zf| <= R back. The zeros
     are seeded by the two-term balances of G (_multipoint_seeds), which
-    away from z_M put them on the asymptote half-lines, and certified like
-    find_zeros_seeded's against one winding of the box, with the Cauchy
-    radius 1, the zero spacing in zf; when they are not, the quadtree
-    locates them from that winding down to max_depth. The result's locator
-    and fallback say which ran and why.
+    away from z_M put them on the asymptote half-lines, polished and kept
+    like find_zeros_seeded's, with the Cauchy radius 1, the zero spacing in
+    zf; the quadtree locates, down to max_depth, only the zeros of the box
+    that the kept ones leave unaccounted for in its winding (_locate). The
+    result's quadtree_located counts those.
     """
     if len(mp.stable_set) < 3:
         raise ValidationError("multipoint prediction needs at least three coexisting phases")
@@ -1086,8 +1089,8 @@ def predict_multipoint(
         vs.append(mp.v_values[k])
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
-    seeds = _multipoint_seeds(qs, phis, vs, R)
-    found, fallback = _locate_seeded(es, box, _box_winding(es, box), seeds, 1.0, max_depth)
+    z, res = _polished(es, box, _multipoint_seeds(qs, phis, vs, R))
+    found, k = _locate(es, box, _box_winding(es, box), z, res, 1.0, max_depth)
     zeros = [
         Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)
         for zf, mult, res in found
@@ -1096,8 +1099,7 @@ def predict_multipoint(
     region = Rectangle(
         mp.z.real - rho_L, mp.z.real + rho_L, mp.z.imag - rho_L, mp.z.imag + rho_L
     )
-    locator = "seeded" if fallback is None else "quadtree"
-    return ZeroSet.build(zeros, region, L, d, locator=locator, fallback=fallback)
+    return ZeroSet.build(zeros, region, L, d, quadtree_located=k)
 
 
 def asymptote_lines(model: ModelSpec, mp: MultiplePoint) -> list[AsymptoteLine]:

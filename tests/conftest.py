@@ -78,12 +78,13 @@ def mly():
 @pytest.fixture
 def kernel_counts(monkeypatch):
     """A Counter of the work the zero locators do from here on: "points"
-    evaluated by the exponential-sum kernel (value_normalized and
-    newton_step points) and by the per-path bounds that size and check the
-    winding samples (rate_bound and noise_bound disc centres), and
-    "contours" wound (closed contours and quadtree cells)."""
+    evaluated by the exponential-sum kernel (_normalized_terms points, which
+    value_normalized, newton_step and the alpha-test evaluate) and by the
+    per-path bounds that size and check the winding samples (rate_bound and
+    noise_bound disc centres), "contours" wound (closed contours and
+    quadtree cells), and "splits", the cells handed to _split."""
     counts = Counter()
-    for name in ("value_normalized", "newton_step", "rate_bound", "noise_bound"):
+    for name in ("_normalized_terms", "rate_bound", "noise_bound"):
 
         def counted(self, z, *args, method=getattr(_ExpSum, name)):
             counts["points"] += np.size(z)
@@ -97,4 +98,11 @@ def kernel_counts(monkeypatch):
         return windings(totals)
 
     monkeypatch.setattr(zeros_mod, "_windings", counted_windings)
+    split = zeros_mod._split
+
+    def counted_split(es, cells, *args):
+        counts["splits"] += len(cells)
+        return split(es, cells, *args)
+
+    monkeypatch.setattr(zeros_mod, "_split", counted_split)
     return counts

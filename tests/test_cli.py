@@ -219,7 +219,7 @@ def test_cli_compare_workflow(tmp_path):
     report = (out / "match_report.txt").read_text()
     assert "pairs: 6" in report
     assert "unmatched_predicted: 0" in report
-    assert "violations: 0\nbox_winding: 6\nlocator: seeded\npair_table:" in report
+    assert "violations: 0\nbox_winding: 6\nquadtree_located: 0\npair_table:" in report
     svg = (out / "compare.svg").read_text()
     assert svg.count("<circle") == 12  # predicted and located markers overlap
     assert svg.startswith("<svg")
@@ -240,17 +240,14 @@ def test_cli_compare_reports_delta_L_warnings_once(tmp_path, capsys):
 
 def test_cli_compare_reports_a_fallback_to_the_quadtree(tmp_path):
     # around the triple point the (0,1) equations predict 3 of the 9 zeros,
-    # so the seeded locator falls back and the match report shows the miss
+    # so the quadtree locates the other 6 and the match report shows the miss
     mp = write_model(tmp_path, three_phase_model())
     out = tmp_path / "cmp"
     box = "-0.1,0.1,-0.1,0.1"
     argv = ["compare", mp, "--pair", "0,1", "--L", "100", f"--box={box}", "--out-dir", str(out)]
     assert main(argv) == 0
     report = (out / "match_report.txt").read_text()
-    assert (
-        "box_winding: 9\nlocator: quadtree\n"
-        "fallback: 3 polished seeds in the box against a box winding of 9\n"
-    ) in report
+    assert "box_winding: 9\nquadtree_located: 6\n" in report
     assert "unmatched_located: 6\n" in report
     located = find_zeros_region(
         finite_volume(three_phase_model(), 100, 1, tau=1.0), Rectangle(*map(float, box.split(",")))
@@ -259,8 +256,8 @@ def test_cli_compare_reports_a_fallback_to_the_quadtree(tmp_path):
 
 
 def test_cli_multipoint_reports_a_fallback_to_the_quadtree(tmp_path, monkeypatch):
-    # with no asymptote seeds the count fails and the quadtree locates the
-    # disc; the fallback counts the zeros of the box [-R, R]^2 about it
+    # with no asymptote seeds the quadtree locates the disc, and the count
+    # is of the zeros of the box [-R, R]^2 about it
     monkeypatch.setattr(pfzeros.zeros, "_multipoint_seeds", lambda *a: np.empty(0, complex))
     mp = write_model(tmp_path, three_phase_model())
     out = tmp_path / "mp"
@@ -268,8 +265,7 @@ def test_cli_multipoint_reports_a_fallback_to_the_quadtree(tmp_path, monkeypatch
                  "--out-dir", str(out)]) == 0
     text = (out / "multipoint.txt").read_text()
     assert text.endswith(
-        "solutions: 18\ndisc_winding: 18\nlocator: quadtree\n"
-        "fallback: 0 polished seeds in the box against a box winding of 20\n"
+        "solutions: 18\ndisc_winding: 18\nquadtree_located: 20\n"
     )
 
 
@@ -419,7 +415,7 @@ def test_cli_multipoint_and_asymptotes(tmp_path):
     sols = int(text.split("solutions: ")[1].split("\n")[0])
     wind = int(text.split("disc_winding: ")[1].split("\n")[0])
     assert sols == wind
-    assert text.endswith(f"disc_winding: {wind}\nlocator: seeded\n")
+    assert text.endswith(f"disc_winding: {wind}\nquadtree_located: 0\n")
 
     rc = main(["asymptotes", mp, "--triple", "0,1,2", "--out-dir", str(out)])
     assert rc == 0
@@ -450,15 +446,13 @@ def test_cli_lee_yang(tmp_path):
     assert "on_axis: True" in text
     assert "count_unit_segment: 32" in text
     assert "max_abs_re: 0\n" in text
-    assert "axis_sign_changes: 32\nbox_winding: 32\nlocator: axis\n" in text
-    assert "fallback" not in text
+    assert "axis_sign_changes: 32\nbox_winding: 32\nquadtree_located: 0\n" in text
     rc = main(["lee-yang", mp, "--L", "100", "--tau", "0.2", "--box=0.01,0.05,0.0,1.0",
                "--out-dir", str(out)])
     assert rc == 0
     text = (out / "lee_yang.txt").read_text()
     assert text.endswith(
-        "axis_sign_changes: 0\nbox_winding: 0\nlocator: quadtree\n"
-        "fallback: the box does not straddle the axis Re w = 0\n"
+        "axis_sign_changes: 0\nbox_winding: 0\nquadtree_located: 0\n"
     )
 
 

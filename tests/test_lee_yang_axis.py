@@ -1,6 +1,6 @@
 """The axis locator for plus/minus symmetric models: its zeros against the
-quadtree's, its cost, its fallbacks, its bracket solve, and a 50-digit
-mpmath reference that shares no code with it."""
+quadtree's, its cost, the zeros the axis leaves to the quadtree, its bracket
+solve, and a 50-digit mpmath reference that shares no code with it."""
 
 import math
 
@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import pfzeros.diagram as diagram_mod
 import pfzeros.zeros as zeros_mod
 from pfzeros import (
     ModelSpec,
@@ -52,7 +53,7 @@ def test_axis_zeros_equal_the_quadtrees(seed):
     fvm = _seeded(seed)
     found = find_zeros_on_axis(fvm, BOX)
     located = find_zeros_region(fvm, BOX)
-    assert found.locator == "axis" and found.fallback is None
+    assert found.quadtree_located == 0
     assert found.axis_sign_changes == found.box_winding == len(located) == 32
     assert [w.multiplicity for w in found.zeros.zeros] == [w.multiplicity for w in located.zeros]
     assert np.abs(found.zeros.points() - located.points()).max() <= 1e-14
@@ -61,44 +62,74 @@ def test_axis_zeros_equal_the_quadtrees(seed):
 
 def test_axis_search_evaluates_few_points(kernel_counts):
     fvm = _seeded(4)
-    assert find_zeros_on_axis(fvm, BOX).locator == "axis"
+    assert find_zeros_on_axis(fvm, BOX).quadtree_located == 0
+    assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     on_axis = kernel_counts["points"]
     kernel_counts.clear()
     find_zeros_region(fvm, BOX)
     assert on_axis <= 4000 < kernel_counts["points"]
 
 
-@pytest.mark.parametrize(
-    "fvm, box, why",
-    [
-        # q1 != q2: Re W changes sign on the axis where |Im W| is 1
-        (finite_volume(two_phase_model(q1=1, q2=2), L=100, d=1, tau=1.0),
-         Rectangle(-0.1, 0.1, 0.0, 0.2), "residual"),
-        # two zeros on the axis, four in mirror pairs at Im w = 1/2
-        (finite_volume(_twisted(1.0), L=10, d=1, tau=1.0),
-         Rectangle(-0.9, 0.9, 0.0, 0.9), "2 axis sign changes against a box winding of 6"),
-        # a double zero at w = i pi/10, which Re W touches without a sign change
-        (finite_volume(_twisted(10 / (2 * math.pi)), L=10, d=1, tau=1.0),
-         Rectangle(-0.1, 0.1, 0.2, 0.4), "0 axis sign changes against a box winding of 2"),
-        (_seeded(4), Rectangle(0.01, 0.05, 0.0, 1.0), "does not straddle"),
-    ],
-    ids=["not_real_on_axis", "off_axis_pairs", "double_zero", "beside_the_axis"],
-)
-def test_axis_locator_falls_back_to_the_quadtree(fvm, box, why, monkeypatch):
-    found = find_zeros_on_axis(fvm, box)
-    assert found.locator == "quadtree" and why in found.fallback
-    assert found.zeros == find_zeros_region(fvm, box)
-    assert found.box_winding == found.zeros.total_multiplicity()
-    # the fallback quadtree starts from the box winding already counted
+def _one_winding(fvm, box, monkeypatch):
+    """find_zeros_on_axis, asserting that it winds one closed contour."""
     windings = []
     wind = zeros_mod._winding
     monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
-    find_zeros_on_axis(fvm, box)
+    found = find_zeros_on_axis(fvm, box)
     assert len(windings) == 1
+    return found
+
+
+@pytest.mark.parametrize(
+    "fvm, box",
+    [
+        # q1 != q2: Re W changes sign on the axis where |Im W| is 1
+        (finite_volume(two_phase_model(q1=1, q2=2), L=100, d=1, tau=1.0),
+         Rectangle(-0.1, 0.1, 0.0, 0.2)),
+        (_seeded(4), Rectangle(0.01, 0.05, 0.0, 1.0)),
+    ],
+    ids=["not_real_on_axis", "beside_the_axis"],
+)
+def test_axis_locator_falls_back_to_the_quadtree(fvm, box, monkeypatch):
+    # no axis root is a candidate, so the quadtree locates every zero,
+    # starting from the box winding already counted
+    found = _one_winding(fvm, box, monkeypatch)
+    assert found.quadtree_located == len(found.zeros)
+    assert found.zeros == find_zeros_region(fvm, box)
+    assert found.box_winding == found.zeros.total_multiplicity()
+
+
+@pytest.mark.parametrize(
+    "fvm, box, located, cap",
+    [
+        # two zeros on the axis, four in mirror pairs at Im w = 1/2
+        (finite_volume(_twisted(1.0), L=10, d=1, tau=1.0), Rectangle(-0.9, 0.9, 0.0, 0.9), 4, None),
+        # a double zero at w = i pi/10, which Re W touches without a sign change
+        (finite_volume(_twisted(10 / (2 * math.pi)), L=10, d=1, tau=1.0),
+         Rectangle(-0.1, 0.1, 0.2, 0.4), 1, None),
+        # brackets left open after 2 steps: their ends' residuals of 1.7e-10
+        # to 3.7e-7 fail the 1e-10 rule, though alpha <= 5.1e-7 would pass
+        (_seeded(4), BOX, 32, 2),
+    ],
+    ids=["off_axis_pairs", "double_zero", "open_brackets"],
+)
+def test_axis_locator_keeps_the_axis_roots(fvm, box, located, cap, monkeypatch):
+    # the quadtree locates only the zeros that the kept axis roots leave out
+    if cap is not None:
+        close = diagram_mod._close_brackets
+        monkeypatch.setattr(zeros_mod, "_close_brackets", lambda *a: close(*a, max_steps=cap))
+    found = _one_winding(fvm, box, monkeypatch)
+    assert found.quadtree_located == located
+    assert found.box_winding == found.zeros.total_multiplicity()
+    want = find_zeros_region(fvm, box)
+    assert [w.multiplicity for w in found.zeros.zeros] == [w.multiplicity for w in want.zeros]
+    assert np.abs(found.zeros.points() - want.points()).max() <= 1e-14
+    kept = len(found.zeros) - located
+    assert sum(w.z.real == 0.0 for w in found.zeros.zeros) >= kept
 
 
 def test_twisted_models_meet_the_hypotheses():
-    # so their fallbacks are what the lee-yang workflow would take
+    # so their searches are what the lee-yang workflow would take
     for b in (1.0, 10 / (2 * math.pi)):
         assert lee_yang_hypotheses(finite_volume(_twisted(b), L=10, d=1, tau=1.0), 0, 1) <= 1e-10
 
@@ -124,7 +155,7 @@ def test_axis_solve_stops_at_its_cap_or_an_exact_zero():
 def test_axis_zeros_against_a_50_digit_reference():
     fvm = _seeded(7)
     found = find_zeros_on_axis(fvm, BOX)
-    assert found.locator == "axis"
+    assert found.quadtree_located == 0
 
     def horner(coeffs, w):
         acc = mpmath.mpc(0)

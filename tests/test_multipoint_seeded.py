@@ -1,5 +1,5 @@
 """The multiple-point disc located from the asymptote seeds: its zeros against
-the quadtree's, its fallbacks, random sums, its cost, and a 50-digit mpmath
+the quadtree's, a missed seed, random sums, its cost, and a 50-digit mpmath
 reference on G that shares no code with it."""
 
 import math
@@ -10,7 +10,7 @@ import pytest
 
 import pfzeros.zeros as zeros_mod
 from pfzeros import Rectangle, find_multiple_point, predict_multipoint
-from pfzeros.zeros import _ExpSum, _locate_seeded, _multipoint_seeds
+from pfzeros.zeros import _ExpSum, _locate, _multipoint_seeds, _polished
 
 from conftest import three_phase_model
 
@@ -30,26 +30,32 @@ def _disc(N, monkeypatch=None, seeds=None):
 @pytest.mark.parametrize("N", [100, 1000, 10000, 100000])
 def test_seeded_disc_equals_the_quadtree(N, monkeypatch):
     seeded = _disc(N)
-    assert seeded.locator == "seeded" and seeded.fallback is None
-    # without seeds the count fails and the quadtree locates the disc
+    assert seeded.quadtree_located == 0
+    # without seeds the quadtree locates every zero of the box
     quadtree = _disc(N, monkeypatch, lambda s: s[:0])
-    assert quadtree.locator == "quadtree"
+    assert quadtree.quadtree_located >= len(quadtree)
     assert [w.multiplicity for w in seeded.zeros] == [w.multiplicity for w in quadtree.zeros]
     assert len(seeded) == len(quadtree) > 90
     assert np.abs(seeded.points() - quadtree.points()).max() <= 1e-14
     assert all(w.residual <= 1e-10 for w in seeded.zeros)
 
 
-def test_a_dropped_seed_falls_back_to_exactly_the_quadtree(monkeypatch):
+def test_a_dropped_seed_leaves_one_zero_to_the_quadtree(monkeypatch, kernel_counts):
+    # the benchmark's disc: the quadtree descends only into the cells whose
+    # winding the 208 kept zeros leave unaccounted for
+    seeded = _disc(10000)
     windings = []
     wind = zeros_mod._winding
     monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
+    kernel_counts.clear()
     dropped = _disc(10000, monkeypatch, lambda s: s[1:])
-    assert dropped.locator == "quadtree"
-    assert dropped.fallback == "208 polished seeds in the box against a box winding of 209"
-    # the fallback quadtree starts from the box winding already counted
-    assert len(windings) == 1
-    assert dropped.zeros == _disc(10000, monkeypatch, lambda s: s[:0]).zeros
+    assert dropped.quadtree_located == 1 and len(windings) == 1
+    # the whole-box quadtree evaluates 171,346 points
+    assert kernel_counts["points"] <= 80_000
+    quadtree = _disc(10000, monkeypatch, lambda s: s[:0])
+    for other in (seeded, quadtree):
+        assert [w.multiplicity for w in dropped.zeros] == [w.multiplicity for w in other.zeros]
+        assert np.abs(dropped.points() - other.points()).max() <= 1e-14
 
 
 def _random_sum(rng):
@@ -62,22 +68,42 @@ def _random_sum(rng):
     return rng.integers(1, 5, k).astype(float), rng.uniform(0.0, 2.0 * math.pi, k), vs
 
 
+def _uniform_sum(rng):
+    """3-5 terms as in _random_sum with derivatives at uniform random angles
+    on the unit circle, where two can nearly coincide: their seeds may miss
+    zeros."""
+    k = int(rng.integers(3, 6))
+    vs = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
+    return rng.integers(1, 5, k).astype(float), rng.uniform(0.0, 2.0 * math.pi, k), vs
+
+
 def test_random_sums_are_certified_from_their_seeds():
     rng = np.random.default_rng(2024)
     R = 150.0
     box = Rectangle(-R, R, -R, R)
-    counts = []
-    for _ in range(30):
-        qs, phis, vs = _random_sum(rng)
+    counts, located = [], 0
+    for draw in range(60):
+        qs, phis, vs = _random_sum(rng) if draw < 30 else _uniform_sum(rng)
         es = _ExpSum.from_multipoint(qs, phis, vs)
         wound = zeros_mod._box_winding(es, box)
-        total = wound[0]
-        seeds = _multipoint_seeds(qs, phis, vs, R)
-        found, fallback = _locate_seeded(es, box, wound, seeds, 1.0, 40)
-        assert fallback is None
-        assert len(found) == total
-        counts.append(total)
-    assert min(counts) > 20
+        z, res = _polished(es, box, _multipoint_seeds(qs, phis, vs, R))
+        found, k = _locate(es, box, wound, z, res, 1.0, 40)
+        assert sum(m for _, m, _ in found) == wound[0]
+        if draw < 30:
+            # the seeds of a jittered regular K-gon account for every zero
+            assert k == 0 and len(found) == wound[0]
+            counts.append(wound[0])
+            continue
+        # the seedless quadtree's zeros, matched one to one; 1e-14 is taken
+        # relative to |zf|, as both polishes stop within a few ulps of it
+        ref, _ = _locate(es, box, wound, (), (), 1.0, 40)
+        got, want = np.array([w[0] for w in found]), np.array([w[0] for w in ref])
+        nearest = np.abs(got[:, None] - want[None, :]).argmin(axis=1)
+        assert sorted(nearest.tolist()) == list(range(len(ref)))
+        assert np.all(np.abs(got - want[nearest]) <= 1e-14 * np.maximum(1.0, np.abs(want[nearest])))
+        assert [w[1] for w in found] == [ref[j][1] for j in nearest.tolist()]
+        located += k
+    assert min(counts) > 20 and located > 0
 
 
 def _reference_G(model, mp, N, scale):
@@ -103,7 +129,7 @@ def _reference_G(model, mp, N, scale):
 def test_disc_zeros_against_a_50_digit_reference():
     N = 10000
     zs = _disc(N)
-    assert zs.locator == "seeded" and len(zs) == 189
+    assert zs.quadtree_located == 0 and len(zs) == 189
     with mpmath.workdps(50):
         for w in zs.zeros[::10]:
             zf = (w.z - MP.z) * N
@@ -118,6 +144,6 @@ def test_disc_zeros_against_a_50_digit_reference():
 def test_seeded_disc_winds_one_contour_and_few_points(kernel_counts):
     # the three-phase multipoint invocation: N=1e4, --rho-scale 25
     zs = _disc(10000)
-    assert zs.locator == "seeded" and len(zs) == 189
-    assert kernel_counts["contours"] == 1
+    assert zs.quadtree_located == 0 and len(zs) == 189
+    assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     assert kernel_counts["points"] <= 100 * len(zs)

@@ -429,8 +429,10 @@ def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
         return children(rect, fx, fy)
 
     monkeypatch.setattr(zeros_mod, "_children", recorded)
-    got = zeros_mod._find_zeros_expsum(es, box, 1.0 / fvm.N)
+    # with no candidates the locator is the seedless quadtree
+    got, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N, 40)
     assert got == _find_zeros_expsum(es, box, 1.0 / fvm.N)
+    assert located == len(got)
     assert sum(m for _, m, _ in got) > 0
     if make_fvm is _lee_yang_fvm:
         assert set(fractions) - {(0.5, 0.5)}

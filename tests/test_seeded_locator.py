@@ -1,6 +1,6 @@
 """The seeded locator: its zeros against the quadtree's and the closed form,
-its fallbacks, its certificate, its cost, and a 50-digit mpmath reference
-that shares no code with it."""
+the zeros its seeds miss, its certificate, its cost, and a 50-digit mpmath
+reference that shares no code with it."""
 
 import math
 import random
@@ -22,7 +22,7 @@ from pfzeros import (
     random_perturbation,
     trace_curve,
 )
-from pfzeros.zeros import _ExpSum, _uncertified
+from pfzeros.zeros import _ExpSum, _kept
 
 from conftest import two_phase_model
 
@@ -71,7 +71,7 @@ def test_seeded_zeros_equal_the_quadtrees(d, seed):
     fvm = _perturbed(10, d, seed)
     found = find_zeros_seeded(fvm, BOX, _predicted(10, d))
     located = find_zeros_region(fvm, BOX)
-    assert found.locator == "seeded" and found.fallback is None
+    assert found.quadtree_located == 0
     assert found.box_winding == len(found.zeros) == located.total_multiplicity()
     _same_zeros(found.zeros, located)
     assert all(w.residual <= 1e-10 for w in found.zeros.zeros)
@@ -80,7 +80,7 @@ def test_seeded_zeros_equal_the_quadtrees(d, seed):
 @pytest.mark.parametrize("N", [100, 1000, 10000])
 def test_unperturbed_zeros_sit_at_the_closed_form(N):
     found = find_zeros_seeded(_perturbed(N, 1, None), BOX, _predicted(N, 1))
-    assert found.locator == "seeded"
+    assert found.quadtree_located == 0
     pts = found.zeros.points()
     assert np.abs(pts - _closed_form(N, len(pts))).max() <= 1e-12
     assert len(pts) == math.floor((0.2 * 2 * N / math.pi - 1) / 2) + 1
@@ -93,31 +93,29 @@ def _box_edge_at(dy):
 
 
 @pytest.mark.parametrize(
-    "fvm, box, seeds, why",
+    "fvm, box, seeds, located",
     [
-        (_perturbed(100, 1, None), BOX, _closed_form(100, 6)[1:],
-         "5 polished seeds in the box against a box winding of 6"),
+        # the first zero has no seed
+        (_perturbed(100, 1, None), BOX, _closed_form(100, 6)[1:], 1),
         # in place of the first zero's seed, one that polishes to no zero
-        (_perturbed(100, 1, None), BOX, np.r_[_closed_form(100, 6)[1:], 1.0 + 1.0j],
-         "5 polished seeds in the box against a box winding of 6"),
+        (_perturbed(100, 1, None), BOX, np.r_[_closed_form(100, 6)[1:], 1.0 + 1.0j], 1),
         # Newton from a seed at a double zero runs out of steps about 1e-8
         # from it, so the seed is not polished
         (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
-         [2j * math.pi / 11], "0 polished seeds in the box against a box winding of 2"),
-        # two seeds beside the double zero would meet the count, but neither
-        # is polished
+         [2j * math.pi / 11], 1),
+        # two seeds beside the double zero, neither of which is polished
         (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
-         [2j * math.pi / 11 + 1e-3, 2j * math.pi / 11 - 1e-3j],
-         "0 polished seeds in the box against a box winding of 2"),
+         [2j * math.pi / 11 + 1e-3, 2j * math.pi / 11 - 1e-3j], 1),
     ],
     ids=["seed_dropped", "spurious_far_seed", "double_zero", "double_zero_two_seeds"],
 )
-def test_seeded_locator_falls_back_to_the_quadtree(fvm, box, seeds, why, monkeypatch):
+def test_seeded_locator_falls_back_to_the_quadtree(fvm, box, seeds, located, monkeypatch):
+    # the quadtree locates only the zeros that the kept seeds leave out
     found = find_zeros_seeded(fvm, box, seeds)
-    assert found.locator == "quadtree" and why in found.fallback
-    assert found.zeros == find_zeros_region(fvm, box)
+    assert found.quadtree_located == located
+    _same_zeros(found.zeros, find_zeros_region(fvm, box))
     assert found.box_winding == found.zeros.total_multiplicity()
-    # the fallback quadtree starts from the box winding already counted
+    # the quadtree starts from the box winding already counted
     windings = []
     wind = zeros_mod._winding
     monkeypatch.setattr(zeros_mod, "_winding", lambda *a: windings.append(1) or wind(*a))
@@ -149,7 +147,7 @@ def test_a_zero_1e_9_from_the_box_edge_is_counted_by_the_box(dy, count):
     # its 2 beta disc is about 1e-16 wide, so the certificate decides it
     fvm = _perturbed(100, 1, None)
     found = find_zeros_seeded(fvm, _box_edge_at(dy), _closed_form(100, 6))
-    assert found.locator == "seeded" and found.box_winding == count
+    assert found.quadtree_located == 0 and found.box_winding == count
     _same_zeros(found.zeros, find_zeros_region(fvm, _box_edge_at(dy)))
 
 
@@ -163,30 +161,46 @@ def test_a_zero_on_the_box_edge_is_a_typed_error():
 
 
 @pytest.mark.parametrize(
-    "offsets, box, why",
+    "offsets, box, kept",
     [
         # points 1e-6 off a zero pass the alpha-test with 2 beta ~ 2e-6 ...
-        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), None),
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), [0]),
         # ... which must lie inside the box
-        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), "leaves the box"),
-        # ... and not meet another point's disc
-        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), "meet"),
+        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), []),
+        # ... and not meet the disc of a point kept before it
+        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), [0]),
         # a point far from any zero fails the alpha-test
-        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), "alpha "),
+        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), []),
     ],
     ids=["certified", "disc_leaves_box", "discs_meet", "far_point"],
 )
-def test_certificate_rejects_what_it_cannot_prove(offsets, box, why):
+def test_certificate_rejects_what_it_cannot_prove(offsets, box, kept):
     es = _ExpSum.from_fvm(_perturbed(100, 1, None))
     z = _closed_form(100, 1)[0] + np.array(offsets)
-    reason = _uncertified(es, box, z, len(z), 1.0 / 100)
-    assert reason is None if why is None else why in reason
+    keep, rad = _kept(es, box, z, 1.0 / 100)
+    assert keep.tolist() == kept
+    assert np.all((1e-6 < rad) & (rad < 3e-6))
+
+
+def test_a_split_moves_its_cross_off_a_kept_disc():
+    # the first zero lies 1e-4 left of the first split's cross x = xm, which
+    # winds fine there but would cut a kept disc of radius 2e-4 about it
+    es = _ExpSum.from_fvm(_perturbed(100, 1, None))
+    zero = _closed_form(100, 1)[0]
+    xm = zero.real + 1e-4
+    box = Rectangle(xm - 0.01, xm + 0.01, 0.0, 0.05)
+    cell = ((), box, *zeros_mod._box_winding(es, box))
+    kept = (np.array([zero]), np.array([2e-4]), np.array([0]))
+    for discs, fx in ((None, 0.5), (kept, 0.53125)):
+        kids = zeros_mod._split(es, [cell], discs)
+        assert kids[0][1].re_hi == box.re_lo + fx * box.width
+        assert [w for _, _, w, _ in kids] == [1, 0, 1, 0]
 
 
 def test_seeded_zeros_against_a_50_digit_reference():
     fvm = _perturbed(10, 3, 7, xi_strength=0.3)
     found = find_zeros_seeded(fvm, BOX, _predicted(10, 3))
-    assert found.locator == "seeded" and len(found.zeros) == 64
+    assert found.quadtree_located == 0 and len(found.zeros) == 64
 
     def horner(coeffs, z):
         acc = mpmath.mpc(0)
@@ -214,6 +228,6 @@ def test_seeded_search_winds_one_contour_and_few_points(kernel_counts):
     # the locate-two-phase compare: N=1e4, seeded perturbation, --theta 0.3
     fvm = _perturbed(10000, 1, random.Random(1).randrange(2**31), xi_strength=0.3)
     found = find_zeros_seeded(fvm, BOX, _predicted(10000, 1))
-    assert found.locator == "seeded" and len(found.zeros) == 637
-    assert kernel_counts["contours"] == 1
+    assert found.quadtree_located == 0 and len(found.zeros) == 637
+    assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     assert kernel_counts["points"] <= 100 * len(found.zeros)
