@@ -6,7 +6,6 @@ from .analysis import (
     LeeYangReport,
     VandermondeReport,
     covering_check,
-    lee_yang_audit,
     lee_yang_hypotheses,
     lee_yang_report,
     vandermonde_report,

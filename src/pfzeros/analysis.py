@@ -110,9 +110,13 @@ class LeeYangReport:
         return self.max_abs_re <= self.tolerance
 
 
-def lee_yang_hypotheses(
-    fvm: FiniteVolumeModel, plus: int, minus: int, grid=(21, 21), tol_sym: float = 1e-10
-) -> float:
+# lee_yang_hypotheses samples the domain on this grid and allows this
+# residual of the reflection w -> -conj(w).
+_SYMMETRY_GRID = (21, 21)
+_SYMMETRY_TOL = 1e-10
+
+
+def lee_yang_hypotheses(fvm: FiniteVolumeModel, plus: int, minus: int) -> float:
     """Check on a grid the hypotheses of the local Lee-Yang theorem for the
     pair plus/minus: equal degeneracies, weights exchanged by w -> -conj(w),
     and perturbation seeds respecting the same reflection. Under them W is
@@ -134,55 +138,39 @@ def lee_yang_hypotheses(
         raise HypothesisViolationError(
             "domain is not symmetric under w -> -conj(w); cannot test the hypotheses"
         )
-    mesh = dom.grid(*grid)
+    mesh = dom.grid(*_SYMMETRY_GRID)
     mirror = -np.conj(mesh)
     wp = np.exp(base.phases[p].log_weight(mesh))
     wn = np.exp(base.phases[n].log_weight(mirror))
     sym_res = float(np.abs(wp - np.conj(wn)).max())
-    if sym_res > tol_sym:
+    if sym_res > _SYMMETRY_TOL:
         raise HypothesisViolationError(
-            f"weight symmetry fails on the grid: max residual {sym_res:.3e} > {tol_sym:g}"
+            f"weight symmetry fails on the grid: max residual {sym_res:.3e} > {_SYMMETRY_TOL:g}"
         )
     up = _polyval(fvm.perturbations[p], mesh)
     un = _polyval(fvm.perturbations[n], mirror)
     seed_res = float(np.abs(up - np.conj(un)).max())
-    if seed_res > tol_sym:
+    if seed_res > _SYMMETRY_TOL:
         raise HypothesisViolationError(
-            f"perturbation seeds break the reflection symmetry: {seed_res:.3e} > {tol_sym:g}"
+            f"perturbation seeds break the reflection symmetry: "
+            f"{seed_res:.3e} > {_SYMMETRY_TOL:g}"
         )
     return max(sym_res, seed_res)
 
 
 def lee_yang_report(
-    fvm: FiniteVolumeModel, zeros: ZeroSet, symmetry_residual: float, zero_tol: float | None = None
+    fvm: FiniteVolumeModel, zeros: ZeroSet, symmetry_residual: float
 ) -> LeeYangReport:
     """The theorem's conclusion on located zeros: the maximum |Re w| against
-    a tolerance proportional to the finite-volume error scale (10 e^{-tau L}
-    by default), and the zero count on Im w in (0, 1]."""
-    if zero_tol is None:
-        zero_tol = 10.0 * math.exp(-fvm.tau * fvm.L)
+    a tolerance proportional to the finite-volume error scale, 10 e^{-tau L},
+    and the zero count on Im w in (0, 1]."""
     return LeeYangReport(
         max_abs_re=max((abs(w.z.real) for w in zeros.zeros), default=0.0),
-        tolerance=zero_tol,
+        tolerance=10.0 * math.exp(-fvm.tau * fvm.L),
         count_unit_segment=sum(w.multiplicity for w in zeros.zeros if 0.0 < w.z.imag <= 1.0),
         zeros_checked=len(zeros.zeros),
         symmetry_residual=symmetry_residual,
     )
-
-
-def lee_yang_audit(
-    fvm: FiniteVolumeModel,
-    zeros: ZeroSet,
-    plus: int,
-    minus: int,
-    grid=(21, 21),
-    tol_sym: float = 1e-10,
-    zero_tol: float | None = None,
-) -> LeeYangReport:
-    """Audit that zeros of a plus/minus symmetric model sit on the symmetry
-    axis: lee_yang_hypotheses first, and only then lee_yang_report."""
-    residual = lee_yang_hypotheses(fvm, plus, minus, grid, tol_sym)
-    return lee_yang_report(fvm, zeros, residual, zero_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .diagram import find_coexistence_point, trace_curve
 from .errors import CoverageError, ValidationError
-from .model import ModelSpec, Rectangle, _volume, eval_v, finite_volume
-from .zeros import ZeroSet, find_zeros_seeded, predict_two_phase
+from .model import ModelSpec, _volume, eval_v, finite_volume
+from .zeros import ZeroSet, winding_number
 
 
 @dataclass
@@ -21,7 +20,6 @@ class DensitySample:
     count: int
     empirical: float
     theoretical: float
-    predicted_count: int | None = None
     warned: bool = False
 
     @property
@@ -60,24 +58,32 @@ def empirical_density(
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    reg = zeros.region
-    if not (
-        reg.re_lo <= z.real - epsilon
-        and z.real + epsilon <= reg.re_hi
-        and reg.im_lo <= z.imag - epsilon
-        and z.imag + epsilon <= reg.im_hi
-    ):
+    if not _holds(zeros.region, z, epsilon):
         raise CoverageError(
-            f"disc of radius {epsilon} at {z} is not contained in the covered region {reg}"
+            f"disc of radius {epsilon} at {z} is not contained in the covered region {zeros.region}"
         )
-    N = _volume(L, d)
-    count = zeros.count_in_disc(z, epsilon)
-    warned = count <= 1
-    if warned:
+    row = _sample(zeros.count_in_disc(z, epsilon), z, epsilon, L, d, model, pair)
+    if row.warned:
         warnings.warn(
-            f"disc radius {epsilon} captured {count} zero(s); below the spacing scale",
+            f"disc radius {epsilon} captured {row.count} zero(s); below the spacing scale",
             stacklevel=2,
         )
+    return row
+
+
+def _holds(rect, z: complex, epsilon: float) -> bool:
+    """Whether the closed rectangle holds the disc of radius epsilon at z."""
+    return (
+        rect.re_lo <= z.real - epsilon
+        and z.real + epsilon <= rect.re_hi
+        and rect.im_lo <= z.imag - epsilon
+        and z.imag + epsilon <= rect.im_hi
+    )
+
+
+def _sample(count: int, z: complex, epsilon: float, L: int, d: int, model, pair) -> DensitySample:
+    """The density row of count zeros in the disc of radius epsilon at z,
+    warned when the count is at most one; the limit needs model and pair."""
     theo = math.nan
     if model is not None and pair is not None:
         theo = theoretical_density(model, pair[0], pair[1], z)
@@ -87,9 +93,9 @@ def empirical_density(
         L=int(L),
         d=int(d),
         count=count,
-        empirical=count / (2.0 * epsilon * N),
+        empirical=count / (2.0 * epsilon * _volume(L, d)),
         theoretical=theo,
-        warned=warned,
+        warned=count <= 1,
     )
 
 
@@ -101,40 +107,28 @@ def density_convergence(
     eps_list,
     L_list,
     d: int,
-    tau: float = 1.0,
 ) -> list[DensitySample]:
     """Tabulate counted vs limiting density over a grid of (eps, L).
 
-    For each pair, the two-phase zeros are predicted along the traced curve
-    and seed zeros.find_zeros_seeded in a box covering the disc, which
-    certifies them against the box winding or falls back to the quadtree;
-    the predicted zeros are counted alongside, and the row records
-    |empirical - theoretical| against the expected envelope. The limit is
-    taken volume-first, so rows are grouped by eps.
+    Each count is the argument-principle winding of the partition function
+    of the unperturbed model around the circle of radius eps at z
+    (zeros.winding_number): every zero in the disc counted with its
+    multiplicity, none of them located. A zero on the circle raises
+    ContourDegeneracyError. Each row records |empirical - theoretical|
+    against the expected envelope. The limit is taken volume-first, so
+    rows are grouped by eps.
     """
     if not eps_list or not L_list:
         raise ValidationError("eps_list and L_list must be non-empty")
-    z0 = find_coexistence_point(model, m, n, z, radius=0.1 * model.domain.min_side)
-    eps_max = max(eps_list)
-    step = 0.01 * model.domain.min_side
-    max_steps = int(math.ceil(1.3 * eps_max / step)) + 4
-    curve = trace_curve(model, m, n, z0, step, max_steps)
-
     rows: list[DensitySample] = []
     for eps in eps_list:
-        half = 1.05 * eps
-        box = Rectangle(z.real - half, z.real + half, z.imag - half, z.imag + half)
-        for c in box.corners():
-            if not model.domain.contains(c):
-                raise ValidationError(f"disc of radius {eps} at {z} leaves the model domain")
+        if eps <= 0:
+            raise ValidationError("epsilon must be positive")
+        if not _holds(model.domain, z, eps):
+            raise ValidationError(f"disc of radius {eps} at {z} leaves the model domain")
         for L in L_list:
-            fvm = finite_volume(model, L, d, tau=tau)
-            predicted = predict_two_phase(model, m, n, curve, L=L, d=d)
-            located = find_zeros_seeded(fvm, box, predicted.points()).zeros
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                row = empirical_density(located, z, eps, L, d, model=model, pair=(m, n))
-            row.predicted_count = predicted.count_in_disc(z, eps)
+            fvm = finite_volume(model, L, d, tau=1.0)
+            row = _sample(winding_number(fvm, (z, eps)), z, eps, L, d, model, (m, n))
             if row.warned:
                 warnings.warn(
                     f"eps={eps}, L={L}: only {row.count} zero(s) in the disc",

@@ -28,6 +28,12 @@ TOL_CURVE = 1e-9
 # A third phase within this of the top exponent stops a trace and seeds a
 # multiple-point solve; far above projection residuals, far below step scale.
 EPS_MULTIPOINT = 1e-6
+# find_multiple_point: Newton on the two ties stops at this residual, within
+# this many steps, and a phase within TIE_MULTIPOINT of the top exponent
+# belongs to the stable set of the point.
+TOL_MULTIPOINT = 1e-12
+STEPS_MULTIPOINT = 50
+TIE_MULTIPOINT = 1e-9
 
 TERM_DOMAIN = "domain_boundary"
 TERM_MULTIPOINT = "multiple_point"
@@ -225,7 +231,7 @@ def _third_phase(model: ModelSpec, pair, z: complex, eps: float):
     return None
 
 
-def _trace_one_direction(model, m, n, z0, step, max_steps, sign, eps_mp):
+def _trace_one_direction(model, m, n, z0, step, max_steps, sign):
     """Integrate the level-set ODE one way; returns (points, termination)."""
     h, dh = _pair_gap(model, m, n)
 
@@ -250,7 +256,7 @@ def _trace_one_direction(model, m, n, z0, step, max_steps, sign, eps_mp):
             return pts, Termination(TERM_PROJECTION, mp_seed=exc.last_iterate)
         if not model.domain.contains(z_new):
             return pts, Termination(TERM_DOMAIN)
-        third = _third_phase(model, (m, n), z_new, eps_mp)
+        third = _third_phase(model, (m, n), z_new, EPS_MULTIPOINT)
         pts.append(z_new)
         if third is not None:
             triple = tuple(sorted((m, n, third)))
@@ -277,7 +283,6 @@ def trace_curve(
     z0: complex,
     step: float,
     max_steps: int,
-    eps_mp: float = EPS_MULTIPOINT,
 ) -> CoexistenceCurve:
     """Trace the coexistence curve of (m, n) through z0, both directions.
 
@@ -296,14 +301,14 @@ def trace_curve(
         raise ValidationError(f"z0 is not a coexistence point of ({m},{n}): |phi|={phi0:.3e}")
     z0 = _project_onto_level(h, dh, z0)
 
-    fwd, term_fwd = _trace_one_direction(model, m, n, z0, step, max_steps, +1.0, eps_mp)
+    fwd, term_fwd = _trace_one_direction(model, m, n, z0, step, max_steps, +1.0)
     if term_fwd.kind == TERM_LOOP:
         zs = [z0] + fwd + [z0]
         ts = [k * step for k in range(len(fwd) + 1)] + [(len(fwd) + 1) * step]
         samples = _samples(model, m, n, ts, zs)
         return CoexistenceCurve((m, n), samples, Termination(TERM_LOOP), Termination(TERM_LOOP))
 
-    bwd, term_bwd = _trace_one_direction(model, m, n, z0, step, max_steps, -1.0, eps_mp)
+    bwd, term_bwd = _trace_one_direction(model, m, n, z0, step, max_steps, -1.0)
     zs = list(reversed(bwd)) + [z0] + fwd
     t0 = -len(bwd) * step
     ts = [t0 + k * step for k in range(len(zs))]
@@ -314,9 +319,6 @@ def find_multiple_point(
     model: ModelSpec,
     triple,
     seed: complex,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    tol_mp: float = 1e-9,
 ) -> MultiplePoint:
     """2D Newton for a point where three given phases coexist.
 
@@ -333,10 +335,10 @@ def find_multiple_point(
     h1, dh1 = _pair_gap(model, a, b)
     h2, dh2 = _pair_gap(model, a, c)
 
-    for _ in range(max_iter):
+    for _ in range(STEPS_MULTIPOINT):
         f1 = h1(z).real
         f2 = h2(z).real
-        if max(abs(f1), abs(f2)) <= tol:
+        if max(abs(f1), abs(f2)) <= TOL_MULTIPOINT:
             break
         g1 = dh1(z)
         g2 = dh2(z)
@@ -359,7 +361,7 @@ def find_multiple_point(
         raise NoConvergenceError("multiple-point Newton left the domain", z)
     re_p = np.real(model.log_weights(z))
     log_max = float(re_p.max())
-    q_set = tuple(int(k) for k in range(model.r) if re_p[k] >= log_max - tol_mp)
+    q_set = tuple(int(k) for k in range(model.r) if re_p[k] >= log_max - TIE_MULTIPOINT)
     if not set(triple) <= set(q_set):
         raise SpuriousRootError(
             f"converged to {z} but stable set {q_set} lacks part of {tuple(triple)}"
@@ -452,7 +454,7 @@ def _end_direction(curve: CoexistenceCurve, which: str, origin: complex) -> comp
     return d / abs(d)
 
 
-def _trace_seeds(model: ModelSpec, m: int, n: int, points, eps_mp: float) -> np.ndarray:
+def _trace_seeds(model: ModelSpec, m: int, n: int, points) -> np.ndarray:
     """The coexistence points of (m, n) a trace may start from: those on the
     phase diagram, where m and n are both TOL_CURVE-almost stable
     (model.stability's rule), and outside a triple tie (_third_phase's
@@ -461,7 +463,7 @@ def _trace_seeds(model: ModelSpec, m: int, n: int, points, eps_mp: float) -> np.
     re_p = np.real(model.log_weights(z))
     log_max = re_p.max(axis=0)
     on_diagram = (re_p[[m, n]] > log_max - TOL_CURVE).all(axis=0)
-    tie = (np.delete(re_p, [m, n], axis=0) >= log_max - eps_mp).any(axis=0)
+    tie = (np.delete(re_p, [m, n], axis=0) >= log_max - EPS_MULTIPOINT).any(axis=0)
     return z[on_diagram & ~tie]
 
 
@@ -470,7 +472,6 @@ def build_phase_diagram(
     grid=(41, 41),
     step: float | None = None,
     max_steps: int | None = None,
-    eps_mp: float = EPS_MULTIPOINT,
 ) -> PhaseDiagram:
     """Seed curves from grid-edge sign changes, trace, deduplicate, and
     attach arcs to multiple points, checking the expected local topology."""
@@ -488,10 +489,10 @@ def build_phase_diagram(
         for n in range(m + 1, model.r):
             traced_pts: list[np.ndarray] = []
             seeds = _coexistence_points(model, m, n, mesh, cell)
-            for z in _trace_seeds(model, m, n, seeds, eps_mp).tolist():
+            for z in _trace_seeds(model, m, n, seeds).tolist():
                 if any(_point_to_polyline_dist(z, pts) < 2.0 * step for pts in traced_pts):
                     continue
-                curve = trace_curve(model, m, n, z, step, max_steps, eps_mp=eps_mp)
+                curve = trace_curve(model, m, n, z, step, max_steps)
                 if len(curve.samples) < 3:
                     continue
                 pts = curve.points()

@@ -455,12 +455,6 @@ _SPLIT_FRACTIONS = (
 )
 
 
-# Why _polish did not polish a point whose residual is <= tol but whose
-# steps never fell to the stop, as near a multiple zero, where rounding
-# leaves Newton stepping about sqrt(eps) from the zero.
-_UNCONVERGED = "polish ran out of Newton steps"
-
-
 def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
     """Newton from every start at once: arrays z and residual and a list of
     failure reasons, None for a polished point.
@@ -470,9 +464,10 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
     ulp), at most max_iter times, and has the kernel evaluated only while it
     steps. A point fails where the derivative vanishes, keeping the iterate
     it vanished at, or where its residual |W(z)| is not <= tol (so also when
-    it is NaN). A point that met the residual but still stepped after
-    max_iter steps fails with _UNCONVERGED, which the quadtree's cells accept
-    (their windings count it) and the seeded certifier does not.
+    it is NaN). A point still stepping after max_iter steps, as near a
+    multiple zero, where rounding leaves Newton stepping about sqrt(eps)
+    from it, is returned like the others: the alpha-test (_kept) or a cell's
+    winding decides what it is.
     """
     z = np.array(starts, dtype=complex).reshape(-1)
     res = np.full(z.size, np.nan)
@@ -495,9 +490,6 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
         res[ok] = _modulus(es.value_normalized(z[ok]))
     for i in np.flatnonzero(ok & ~(res <= tol)).tolist():
         why[i] = f"polish stalled at residual {res[i]:.3e}"
-    for i in act.tolist():  # still stepping after max_iter steps
-        if why[i] is None:
-            why[i] = _UNCONVERGED
     return z, res, why
 
 
@@ -632,12 +624,12 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, kept):
                 raise UnresolvedClusterError(f"{rect} winds {w} around {held[k]} kept zeros", rect)
             if w == 1:  # and so holds no kept zero
                 zk, rk, failed = polished[k]
-                if failed in (None, _UNCONVERGED) and rect.contains(zk):
+                if failed is None and rect.contains(zk):
                     cands.append((path, zk, 1, rk))
                     continue
             if terminal[k]:
                 zk, rk, failed = polished[k]
-                if failed not in (None, _UNCONVERGED):
+                if failed is not None:
                     raise NoConvergenceError(failed, zk)
                 cands.append((path, zk, None, rk))
                 continue
@@ -667,23 +659,24 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float, max_depth:
     multiplicity, residual) triples, and how many of them the quadtree
     located.
 
-    z and res are candidate points, not trusted, and their residuals |W|.
-    Those that _kept keeps, with the Cauchy radius scale (the zero spacing),
-    are distinct simple zeros; when they are as many as the box winding,
-    they are all of them. Otherwise the quadtree runs, down to max_depth
-    and to terminal cells of 1e-3 scale, on the cells whose winding the
-    kept zeros leave unaccounted for. Candidates closer than half the
-    multiplicity circle of 1e-2 scale are merged, and every merged or
-    terminal-cell zero has its multiplicity counted by that circle, so a
+    z and res are candidate points, not trusted, and their residuals |W|,
+    NaN where none was taken. _kept is the one rule that decides which of
+    them are zeros: those it keeps, with the Cauchy radius scale (the zero
+    spacing), are distinct simple zeros; when they are as many as the box
+    winding, they are all of them. Otherwise the quadtree runs, down to
+    max_depth and to terminal cells of 1e-3 scale, on the cells whose
+    winding the kept zeros leave unaccounted for. Candidates closer than
+    half the multiplicity circle of 1e-2 scale are merged, and every merged
+    or terminal-cell zero has its multiplicity counted by that circle, so a
     multiple zero that rounding splits across a cell edge is counted in
     full; the multiplicities must sum to the box winding. With no
     candidates this is the seedless quadtree.
     """
     if max_depth < 0:
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
-    z = np.asarray(z, dtype=complex)
-    keep, rad = _kept(es, box, z, scale)
-    cands = [(zk, 1, rk) for zk, rk in zip(z[keep].tolist(), np.asarray(res)[keep].tolist())]
+    z, res = np.asarray(z, dtype=complex), np.asarray(res, dtype=float)
+    keep, rad = _kept(es, box, z, res, scale)
+    cands = [(zk, 1, rk) for zk, rk in zip(z[keep].tolist(), res[keep].tolist())]
     total = wound[0]
     if len(cands) == total:
         return cands, 0
@@ -819,11 +812,11 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     axis brackets a zero of odd multiplicity. The segment is sampled in one
     kernel call at the phase-rate node count of the box winding, and every
     bracket is closed by diagram._close_brackets; the end of a bracket still
-    open after its steps is a root like the others. The roots whose complex
-    residual |W| is <= 1e-10, the quadtree's rule, are _locate's candidates
-    as they are, without Newton, so a kept root has Re w exactly 0; the rule
-    drops a bracket end too far from its zero, which the alpha-test alone
-    could keep, as it only asks Newton to converge. The quadtree locates
+    open after its steps is a root like the others. Every root is one of
+    _locate's candidates as it is, without Newton, so a kept root has Re w
+    exactly 0; _kept's residual rule (|W| <= 1e-10, the quadtree's) drops a
+    bracket end too far from its zero, which the alpha-test alone could
+    keep, as it only asks Newton to converge. The quadtree locates
     only the zeros the kept roots leave unaccounted for: zeros off the axis,
     multiple zeros, and every zero of a box that does not straddle the axis.
     When the kept roots are as many as the box winding, every zero in the
@@ -839,9 +832,8 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])
     res = _modulus(es.value_normalized(1j * roots))
-    ok = res <= _RESIDUAL_TOL
-    z = np.array([complex(0.0, r) for r in roots[ok].tolist()], dtype=complex)
-    found, k = _locate(es, box, wound, z, res[ok], 1.0 / fvm.N, 40)
+    z = np.array([complex(0.0, r) for r in roots.tolist()], dtype=complex)
+    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N, 40)
     return ZeroSearch(_located(fvm, box, found), wound[0], k, int(roots.size))
 
 
@@ -875,33 +867,27 @@ def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
     return beta * gamma, beta
 
 
-def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, r: float):
+def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, res: np.ndarray, r: float):
     """(indices, radii): the candidates z kept, in order, and their 2 beta.
 
-    A candidate is kept when it passes Smale's alpha-test with alpha <= 0.01
-    and the Cauchy radius r, so a zero lies within 2 beta of it, unique and
-    simple there, when that 2 beta disc lies inside the box, and when it is
-    farther than twice the largest such radius (and 1e-12) from every
+    A candidate is kept when its residual res is <= 1e-10 (so not NaN), when
+    it lies inside the box, when it passes Smale's alpha-test with alpha <=
+    0.01 and the Cauchy radius r, so a zero lies within 2 beta of it, unique
+    and simple there, when that 2 beta disc lies inside the box, and when it
+    is farther than twice the largest such radius (and 1e-12) from every
     candidate kept before it, so that its disc meets none of theirs. The
-    kept discs hold distinct simple zeros of the box.
+    kept discs hold distinct simple zeros of the box. Only the candidates
+    that pass the first two rules are evaluated for alpha.
     """
-    if not z.size:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    alpha, beta = _alpha_beta(es, z, r)
+    ok = np.flatnonzero((res <= _RESIDUAL_TOL) & box.contains(z))
+    if not ok.size:
+        return ok, np.zeros(0)
+    alpha, beta = _alpha_beta(es, z[ok], r)
     rad = 2.0 * beta
-    ok = np.flatnonzero((alpha <= _ALPHA_MAX) & box.contains(z, pad=-rad))
-    ok = ok[_first_come(z[ok], max(2.0 * float(rad[ok].max(initial=0.0)), _DEDUP_TOL))]
-    return ok, rad[ok]
-
-
-def _polished(es: _ExpSum, box: Rectangle, seeds):
-    """(z, residual) of the distinct points inside the box that the seeds
-    polish to in one array Newton, deduplicated at 1e-12; a seed that ran
-    out of Newton steps does not count as polished."""
-    z, res, why = _polish(es, np.asarray(seeds, dtype=complex), _RESIDUAL_TOL)
-    ok = np.flatnonzero(np.array([w is None for w in why], dtype=bool) & box.contains(z))
-    ok = ok[_first_come(z[ok], _DEDUP_TOL)]
-    return z[ok], res[ok]
+    good = (alpha <= _ALPHA_MAX) & box.contains(z[ok], pad=-rad)
+    ok, rad = ok[good], rad[good]
+    first = _first_come(z[ok], max(2.0 * float(rad.max(initial=0.0)), _DEDUP_TOL))
+    return ok[first], rad[first]
 
 
 def find_zeros_seeded(
@@ -910,13 +896,15 @@ def find_zeros_seeded(
     """All zeros of the normalized partition function inside a box, located
     from seeds, such as predicted zeros, that are not trusted.
 
-    The box is wound once and the seeds are polished (_polished). _locate
-    keeps the polished points that Smale's alpha-test certifies as distinct
-    simple zeros, and the quadtree of find_zeros_region locates, down to
+    The box is wound once and the seeds are polished in one array Newton
+    (_polish). Every point it returns goes to _locate with its residual:
+    _kept keeps those that Smale's alpha-test certifies as distinct simple
+    zeros of the box, and the quadtree of find_zeros_region locates, down to
     max_depth, only the zeros they leave unaccounted for in the box winding.
     """
     es, wound = _wound_box(fvm, box)
-    found, k = _locate(es, box, wound, *_polished(es, box, seeds), 1.0 / fvm.N, max_depth)
+    z, res, _ = _polish(es, seeds, _RESIDUAL_TOL)
+    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N, max_depth)
     return ZeroSearch(_located(fvm, box, found), wound[0], k)
 
 
@@ -1064,11 +1052,12 @@ def predict_multipoint(
     coordinate zf = (z - z_M) N and locates all of its zeros in the box
     [-R, R]^2, R = N rho_L, then maps those with |zf| <= R back. The zeros
     are seeded by the two-term balances of G (_multipoint_seeds), which
-    away from z_M put them on the asymptote half-lines, polished and kept
-    like find_zeros_seeded's, with the Cauchy radius 1, the zero spacing in
-    zf; the quadtree locates, down to max_depth, only the zeros of the box
-    that the kept ones leave unaccounted for in its winding (_locate). The
-    result's quadtree_located counts those.
+    away from z_M put them on the asymptote half-lines, polished and handed
+    to _locate with their residuals like find_zeros_seeded's, with the
+    Cauchy radius 1, the zero spacing in zf; the quadtree locates, down to
+    max_depth, only the zeros of the box that the kept ones leave
+    unaccounted for in its winding. The result's quadtree_located counts
+    those.
     """
     if len(mp.stable_set) < 3:
         raise ValidationError("multipoint prediction needs at least three coexisting phases")
@@ -1089,7 +1078,7 @@ def predict_multipoint(
         vs.append(mp.v_values[k])
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
-    z, res = _polished(es, box, _multipoint_seeds(qs, phis, vs, R))
+    z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), _RESIDUAL_TOL)
     found, k = _locate(es, box, _box_winding(es, box), z, res, 1.0, max_depth)
     zeros = [
         Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)

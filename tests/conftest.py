@@ -82,7 +82,8 @@ def kernel_counts(monkeypatch):
     value_normalized, newton_step and the alpha-test evaluate) and by the
     per-path bounds that size and check the winding samples (rate_bound and
     noise_bound disc centres), "contours" wound (closed contours and
-    quadtree cells), and "splits", the cells handed to _split."""
+    quadtree cells), "splits", the cells handed to _split, and "polished",
+    the points handed to _polish."""
     counts = Counter()
     for name in ("_normalized_terms", "rate_bound", "noise_bound"):
 
@@ -105,4 +106,11 @@ def kernel_counts(monkeypatch):
         return split(es, cells, *args)
 
     monkeypatch.setattr(zeros_mod, "_split", counted_split)
+    polish = zeros_mod._polish
+
+    def counted_polish(es, starts, *args):
+        counts["polished"] += np.size(starts)
+        return polish(es, starts, *args)
+
+    monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
     return counts

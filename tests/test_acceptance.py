@@ -21,7 +21,8 @@ from pfzeros import (
     find_multiple_point,
     find_zeros_region,
     finite_volume,
-    lee_yang_audit,
+    lee_yang_hypotheses,
+    lee_yang_report,
     match_zeros,
     predict_multipoint,
     predict_two_phase,
@@ -258,7 +259,7 @@ def test_criterion_10_local_lee_yang():
             up, un = symmetric_pair_perturbation(seed)
             fvm = finite_volume(mly, L=10, d=2, tau=2.0, perturbation=[up, un])
             zs = find_zeros_region(fvm, box)
-            rep = lee_yang_audit(fvm, zs, 0, 1)
+            rep = lee_yang_report(fvm, zs, lee_yang_hypotheses(fvm, 0, 1))
             assert rep.max_abs_re <= 10 * math.exp(-20)
             assert abs(rep.count_unit_segment - expected_count) <= 1
 

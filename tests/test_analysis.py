@@ -14,7 +14,8 @@ from pfzeros import (
     find_multiple_points,
     find_zeros_region,
     finite_volume,
-    lee_yang_audit,
+    lee_yang_hypotheses,
+    lee_yang_report,
     random_perturbation,
     symmetric_pair_perturbation,
     vandermonde_report,
@@ -75,7 +76,7 @@ def test_vandermonde_domain_error(m2):
 def test_lee_yang_unperturbed(mly):
     fvm = finite_volume(mly, L=100, d=1, tau=0.2)
     zeros = find_zeros_region(fvm, Rectangle(-0.05, 0.05, 0.0, 1.0))
-    rep = lee_yang_audit(fvm, zeros, 0, 1)
+    rep = lee_yang_report(fvm, zeros, lee_yang_hypotheses(fvm, 0, 1))
     assert rep.max_abs_re <= 1e-12
     assert rep.count_unit_segment == 32  # odd multiples of pi/200 up to 1
     assert rep.on_axis
@@ -85,7 +86,7 @@ def test_lee_yang_symmetric_perturbation(mly):
     up, un = symmetric_pair_perturbation(seed=21)
     fvm = finite_volume(mly, L=10, d=2, tau=2.0, perturbation=[up, un])
     zeros = find_zeros_region(fvm, Rectangle(-0.05, 0.05, 0.0, 0.5))
-    rep = lee_yang_audit(fvm, zeros, 0, 1)
+    rep = lee_yang_report(fvm, zeros, lee_yang_hypotheses(fvm, 0, 1))
     assert rep.max_abs_re <= 10 * math.exp(-20)
     assert rep.on_axis
 
@@ -100,7 +101,7 @@ def test_lee_yang_refuses_asymmetric_degeneracies():
     fvm = finite_volume(bad, L=10, d=1, tau=1.0)
     zeros = find_zeros_region(fvm, Rectangle(-0.05, 0.05, 0.0, 0.5))
     with pytest.raises(HypothesisViolationError):
-        lee_yang_audit(fvm, zeros, 0, 1)
+        lee_yang_report(fvm, zeros, lee_yang_hypotheses(fvm, 0, 1))
 
 
 def test_lee_yang_refuses_asymmetric_weights():
@@ -112,7 +113,7 @@ def test_lee_yang_refuses_asymmetric_weights():
     fvm = finite_volume(m, L=10, d=1, tau=1.0)
     zeros = find_zeros_region(fvm, Rectangle(-0.05, 0.05, 0.0, 0.5))
     with pytest.raises(HypothesisViolationError):
-        lee_yang_audit(fvm, zeros, 0, 1)
+        lee_yang_report(fvm, zeros, lee_yang_hypotheses(fvm, 0, 1))
 
 
 def test_lee_yang_refuses_asymmetric_seeds(mly):
@@ -120,7 +121,7 @@ def test_lee_yang_refuses_asymmetric_seeds(mly):
     fvm = finite_volume(mly, L=10, d=1, tau=2.0, perturbation=seeds)
     zeros = find_zeros_region(fvm, Rectangle(-0.05, 0.05, 0.0, 0.5))
     with pytest.raises(HypothesisViolationError):
-        lee_yang_audit(fvm, zeros, 0, 1)
+        lee_yang_report(fvm, zeros, lee_yang_hypotheses(fvm, 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from pfzeros import (
+    ContourDegeneracyError,
     CoverageError,
     ModelSpec,
     PhaseSpec,
@@ -13,6 +14,9 @@ from pfzeros import (
     finite_volume,
     theoretical_density,
 )
+from pfzeros.cli import main
+
+from test_cli import write_model
 
 
 def test_theoretical_density_values(m2, m3):
@@ -70,10 +74,44 @@ def test_density_convergence_table(m2):
     by_L = {r.L: r for r in rows}
     assert by_L[1000].count == 64
     assert by_L[1000].abs_error == pytest.approx(abs(0.32 - 1 / math.pi), abs=1e-12)
-    # volume-first consistency: predicted and located counts agree
     for r in rows:
-        assert r.predicted_count == r.count
         assert r.abs_error <= r.envelope
+
+
+def _closed_form_count(N, radius):
+    """Zeros (ln 2 + i pi (2k+1)) / (2N) of e^{Nz} + 2 e^{-Nz} strictly
+    inside |z| < radius, counted in plain Python."""
+    kmax = int(2 * N * radius / math.pi) + 1
+    return sum(
+        abs(complex(math.log(2), math.pi * (2 * k + 1)) / (2 * N)) < radius
+        for k in range(-kmax - 1, kmax + 1)
+    )
+
+
+@pytest.mark.parametrize("N", [1000, 10000])
+def test_density_counts_equal_the_closed_form(m2_q12, N):
+    (row,) = density_convergence(m2_q12, 0, 1, 0j, eps_list=[0.1], L_list=[N], d=1)
+    assert row.count == _closed_form_count(N, 0.1) > 60
+
+
+def test_a_density_circle_through_a_zero_is_a_typed_error(m2_q12, tmp_path, capsys):
+    # zeros k = 0 and k = -1 both lie on the circle |z| = |z_0|
+    radius = abs(complex(math.log(2), math.pi) / 200)
+    with pytest.raises(ContourDegeneracyError):
+        density_convergence(m2_q12, 0, 1, 0j, eps_list=[radius], L_list=[100], d=1)
+    argv = ["density", write_model(tmp_path, m2_q12), "--pair", "0,1", "--at", "0,0",
+            "--eps-list", repr(radius), "--L-list", "100", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_density_winds_one_circle_and_locates_nothing(m2_q12, kernel_counts):
+    # the locate-two-phase density invocation at N=1e4
+    (row,) = density_convergence(m2_q12, 0, 1, 0j, eps_list=[0.1], L_list=[10000], d=1)
+    assert row.count == 636
+    assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
+    assert kernel_counts["polished"] == 0
+    assert kernel_counts["points"] <= 45 * row.count
 
 
 def test_density_convergence_warns_on_tiny_disc(m2):

@@ -100,7 +100,7 @@ def test_trace_seeds_are_the_points_the_scalar_rules_keep(model):
             and diagram_mod._third_phase(model, (m, n), z, eps) is None
         ]
         assert 0 < len(want) < len(points)
-        assert diagram_mod._trace_seeds(model, m, n, points, eps).tolist() == want
+        assert diagram_mod._trace_seeds(model, m, n, points).tolist() == want
 
 
 def _counted_brackets(monkeypatch, **kwargs):

@@ -2,6 +2,7 @@
 the quadtree's, a missed seed, random sums, its cost, and a 50-digit mpmath
 reference on G that shares no code with it."""
 
+import itertools
 import math
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 
 import pfzeros.zeros as zeros_mod
 from pfzeros import Rectangle, find_multiple_point, predict_multipoint
-from pfzeros.zeros import _ExpSum, _locate, _multipoint_seeds, _polished
+from pfzeros.zeros import _ExpSum, _locate, _multipoint_seeds, _polish
 
 from conftest import three_phase_model
 
@@ -77,16 +78,21 @@ def _uniform_sum(rng):
     return rng.integers(1, 5, k).astype(float), rng.uniform(0.0, 2.0 * math.pi, k), vs
 
 
-def test_random_sums_are_certified_from_their_seeds():
+def _sums():
+    """60 random sums: 30 jittered regular K-gons, then 30 at uniform angles."""
     rng = np.random.default_rng(2024)
+    for draw in range(60):
+        yield _random_sum(rng) if draw < 30 else _uniform_sum(rng)
+
+
+def test_random_sums_are_certified_from_their_seeds():
     R = 150.0
     box = Rectangle(-R, R, -R, R)
     counts, located = [], 0
-    for draw in range(60):
-        qs, phis, vs = _random_sum(rng) if draw < 30 else _uniform_sum(rng)
+    for draw, (qs, phis, vs) in enumerate(_sums()):
         es = _ExpSum.from_multipoint(qs, phis, vs)
         wound = zeros_mod._box_winding(es, box)
-        z, res = _polished(es, box, _multipoint_seeds(qs, phis, vs, R))
+        z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), 1e-10)
         found, k = _locate(es, box, wound, z, res, 1.0, 40)
         assert sum(m for _, m, _ in found) == wound[0]
         if draw < 30:
@@ -104,6 +110,34 @@ def test_random_sums_are_certified_from_their_seeds():
         assert [w[1] for w in found] == [ref[j][1] for j in nearest.tolist()]
         located += k
     assert min(counts) > 20 and located > 0
+
+
+def test_a_seed_still_stepping_after_80_newton_steps_is_kept(monkeypatch):
+    # uniform draw 43: |v_b - v_e| = 0.095 leaves Newton from seed 43
+    # stepping a few ulps at |zf| = 60, above the stop, after its 80 steps;
+    # it meets the residual and the alpha-test certifies it, so the seeds
+    # account for every zero
+    qs, phis, vs = next(itertools.islice(_sums(), 43, None))
+    R = 150.0
+    box = Rectangle(-R, R, -R, R)
+    es = _ExpSum.from_multipoint(qs, phis, vs)
+    seeds = _multipoint_seeds(qs, phis, vs, R)
+    steps = []
+    newton_step = _ExpSum.newton_step
+    monkeypatch.setattr(
+        _ExpSum, "newton_step", lambda self, z: steps.append(1) or newton_step(self, z)
+    )
+    (z,), (res,), (why,) = _polish(es, seeds[43:44], 1e-10)
+    monkeypatch.undo()
+    num, den = es.newton_step(z)
+    assert len(steps) == 80 and abs(num / den) > 4.0 * np.spacing(abs(z)) > 1e-16 * (1 + abs(z))
+    assert why is None and res <= 1e-10
+    wound = zeros_mod._box_winding(es, box)
+    z, res, _ = _polish(es, seeds, 1e-10)
+    keep, _ = zeros_mod._kept(es, box, z, res, 1.0)
+    assert 43 in keep.tolist()
+    found, k = _locate(es, box, wound, z, res, 1.0, 40)
+    assert k == 0 and len(found) == wound[0] == 135
 
 
 def _reference_G(model, mp, N, scale):

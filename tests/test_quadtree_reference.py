@@ -34,7 +34,6 @@ from pfzeros import (
     symmetric_pair_perturbation,
 )
 from pfzeros.zeros import (
-    _UNCONVERGED,
     HALF_PI,
     _ExpSum,
     _neighbours,
@@ -50,10 +49,10 @@ from conftest import lee_yang_model, three_phase_model, two_phase_model
 
 def _polish_one(es: _ExpSum, z: complex, tol: float):
     """The scalar polish: (z, residual), or NoConvergenceError at its iterate.
-    A point that met the residual but ran out of Newton steps, as near a
-    double zero, is accepted: the cell's winding counts it."""
+    A point that met the residual, also one that ran out of Newton steps as
+    near a double zero, is accepted: the cell's winding counts it."""
     (z,), (res,), (why,) = _polish(es, [z], tol)
-    if why not in (None, _UNCONVERGED):
+    if why is not None:
         raise NoConvergenceError(why, complex(z))
     return complex(z), float(res)
 

@@ -100,10 +100,10 @@ def _box_edge_at(dy):
         # in place of the first zero's seed, one that polishes to no zero
         (_perturbed(100, 1, None), BOX, np.r_[_closed_form(100, 6)[1:], 1.0 + 1.0j], 1),
         # Newton from a seed at a double zero runs out of steps about 1e-8
-        # from it, so the seed is not polished
+        # from it, where the alpha-test does not certify it
         (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
          [2j * math.pi / 11], 1),
-        # two seeds beside the double zero, neither of which is polished
+        # two seeds beside the double zero, neither of which is certified
         (finite_volume(_double_zero(), L=11, d=1, tau=1.0), Rectangle(-0.1, 0.1, 0.3, 1.0),
          [2j * math.pi / 11 + 1e-3, 2j * math.pi / 11 - 1e-3j], 1),
     ],
@@ -125,7 +125,7 @@ def test_seeded_locator_falls_back_to_the_quadtree(fvm, box, seeds, located, mon
 
 def test_polish_reports_a_point_that_ran_out_of_newton_steps(monkeypatch):
     # near the double zero rounding leaves Newton stepping about 1e-8 from
-    # it; the point meets the residual but is not reported as polished
+    # it; the point meets the residual and comes back polished
     fvm = finite_volume(_double_zero(), L=11, d=1, tau=1.0)
     es = _ExpSum.from_fvm(fvm)
     steps = []
@@ -134,11 +134,17 @@ def test_polish_reports_a_point_that_ran_out_of_newton_steps(monkeypatch):
         _ExpSum, "newton_step", lambda self, z: steps.append(1) or newton_step(self, z)
     )
     zero = 2j * math.pi / 11
-    (z,), (res,), (why,) = zeros_mod._polish(es, [zero], 1e-10)
-    assert why == zeros_mod._UNCONVERGED and len(steps) == 80
-    assert res <= 1e-10 and 1e-12 < abs(z - zero) < 1e-6
+    z, res, (why,) = zeros_mod._polish(es, [zero], 1e-10)
+    monkeypatch.undo()
+    assert why is None and len(steps) == 80
+    assert res[0] <= 1e-10 and 1e-12 < abs(z[0] - zero) < 1e-6
+    # the alpha-test, not the step count, rejects it (alpha = 14.9)
+    box = Rectangle(-0.1, 0.1, 0.3, 1.0)
+    alpha, _ = zeros_mod._alpha_beta(es, z, 1.0 / 11)
+    assert alpha[0] > 1.0
+    assert _kept(es, box, z, res, 1.0 / 11)[0].size == 0
     # a quadtree terminal cell still takes it; the circle counts it twice
-    (w,) = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.3, 1.0)).zeros
+    (w,) = find_zeros_region(fvm, box).zeros
     assert w.multiplicity == 2 and abs(w.z - zero) < 1e-6
 
 
@@ -161,23 +167,27 @@ def test_a_zero_on_the_box_edge_is_a_typed_error():
 
 
 @pytest.mark.parametrize(
-    "offsets, box, kept",
+    "offsets, box, res, kept",
     [
         # points 1e-6 off a zero pass the alpha-test with 2 beta ~ 2e-6 ...
-        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), [0]),
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 0.0, [0]),
         # ... which must lie inside the box
-        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), []),
+        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), 0.0, []),
         # ... and not meet the disc of a point kept before it
-        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), [0]),
+        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 0.0, [0]),
         # a point far from any zero fails the alpha-test
-        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), []),
+        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), 0.0, []),
+        # a candidate whose residual is above 1e-10, or NaN, is not tested
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 2e-10, []),
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), math.nan, []),
     ],
-    ids=["certified", "disc_leaves_box", "discs_meet", "far_point"],
+    ids=["certified", "disc_leaves_box", "discs_meet", "far_point", "residual", "nan_residual"],
 )
-def test_certificate_rejects_what_it_cannot_prove(offsets, box, kept):
+def test_certificate_rejects_what_it_cannot_prove(offsets, box, res, kept):
     es = _ExpSum.from_fvm(_perturbed(100, 1, None))
     z = _closed_form(100, 1)[0] + np.array(offsets)
-    keep, rad = _kept(es, box, z, 1.0 / 100)
+    # the residuals given, not |W(z)|, so that the other rules decide
+    keep, rad = _kept(es, box, z, np.full(z.size, res), 1.0 / 100)
     assert keep.tolist() == kept
     assert np.all((1e-6 < rad) & (rad < 3e-6))
 
