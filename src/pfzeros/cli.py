@@ -242,7 +242,7 @@ def _trace_diagram(spec, args, out):
 def _find_zeros(spec, args, out):
     fvm = _fvm(spec, args, xi_strength=args.theta)
     box = model.Rectangle(*args.box)
-    zs = zeros.find_zeros_region(fvm, box, max_depth=args.max_depth)
+    zs = zeros.find_zeros_region(fvm, box)
     written = [_write(out / f"zeros_brute_L{fvm.L}d{fvm.d}.csv", zeros_csv(zs))]
     if args.emit_svg:
         written.append(_write(out / "zeros.svg", render.emit_svg(None, [zs], box)))
@@ -269,7 +269,7 @@ def _compare(spec, args, out):
     )
     # the unfiltered prediction also seeds zeros just inside the box whose
     # predictions fall just outside it
-    found = zeros.find_zeros_seeded(fvm, box, predicted_all.points(), max_depth=args.max_depth)
+    found = zeros.find_zeros_seeded(fvm, box, predicted_all.points())
     located = found.zeros
     gamma = args.gamma_scale * math.log(fvm.N) / fvm.N
     tol = zeros.delta_L(spec, predicted.points(), fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))
@@ -413,7 +413,6 @@ _OPTIONS = {
     "--grid": dict(type=int, default=41),
     "--step": dict(type=float, default=None),
     "--max-steps": dict(type=int, default=None),
-    "--max-depth": dict(type=int, default=40),
     "--c-match": dict(type=float, default=10.0),
     "--gamma-scale": dict(type=float, default=5.0),
     "--rho-scale": dict(type=float, default=1.0, help="rho_L = scale*log(N)/N"),
@@ -435,7 +434,7 @@ _COMMANDS = {
     ),
     "find-zeros": (
         _find_zeros, "argument-principle zero finder",
-        (*_PERTURBED, "--theta", "--box", "--max-depth", "--emit-svg"),
+        (*_PERTURBED, "--theta", "--box", "--emit-svg"),
     ),
     "predict-zeros": (
         _predict_zeros, "two-phase balance-equation solutions",
@@ -443,7 +442,7 @@ _COMMANDS = {
     ),
     "compare": (
         _compare, "predict, locate, and match zero sets",
-        (*_PERTURBED, "--kappa", "--theta", "--pair", "--box", "--max-depth", "--c-match",
+        (*_PERTURBED, "--kappa", "--theta", "--pair", "--box", "--c-match",
          "--gamma-scale", "--emit-svg"),
     ),
     "density": (

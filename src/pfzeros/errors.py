@@ -50,7 +50,7 @@ class ContourDegeneracyError(NumericalError):
 
 
 class UnresolvedClusterError(NumericalError):
-    """Subdivision exhausted its depth budget with winding still unresolved."""
+    """Subdivision could not account for a cell's winding by its zeros."""
 
     def __init__(self, message: str, cell=None):
         super().__init__(message)

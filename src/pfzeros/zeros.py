@@ -275,9 +275,8 @@ def _add_terms(terms):
 # map mp(s, pid) from s in [0, 1] and path ids to points, and per path its
 # length, a disc that holds it, and its share of one contour (_node_count).
 
-# Points per kernel call. A fixed size keeps memory flat: the root contour
-# held 2.0e6 points at N=1e6, whole quadtree levels raised the disc's peak 20%.
-_BATCH = 8192
+_BATCH = 8192  # points per kernel call; a fixed size keeps memory flat
+_MIN_GAP = 1e-12  # a segment to bisect shorter than this share of its contour fails its path
 
 
 def _segments(a, b, span):
@@ -313,86 +312,93 @@ def _box_sides(box: Rectangle):
     return _segments([p00, p10, p01, p00], [p10, p11, p11, p01], 2.0 * (box.width + box.height))
 
 
-def _values(es: _ExpSum, mp, s, pid) -> np.ndarray:
-    """Normalized values at the points of (s, pid), _BATCH per call."""
-    chunks = [slice(a, a + _BATCH) for a in range(0, s.size, _BATCH)]
-    return np.concatenate([es.value_normalized(mp(s[k], pid[k])) for k in chunks])
-
-
 def _node_count(k: int, length, rate, share):
     """Segments for paths of these lengths along which the exponents of K
     terms turn at rate at most `rate`: a phase budget of 1.2 rad per segment,
-    65 to 2.0e6 per contour, of which a piece takes its share, and one at least."""
-    n = np.clip((2 * k + 1) * np.asarray(length) * rate / 1.2, 65.0 * share, 2.0e6 * share)
+    65 per contour at least, of which a piece takes its share, and one at least."""
+    n = np.maximum((2 * k + 1) * np.asarray(length) * rate / 1.2, 65.0 * share)
     return np.maximum(n, 1.0).astype(int)
 
 
-def _increments(es: _ExpSum, paths, max_nodes=400000, min_gap=1e-12):
+def _nodes(n0):
+    """(path ids, s, starts) chunks of the nodes np.linspace(0, 1, n + 1) of
+    paths of n0 segments, _BATCH at a time in path order, each from the last
+    node of the one before; starts holds where each path begins in a chunk."""
+    stops = np.cumsum(n0 + 1)  # one past each path's last node in the stream of nodes
+    firsts, step, total = stops - n0 - 1, 1.0 / n0, int(stops[-1])
+    for c0 in range(0, total - 1, _BATCH - 1):
+        c1 = min(c0 + _BATCH, total)
+        a, b = (np.searchsorted(firsts, [c0, c1 - 1], side="right") - 1).tolist()
+        starts = np.maximum(firsts[a : b + 1], c0) - c0
+        sizes = np.minimum(stops[a : b + 1], c1) - c0 - starts
+        k = np.arange(c0, c1) - np.repeat(firsts[a : b + 1], sizes)  # node index in its path
+        s = k * np.repeat(step[a : b + 1], sizes)  # as np.linspace takes it
+        lasts = stops[a : b + 1] - 1 - c0
+        s[lasts[lasts < s.size]] = 1.0
+        yield np.repeat(np.arange(a, b + 1), sizes), s, starts
+
+
+def _increments(es: _ExpSum, paths):
     """Argument change along each path of a batch, NaN where it could not be
     taken, and a list of the reasons why not.
 
-    A single dominant term turns the argument at rate at most max|g'|, which
-    es.rate_bound bounds on a path's disc; sums of K terms can beat that only
-    near cancellations, which refinement then localizes. The initial nodes
-    keep a phase budget of 1.2 rad per segment, under the pi/2 cap, so no
-    full turn can hide between neighbouring samples. Midpoints are then
-    inserted wherever a phase step is at least pi/2, which pins the branch
-    of the argument for an analytic integrand. A path fails at a sample
-    below its disc's es.noise_bound, whose phase is noise, or when its share
-    of a contour's max_nodes or of its length for the gap min_gap runs out.
-
-    All paths are sampled and refined in lockstep, one pass per round, on
-    flat arrays that hold each unfinished path's nodes in one run; each path
-    finishes or fails on its own samples, as if taken alone.
+    The initial nodes (_nodes) keep a phase budget of 1.2 rad per segment
+    at the rate es.rate_bound, which only cancellations among the K terms
+    can beat, so no full turn hides between neighbours. A phase step below
+    pi/2 pins the branch of the argument for an analytic integrand and adds
+    to its path's increment; any other segment is queued and bisected,
+    _BATCH at a time, so memory does not grow with node counts. A path fails
+    at a sample below its disc's es.noise_bound, whose phase is noise, or at
+    a segment to bisect shorter than _MIN_GAP of its contour, which ends any
+    bisection within 40 halvings. Each path finishes or fails on its own
+    samples, as if taken alone.
     """
     mp, lengths, centres, radii, shares = paths
-    n0 = _node_count(len(es.w), lengths, es.rate_bound(centres, radii), shares).tolist()
-    noise = es.noise_bound(centres, radii)
-    grids = {n: np.linspace(0.0, 1.0, n + 1) for n in set(n0)}
-    s = np.concatenate([grids[n] for n in n0])
-    ids = np.arange(len(n0))  # the paths still refined, in node order
-    counts = np.array(n0) + 1  # and their node counts
-    w = _values(es, mp, s, np.repeat(ids, counts))
+    n0 = _node_count(len(es.w), lengths, es.rate_bound(centres, radii), shares)
+    noise, floor = es.noise_bound(centres, radii), _MIN_GAP / shares
+    inc, why = np.zeros(n0.size), np.full(n0.size, None)
+    queue = [np.zeros(0, dtype=int), *[np.zeros(0)] * 2, *[np.zeros(0, complex)] * 2]
 
-    inc, why = np.full(len(n0), np.nan), [None] * len(n0)
-    for _ in range(64):
-        starts = np.cumsum(counts) - counts
-        noisy = ~(np.abs(w) >= np.repeat(noise[ids], counts)) | ~np.isfinite(w)
-        tiny = np.logical_or.reduceat(noisy, starts)
-        with np.errstate(all="ignore"):  # only tiny paths divide by ~0
-            dphi = np.append(np.angle(w[1:] / w[:-1]), 0.0)
-        dphi[starts[1:] - 1] = 0.0  # pairs across two paths
+    def value(pid, s):
+        w = es.value_normalized(mp(s, pid))  # finite or NaN
+        noisy = pid[~(np.abs(w) >= noise[pid])]
+        why[noisy[np.equal(why[noisy], None)]] = "zero on or numerically near the contour"
+        return w
+
+    def settle(pid, sa, sb, wa, wb, across):
+        """Phase steps, 0 across two paths and where a segment is queued."""
+        with np.errstate(all="ignore"):  # only failed paths divide by ~0
+            dphi = np.angle(wb / wa)
+        dphi[across] = 0.0
         bad = np.abs(dphi) >= HALF_PI
-        n_bad = np.add.reduceat(bad, starts)
-        refine = (n_bad > 0) & ~tiny
-        done = ~refine & ~tiny
-        inc[ids[done]] = np.add.reduceat(dphi, starts)[done]
-        gap = np.minimum.reduceat(np.where(bad, np.append(np.diff(s), 0.0), np.inf), starts)
-        over = refine & (counts > max_nodes * shares[ids])
-        floor = refine & ~over & (gap < min_gap / shares[ids])
-        for failed, reason in (
-            (tiny, "zero on or numerically near the contour"),
-            (over, "contour refinement exceeded its node budget"),
-            (floor, "contour refinement hit the resolution floor (zero on contour?)"),
-        ):
-            for c in ids[failed].tolist():
-                why[c] = reason
-        go = refine & ~over & ~floor
-        if not go.any():
-            return inc, why
-        if not go.all():
-            keep = np.repeat(go, counts)
-            s, w, bad = s[keep], w[keep], bad[keep]
-            ids, counts, n_bad = ids[go], counts[go], n_bad[go]
-        idx = np.flatnonzero(bad)
-        mids = 0.5 * (s[idx] + s[idx + 1])
-        w_m = _values(es, mp, mids, np.repeat(ids, n_bad))
-        s = np.insert(s, idx + 1, mids)
-        w = np.insert(w, idx + 1, w_m)
-        counts = counts + n_bad
-    for c in ids.tolist():
-        why[c] = "contour refinement did not converge"
-    return inc, why
+        if bad.any():
+            seg = [x[bad] for x in (pid, sa, sb, wa, wb)]
+            short = seg[0][seg[2] - seg[1] < floor[seg[0]]]
+            floored = "contour refinement hit the resolution floor (zero on contour?)"
+            why[short[np.equal(why[short], None)]] = floored
+            queue[:] = [np.concatenate([q, x]) for q, x in zip(queue, seg)]
+            dphi[bad] = 0.0
+        return dphi
+
+    def bisect(limit):
+        while queue[0].size >= limit:
+            live = np.equal(why[queue[0][:_BATCH]], None)
+            pid, sa, sb, wa, wb = (x[:_BATCH][live] for x in queue)
+            queue[:] = [x[_BATCH:] for x in queue]
+            mid = 0.5 * (sa + sb)
+            wm = value(pid, mid)
+            halves = [np.concatenate(x) for x in ((pid, pid), (sa, mid), (mid, sb), (wa, wm), (wm, wb))]
+            inc[:] += np.bincount(halves[0], weights=settle(*halves, []), minlength=inc.size)
+
+    for pid, s, starts in _nodes(n0):
+        w = value(pid, s)
+        dphi = settle(pid[:-1], s[:-1], s[1:], w[:-1], w[1:], starts[1:] - 1)
+        # a last path with only its first node here sums the appended 0
+        inc[pid[0] : pid[0] + starts.size] += np.add.reduceat(np.append(dphi, 0.0), starts)
+        bisect(_BATCH)
+    bisect(1)
+    inc[~np.equal(why, None)] = np.nan
+    return inc, why.tolist()
 
 
 def _windings(totals) -> list:
@@ -586,7 +592,7 @@ def _clear(kept, n, tries, kids) -> list:
     return [k not in hit for k, _ in tries]
 
 
-def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, kept):
+def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
     """Candidate zeros of a box whose _box_winding is `wound`, besides the
     kept zeros whose centres and disjoint disc radii kept = (z, r) holds.
 
@@ -607,7 +613,6 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, kept):
     cell = np.zeros(kz.size, dtype=int)  # the cell of the level holding each kept zero, or -1
     cands = []
     level = [((), box, *wound)]
-    depth = 0
     while level:
         held = [0] * len(level)  # the kept zeros inside each cell
         if kz.size:
@@ -633,10 +638,6 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, kept):
                     raise NoConvergenceError(failed, zk)
                 cands.append((path, zk, None, rk))
                 continue
-            if depth >= max_depth:
-                raise UnresolvedClusterError(
-                    f"depth {max_depth} exhausted with winding {w} in {rect}", rect
-                )
             splits.append(k)
         if kz.size and splits:
             at = np.full(len(level) + 1, -1)  # the split of each cell; -1 reads the last slot
@@ -649,12 +650,11 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, max_depth, kept):
             own = cell >= 0
             c = corner[cell[own]]
             cell[own] = 4 * cell[own] + (kz.real[own] > c.real) + 2 * (kz.imag[own] > c.imag)
-        depth += 1
     cands.sort(key=lambda cand: cand[0])
     return [cand[1:] for cand in cands]
 
 
-def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float, max_depth: int):
+def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
     """(found, k): the zeros of a box whose _box_winding is wound, as (z,
     multiplicity, residual) triples, and how many of them the quadtree
     located.
@@ -664,16 +664,14 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float, max_depth:
     them are zeros: those it keeps, with the Cauchy radius scale (the zero
     spacing), are distinct simple zeros; when they are as many as the box
     winding, they are all of them. Otherwise the quadtree runs, down to
-    max_depth and to terminal cells of 1e-3 scale, on the cells whose
-    winding the kept zeros leave unaccounted for. Candidates closer than
-    half the multiplicity circle of 1e-2 scale are merged, and every merged
-    or terminal-cell zero has its multiplicity counted by that circle, so a
-    multiple zero that rounding splits across a cell edge is counted in
-    full; the multiplicities must sum to the box winding. With no
-    candidates this is the seedless quadtree.
+    terminal cells of 1e-3 scale, on the cells whose winding the kept zeros
+    leave unaccounted for. Candidates closer than half the multiplicity
+    circle of 1e-2 scale are merged, and every merged or terminal-cell zero
+    has its multiplicity counted by that circle, so a multiple zero that
+    rounding splits across a cell edge is counted in full; the
+    multiplicities must sum to the box winding. With no candidates this is
+    the seedless quadtree.
     """
-    if max_depth < 0:
-        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     z, res = np.asarray(z, dtype=complex), np.asarray(res, dtype=float)
     keep, rad = _kept(es, box, z, res, scale)
     cands = [(zk, 1, rk) for zk, rk in zip(z[keep].tolist(), res[keep].tolist())]
@@ -681,7 +679,7 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float, max_depth:
     if len(cands) == total:
         return cands, 0
     min_cell, r_mult = 1e-3 * scale, 1e-2 * scale
-    cands += _quadtree(es, box, wound, min_cell, max_depth, (z[keep], rad))
+    cands += _quadtree(es, box, wound, min_cell, (z[keep], rad))
 
     near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
     taken: set[int] = set()
@@ -731,11 +729,7 @@ def xi_normalized(fvm: FiniteVolumeModel, z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def find_zeros_region(
-    fvm: FiniteVolumeModel,
-    box: Rectangle,
-    max_depth: int = 40,
-) -> ZeroSet:
+def find_zeros_region(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSet:
     """All zeros of the normalized partition function inside a box.
 
     Quadtree subdivision of the box by boundary winding numbers. A cell of
@@ -754,7 +748,7 @@ def find_zeros_region(
     winding that the candidates it keeps leave unaccounted for.
     """
     es, wound = _wound_box(fvm, box)
-    return _located(fvm, box, _locate(es, box, wound, (), (), 1.0 / fvm.N, max_depth)[0])
+    return _located(fvm, box, _locate(es, box, wound, (), (), 1.0 / fvm.N)[0])
 
 
 def _require_box_in_domain(fvm: FiniteVolumeModel, box: Rectangle) -> None:
@@ -809,14 +803,14 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
 
     For a plus/minus symmetric model (analysis.lee_yang_hypotheses) W(i y)
     is real, so every sign change of Re W along the box's segment of the
-    axis brackets a zero of odd multiplicity. The segment is sampled in one
-    kernel call at the phase-rate node count of the box winding, and every
-    bracket is closed by diagram._close_brackets; the end of a bracket still
-    open after its steps is a root like the others. Every root is one of
-    _locate's candidates as it is, without Newton, so a kept root has Re w
-    exactly 0; _kept's residual rule (|W| <= 1e-10, the quadtree's) drops a
-    bracket end too far from its zero, which the alpha-test alone could
-    keep, as it only asks Newton to converge. The quadtree locates
+    axis brackets a zero of odd multiplicity. The segment is sampled at the
+    phase-rate node count of the box winding, _BATCH points per kernel call,
+    and every bracket is closed by diagram._close_brackets; the end of a
+    bracket still open after its steps is a root like the others. Every root
+    is one of _locate's candidates as it is, without Newton, so a kept root
+    has Re w exactly 0; _kept's residual rule (|W| <= 1e-10, the quadtree's)
+    drops a bracket end too far from its zero, which the alpha-test alone
+    could keep, as it only asks Newton to converge. The quadtree locates
     only the zeros the kept roots leave unaccounted for: zeros off the axis,
     multiple zeros, and every zero of a box that does not straddle the axis.
     When the kept roots are as many as the box winding, every zero in the
@@ -828,12 +822,12 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     if box.re_lo < 0.0 < box.re_hi:
         rate = es.rate_bound(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height)
         y = np.linspace(box.im_lo, box.im_hi, _node_count(len(es.w), box.height, rate, 1.0) + 1)
-        f = _axis_re(es, y)
+        f = np.concatenate([_axis_re(es, y[i : i + _BATCH]) for i in range(0, y.size, _BATCH)])
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])
     res = _modulus(es.value_normalized(1j * roots))
     z = np.array([complex(0.0, r) for r in roots.tolist()], dtype=complex)
-    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N, 40)
+    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N)
     return ZeroSearch(_located(fvm, box, found), wound[0], k, int(roots.size))
 
 
@@ -890,21 +884,19 @@ def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, res: np.ndarray, r: float)
     return ok[first], rad[first]
 
 
-def find_zeros_seeded(
-    fvm: FiniteVolumeModel, box: Rectangle, seeds, max_depth: int = 40
-) -> ZeroSearch:
+def find_zeros_seeded(fvm: FiniteVolumeModel, box: Rectangle, seeds) -> ZeroSearch:
     """All zeros of the normalized partition function inside a box, located
     from seeds, such as predicted zeros, that are not trusted.
 
     The box is wound once and the seeds are polished in one array Newton
     (_polish). Every point it returns goes to _locate with its residual:
     _kept keeps those that Smale's alpha-test certifies as distinct simple
-    zeros of the box, and the quadtree of find_zeros_region locates, down to
-    max_depth, only the zeros they leave unaccounted for in the box winding.
+    zeros of the box, and the quadtree of find_zeros_region locates only
+    the zeros they leave unaccounted for in the box winding.
     """
     es, wound = _wound_box(fvm, box)
     z, res, _ = _polish(es, seeds, _RESIDUAL_TOL)
-    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N, max_depth)
+    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N)
     return ZeroSearch(_located(fvm, box, found), wound[0], k)
 
 
@@ -1044,7 +1036,6 @@ def predict_multipoint(
     L: int,
     d: int,
     rho_L: float,
-    max_depth: int = 40,
 ) -> ZeroSet:
     """Solutions of the rescaled exponential-sum equation near a multiple point.
 
@@ -1054,10 +1045,9 @@ def predict_multipoint(
     are seeded by the two-term balances of G (_multipoint_seeds), which
     away from z_M put them on the asymptote half-lines, polished and handed
     to _locate with their residuals like find_zeros_seeded's, with the
-    Cauchy radius 1, the zero spacing in zf; the quadtree locates, down to
-    max_depth, only the zeros of the box that the kept ones leave
-    unaccounted for in its winding. The result's quadtree_located counts
-    those.
+    Cauchy radius 1, the zero spacing in zf; the quadtree locates only the
+    zeros of the box that the kept ones leave unaccounted for in its
+    winding. The result's quadtree_located counts those.
     """
     if len(mp.stable_set) < 3:
         raise ValidationError("multipoint prediction needs at least three coexisting phases")
@@ -1079,7 +1069,7 @@ def predict_multipoint(
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
     z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), _RESIDUAL_TOL)
-    found, k = _locate(es, box, _box_winding(es, box), z, res, 1.0, max_depth)
+    found, k = _locate(es, box, _box_winding(es, box), z, res, 1.0)
     zeros = [
         Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)
         for zf, mult, res in found

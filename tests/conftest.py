@@ -82,13 +82,15 @@ def kernel_counts(monkeypatch):
     value_normalized, newton_step and the alpha-test evaluate) and by the
     per-path bounds that size and check the winding samples (rate_bound and
     noise_bound disc centres), "contours" wound (closed contours and
-    quadtree cells), "splits", the cells handed to _split, and "polished",
-    the points handed to _polish."""
+    quadtree cells), "splits", the cells handed to _split, "polished",
+    the points handed to _polish, and "largest_call", the most points in
+    one of those kernel or bound calls."""
     counts = Counter()
     for name in ("_normalized_terms", "rate_bound", "noise_bound"):
 
         def counted(self, z, *args, method=getattr(_ExpSum, name)):
             counts["points"] += np.size(z)
+            counts["largest_call"] = max(counts["largest_call"], np.size(z))
             return method(self, z, *args)
 
         monkeypatch.setattr(_ExpSum, name, counted)

@@ -83,24 +83,20 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
         ("lee-yang", ["lee-yang", "--L", "10", "--minus", "5", "--box=-0.05,0.05,0,1",
                       "--symmetric-seed", "3"]),
         ("two", ["trace-diagram", "--grid", "1"]),
-        ("two_q12", ["find-zeros", "--L", "10", "--box=-0.1,0.1,0,0.2", "--max-depth", "-1"]),
-        ("two_q12", ["compare", "--pair", "0,1", "--L", "10", "--box=-0.1,0.1,0,0.2",
-                     "--max-depth", "-1"]),
+        ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1",
+                 "--L-list", "100,"]),
+        ("lee-yang", ["lee-yang", "--L", "10", "--box=-0.05,0.05,0,1", "--symmetric-seed", "3",
+                      "--perturb-seed", "4"]),
         # the (0,1) curve is the imaginary axis, which this box misses
         ("two", ["predict-zeros", "--pair", "0,1", "--L", "100", "--box=0.3,0.5,0,0.2"]),
         ("two", ["trace-diagram", "--step", "0"]),
         ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1,x",
                  "--L-list", "100"]),
-        ("two", ["density", "--pair", "0,1", "--at", "0,0", "--eps-list", "0.1",
-                 "--L-list", "100,"]),
-        ("lee-yang", ["lee-yang", "--L", "10", "--box=-0.05,0.05,0,1", "--symmetric-seed", "3",
-                      "--perturb-seed", "4"]),
     ],
 )
 def test_cli_out_of_range_input_exits_1(tmp_path, capsys, model, argv):
     models = {
         "two": two_phase_model(),
-        "two_q12": two_phase_model(q1=1, q2=2),
         "three": three_phase_model(),
         "lee-yang": lee_yang_model(),
     }
@@ -115,6 +111,7 @@ _ACCEPTED = {
     "check-assumptions": ("three", []),
     "find-zeros": ("two", ["--L", "10", "--box=-0.1,0.1,0,0.2"]),
     "predict-zeros": ("two", ["--pair", "0,1", "--L", "100", "--box=-0.1,0.1,0,0.2"]),
+    "compare": ("two", ["--pair", "0,1", "--L", "10", "--box=-0.1,0.1,0,0.2"]),
     "density": ("two", ["--pair", "0,1", "--at", "0,0", "--eps-list", "0.1", "--L-list", "100"]),
     "multipoint": ("three", ["--triple", "0,1,2", "--L", "100"]),
     "asymptotes": ("three", ["--triple", "0,1,2"]),
@@ -133,6 +130,8 @@ _ACCEPTED = {
         *((c, "--kappa") for c in ("find-zeros", "multipoint", "lee-yang")),
         ("multipoint", "--theta"),
         ("density", "--tau"),
+        ("find-zeros", "--max-depth"),
+        ("compare", "--max-depth"),
     ],
 )
 def test_cli_options_a_workflow_does_not_read_are_usage_errors(tmp_path, capsys, command, option):

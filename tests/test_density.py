@@ -1,6 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
+
+import pfzeros.zeros as zeros_mod
 
 from pfzeros import (
     ContourDegeneracyError,
@@ -112,6 +115,23 @@ def test_density_winds_one_circle_and_locates_nothing(m2_q12, kernel_counts):
     assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     assert kernel_counts["polished"] == 0
     assert kernel_counts["points"] <= 45 * row.count
+
+
+def test_density_counts_past_a_million_nodes_in_flat_memory(m2_q12, kernel_counts):
+    # the circle takes 3.9e6 initial nodes at N=1e7
+    N, eps = 10**7, 0.015
+    tracemalloc.start()
+    try:
+        (row,) = density_convergence(m2_q12, 0, 1, 0j, eps_list=[eps], L_list=[N], d=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the zeros (log 2 + i pi (2k + 1)) / (2N) of e^{Nz} + 2 e^{-Nz}
+    K = int(eps * N / math.pi) + 1
+    closed = sum(abs(complex(math.log(2), math.pi * (2 * k + 1))) < 2 * N * eps for k in range(-K, K))
+    assert row.count == closed == 95_492
+    assert peak < 20e6
+    assert kernel_counts["largest_call"] <= zeros_mod._BATCH + 1
 
 
 def test_density_convergence_warns_on_tiny_disc(m2):

@@ -93,7 +93,7 @@ def test_random_sums_are_certified_from_their_seeds():
         es = _ExpSum.from_multipoint(qs, phis, vs)
         wound = zeros_mod._box_winding(es, box)
         z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), 1e-10)
-        found, k = _locate(es, box, wound, z, res, 1.0, 40)
+        found, k = _locate(es, box, wound, z, res, 1.0)
         assert sum(m for _, m, _ in found) == wound[0]
         if draw < 30:
             # the seeds of a jittered regular K-gon account for every zero
@@ -102,7 +102,7 @@ def test_random_sums_are_certified_from_their_seeds():
             continue
         # the seedless quadtree's zeros, matched one to one; 1e-14 is taken
         # relative to |zf|, as both polishes stop within a few ulps of it
-        ref, _ = _locate(es, box, wound, (), (), 1.0, 40)
+        ref, _ = _locate(es, box, wound, (), (), 1.0)
         got, want = np.array([w[0] for w in found]), np.array([w[0] for w in ref])
         nearest = np.abs(got[:, None] - want[None, :]).argmin(axis=1)
         assert sorted(nearest.tolist()) == list(range(len(ref)))
@@ -136,7 +136,7 @@ def test_a_seed_still_stepping_after_80_newton_steps_is_kept(monkeypatch):
     z, res, _ = _polish(es, seeds, 1e-10)
     keep, _ = zeros_mod._kept(es, box, z, res, 1.0)
     assert 43 in keep.tolist()
-    found, k = _locate(es, box, wound, z, res, 1.0, 40)
+    found, k = _locate(es, box, wound, z, res, 1.0)
     assert k == 0 and len(found) == wound[0] == 135
 
 

@@ -429,7 +429,7 @@ def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
 
     monkeypatch.setattr(zeros_mod, "_children", recorded)
     # with no candidates the locator is the seedless quadtree
-    got, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N, 40)
+    got, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N)
     assert got == _find_zeros_expsum(es, box, 1.0 / fvm.N)
     assert located == len(got)
     assert sum(m for _, m, _ in got) > 0

@@ -217,6 +217,32 @@ def test_find_zeros_windings_per_zero(m2, monkeypatch):
     assert len(kernel_calls) - len(polishes) <= 60
 
 
+@pytest.mark.parametrize("batch, n0", [(7, [1, 5, 49, 6, 7, 13, 2, 98, 1]), (8192, [8190, 1, 100_008])])
+def test_chunked_nodes_are_the_linspace_nodes(monkeypatch, batch, n0):
+    monkeypatch.setattr(zeros_mod, "_BATCH", batch)
+    chunks = list(zeros_mod._nodes(np.array(n0)))
+    assert max(s.size for _, s, _ in chunks) <= batch
+    pid = np.concatenate([chunks[0][0]] + [p[1:] for p, _, _ in chunks[1:]])  # one node overlaps
+    s = np.concatenate([chunks[0][1]] + [x[1:] for _, x, _ in chunks[1:]])
+    assert pid.tolist() == np.repeat(np.arange(len(n0)), np.array(n0) + 1).tolist()
+    assert s.tolist() == np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in n0]).tolist()
+
+
+@pytest.mark.parametrize("batch", [3, 5, 8, 13])
+def test_increments_do_not_depend_on_the_chunks_or_the_batch(m2_q12, monkeypatch, batch):
+    # chunks of a few nodes end inside paths and at their first and last
+    # nodes; the circles 1e-6 and 1e-4 off the zeros at |z_0| are bisected
+    es = _ExpSum.from_fvm(finite_volume(m2_q12, L=100, d=1, tau=1.0))
+    r0 = abs(complex(math.log(2), math.pi)) / 200
+    circles = ([0j, 0.01, 0.02j, 0j], [r0 * (1 + 1e-6), 0.05, 0.03, r0 * (1 - 1e-4)])
+    alone = [zeros_mod._increments(es, zeros_mod._circles([c], [r]))[0][0] for c, r in zip(*circles)]
+    monkeypatch.setattr(zeros_mod, "_BATCH", batch)
+    got, why = zeros_mod._increments(es, zeros_mod._circles(*circles))
+    assert why == [None] * 4
+    assert np.allclose(got, alone, rtol=0, atol=1e-12)
+    assert zeros_mod._windings(got) == [2, 4, 2, 0]
+
+
 def test_find_zeros_on_the_three_phase_disc_evaluates_few_points(kernel_counts):
     # the three-phase find-zeros invocation: N=1e4 on [-rho, rho]^2 with
     # rho = 25 log N / N. Winding every cell as a fresh closed contour with
