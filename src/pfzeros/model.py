@@ -54,17 +54,15 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
         p = p - origin
         return np.floor(p.real / cell) + 1j * np.floor(p.imag / cell)
 
-    ka, kb = key(a), key(b)
+    kb = key(b)
     order = np.argsort(kb, kind="stable")
     skey = kb[order]
-    ii, jj = [], []
-    for dx in (-1.0, 0.0, 1.0):
-        lo = np.searchsorted(skey, ka + complex(dx, -1.0), side="left")
-        n = np.searchsorted(skey, ka + complex(dx, 1.0), side="right") - lo
-        ii.append(np.repeat(np.arange(a.size), n))
-        # run k of the output counts up from lo[k]
-        jj.append(order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())])
-    return np.concatenate(ii), np.concatenate(jj)
+    ka = (key(a) + np.array([[-1.0], [0.0], [1.0]])).ravel()  # the three columns of cells
+    lo = np.searchsorted(skey, ka - 1j, side="left")
+    n = np.searchsorted(skey, ka + 1j, side="right") - lo
+    # run k of the output counts up from lo[k]
+    jj = order[np.repeat(lo - n.cumsum() + n, n) + np.arange(n.sum())]
+    return np.repeat(np.tile(np.arange(a.size), 3), n), jj
 
 
 def _modulus(z):

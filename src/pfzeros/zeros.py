@@ -3,11 +3,11 @@
 All arithmetic happens on exponential sums sum_k w_k exp(g_k(z)) normalized
 per point by exp(max_k Re g_k(z)), so nothing overflows no matter how large
 the volume. Zeros are located from candidates kept one by one by Smale's
-alpha-test, and by argument-principle counting on adaptively refined
-contours plus quadtree subdivision and Newton polishing wherever the box
-winding is not accounted for by them; they are independently predicted
-from the two-phase balance equations and the multiple-point
-exponential-sum equation.
+alpha-test, and by argument-principle counting on contours whose every
+piece is proven by the dominance of one term, plus quadtree subdivision and
+Newton polishing wherever the box winding is not accounted for by them;
+they are independently predicted from the two-phase balance equations and
+the multiple-point exponential-sum equation.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .model import (
     in_coexistence_strip,
     in_two_phase_region,
 )
-
-HALF_PI = 0.5 * math.pi
 
 METHOD_BRUTE = "brute_force"
 METHOD_TWO_PHASE = "two_phase_eq"
@@ -179,6 +177,8 @@ class _ExpSum:
     def __init__(self, weights, coeff_cols, scale: float = 1.0):
         self.w = np.asarray(weights, dtype=complex)
         c = np.asarray(coeff_cols, dtype=complex)  # (K, D+1)
+        if c.shape[1] == 1:  # D >= 1, as the winding takes g_k'
+            c = np.concatenate([c, np.zeros_like(c)], axis=1)
         self.c = c.T.copy()  # coefficients along the first axis
         dc = np.array([_polyder(tuple(row)) for row in c], dtype=complex)
         self.dc = dc.T.copy()
@@ -204,24 +204,18 @@ class _ExpSum:
     def exponents(self, z):
         return _polyval_rows(self.c, z)
 
+    def derivatives(self, z):
+        """g_k^(i)(z) for i = 0..D, shape (D+1, K) + z.shape."""
+        return _polyval_rows(self.ders, z).reshape((len(self.c), len(self.w)) + np.shape(z))
+
     def taylor(self, z, r, first: int = 0, shift: int = 0):
         """sum_{i >= first} |g_k^(i)(z)| r^(i-shift) / (i-shift)!, shape (K,) + z.shape;
         from first = shift it bounds |g_k^(shift)| on the disc of radius r about z."""
-        a = np.abs(_polyval_rows(self.ders, z)).reshape((len(self.c), len(self.w)) + np.shape(z))
+        a = np.abs(self.derivatives(z))
         tail = np.zeros(a.shape[1:])
         for i in range(first, len(a)):
             tail = tail + a[i] * (r ** (i - shift) / math.factorial(i - shift))
         return tail
-
-    def rate_bound(self, c, r) -> np.ndarray:
-        """A bound on max_k |g_k'| on the disc of radius r about each point c, exact if linear."""
-        return self.taylor(c, r, 1, 1).max(axis=0)
-
-    def noise_bound(self, c, r) -> np.ndarray:
-        """A bound on the rounding error of value_normalized over the disc
-        of radius r about each point c: 4u scale sum_k |w_k| (max_k |g_k| + K)."""
-        size = self.taylor(c, r).max(axis=0) + len(self.w)
-        return 2.0**-51 * self.scale * float(np.abs(self.w).sum()) * size
 
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
@@ -271,12 +265,12 @@ def _add_terms(terms):
 # Argument-principle winding
 #
 # A closed contour is wound as the sum of the argument increments along its
-# pieces. A batch of paths is (mp, lengths, centres, radii, shares): a point
-# map mp(s, pid) from s in [0, 1] and path ids to points, and per path its
-# length, a disc that holds it, and its share of one contour (_node_count).
+# pieces. A batch of paths is (mp, shares): a point map mp(s, pid) from s in
+# [0, 1] and path ids to points, and each path's share of its contour.
 
 _BATCH = 8192  # points per kernel call; a fixed size keeps memory flat
-_MIN_GAP = 1e-12  # a segment to bisect shorter than this share of its contour fails its path
+_MIN_GAP = 1e-12  # a piece to cut shorter than this share of its contour fails its path
+_MAX_SPLIT = 16  # the most pieces a piece is cut into
 
 
 def _segments(a, b, span):
@@ -287,8 +281,7 @@ def _segments(a, b, span):
     def mp(s, pid):
         return a[pid] * (1.0 - s) + b[pid] * s
 
-    length = np.abs(b - a)
-    return mp, length, 0.5 * (a + b), 0.5 * length, length / span
+    return mp, np.abs(b - a) / span
 
 
 def _circles(centres, radii):
@@ -298,7 +291,7 @@ def _circles(centres, radii):
     def mp(s, pid):
         return c[pid] + r[pid] * np.exp(2j * np.pi * s)
 
-    return mp, 2.0 * math.pi * r, c, r, np.ones(r.shape)
+    return mp, np.ones(r.shape)
 
 
 # A box's bottom, right, top and left sides, taken rightwards or upwards,
@@ -312,91 +305,91 @@ def _box_sides(box: Rectangle):
     return _segments([p00, p10, p01, p00], [p10, p11, p11, p01], 2.0 * (box.width + box.height))
 
 
-def _node_count(k: int, length, rate, share):
-    """Segments for paths of these lengths along which the exponents of K
-    terms turn at rate at most `rate`: a phase budget of 1.2 rad per segment,
-    65 per contour at least, of which a piece takes its share, and one at least."""
-    n = np.maximum((2 * k + 1) * np.asarray(length) * rate / 1.2, 65.0 * share)
-    return np.maximum(n, 1.0).astype(int)
-
-
-def _nodes(n0):
-    """(path ids, s, starts) chunks of the nodes np.linspace(0, 1, n + 1) of
-    paths of n0 segments, _BATCH at a time in path order, each from the last
-    node of the one before; starts holds where each path begins in a chunk."""
-    stops = np.cumsum(n0 + 1)  # one past each path's last node in the stream of nodes
-    firsts, step, total = stops - n0 - 1, 1.0 / n0, int(stops[-1])
-    for c0 in range(0, total - 1, _BATCH - 1):
-        c1 = min(c0 + _BATCH, total)
-        a, b = (np.searchsorted(firsts, [c0, c1 - 1], side="right") - 1).tolist()
-        starts = np.maximum(firsts[a : b + 1], c0) - c0
-        sizes = np.minimum(stops[a : b + 1], c1) - c0 - starts
-        k = np.arange(c0, c1) - np.repeat(firsts[a : b + 1], sizes)  # node index in its path
-        s = k * np.repeat(step[a : b + 1], sizes)  # as np.linspace takes it
-        lasts = stops[a : b + 1] - 1 - c0
-        s[lasts[lasts < s.size]] = 1.0
-        yield np.repeat(np.arange(a, b + 1), sizes), s, starts
-
-
 def _increments(es: _ExpSum, paths):
     """Argument change along each path of a batch, NaN where it could not be
     taken, and a list of the reasons why not.
 
-    The initial nodes (_nodes) keep a phase budget of 1.2 rad per segment
-    at the rate es.rate_bound, which only cancellations among the K terms
-    can beat, so no full turn hides between neighbours. A phase step below
-    pi/2 pins the branch of the argument for an analytic integrand and adds
-    to its path's increment; any other segment is queued and bisected,
-    _BATCH at a time, so memory does not grow with node counts. A path fails
-    at a sample below its disc's es.noise_bound, whose phase is noise, or at
-    a segment to bisect shorter than _MIN_GAP of its contour, which ends any
-    bisection within 40 halvings. Each path finishes or fails on its own
-    samples, as if taken alone.
+    A path is cut into pieces, each proven by the dominance of one term. A
+    piece from a to b lies in the disc of radius r about its centre m,
+    halfway in s, that reaches its farther end (for an arc of up to a full
+    turn too). With k the largest term at m, W = scale w_k e^{g_k} V_k, where
+    V_k = sum_j u_j e^{h_j(z) - h_j(m)}, h_j = g_j - g_k and u_j = (w_j /
+    w_k) e^{h_j(m)}. On the disc |V_k(z) - V_k(m)| <= |V_k'(m)| r + sum_j
+    |u_j| (e^{T_j} - 1 - T1_j), where T_j and T1_j bound h_j(z) - h_j(m)
+    and its linear part by the Taylor series of the polynomial h_j. Below
+    |V_k(m)| less its rounding, V_k keeps to a half-plane and the argument
+    of W changes by exactly Im(g_k(b) - g_k(a)) + angle(V_k(b) / V_k(a)).
+    Otherwise the piece is cut into as many equal pieces, 2 to _MAX_SPLIT,
+    as make every |u_j| (e^{T_j} - 1) <= |V_k(m)|. A path fails where
+    |V_k(m)| is within its rounding or a piece to cut is shorter than
+    _MIN_GAP of its contour. Each piece is evaluated at its ends and centre,
+    _BATCH / 3 pieces per kernel call, so each path finishes or fails on its
+    own points, as if taken alone.
     """
-    mp, lengths, centres, radii, shares = paths
-    n0 = _node_count(len(es.w), lengths, es.rate_bound(centres, radii), shares)
-    noise, floor = es.noise_bound(centres, radii), _MIN_GAP / shares
-    inc, why = np.zeros(n0.size), np.full(n0.size, None)
-    queue = [np.zeros(0, dtype=int), *[np.zeros(0)] * 2, *[np.zeros(0, complex)] * 2]
+    mp, shares = paths
+    floor = _MIN_GAP / np.asarray(shares)
+    inc, why = np.zeros(floor.size), np.full(floor.size, None)
+    n, K = es.c.shape  # derivative orders 0..D and terms
+    lw = np.log(es.w)[:, None]
+    order = np.arange(1.0, n)[:, None]
+    fact = order.cumprod(axis=0)
+    size = np.abs(es.c).max(axis=1)[::-1]  # the largest |coefficient| of each order, highest first
 
-    def value(pid, s):
-        w = es.value_normalized(mp(s, pid))  # finite or NaN
-        noisy = pid[~(np.abs(w) >= noise[pid])]
-        why[noisy[np.equal(why[noisy], None)]] = "zero on or numerically near the contour"
-        return w
-
-    def settle(pid, sa, sb, wa, wb, across):
-        """Phase steps, 0 across two paths and where a segment is queued."""
-        with np.errstate(all="ignore"):  # only failed paths divide by ~0
-            dphi = np.angle(wb / wa)
-        dphi[across] = 0.0
-        bad = np.abs(dphi) >= HALF_PI
-        if bad.any():
-            seg = [x[bad] for x in (pid, sa, sb, wa, wb)]
-            short = seg[0][seg[2] - seg[1] < floor[seg[0]]]
+    def certify(pid, sa, sb):
+        """Add the increments of the pieces from sa to sb of the paths pid
+        that are proven; return the pieces that the others are cut into."""
+        p = pid.size
+        z = mp(np.concatenate([sa, sb, 0.5 * (sa + sb)]), np.concatenate([pid, pid, pid]))
+        d = es.derivatives(z).reshape(n, K, 3, p)
+        # log w_j + g_j at a, b and m, and g_j's derivatives at m
+        x = np.concatenate([d[0].transpose(1, 0, 2) + lw, d[1:, :, 2]])
+        za, zb, zm = z[:p], z[p : 2 * p], z[2 * p :]
+        r = np.maximum(np.abs(za - zm), np.abs(zb - zm))
+        k = x[2].real.argmax(axis=0)
+        xk = x[:, k, np.arange(p)]
+        y = x - xk[:, None]  # logs of V_k's terms at a, b and m, and h_j's derivatives at m
+        am, noise = np.abs(zm), size[0]
+        for c in size[1:]:  # sum_i max_j |c_ji| |m|^i, which bounds the rounding of each g_j(m)
+            noise = noise * am + c
+        noise = 2.0**-52 * n * K * (2.0 * noise + K)  # the rounding of V_k(m)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u = np.exp(y[:3])
+            v = u.sum(axis=1)  # V_k at a, b and m
+            au = np.abs(u[2])
+            t = np.abs(y[3:]) * (r**order / fact)[:, None]
+            T = t.sum(axis=0)
+            spread = np.abs((u[2] * y[3]).sum(axis=0)) * r
+            spread += (np.exp(y[2].real + T) - au * (1.0 + t[0])).sum(axis=0)
+            av = np.abs(v[2])
+            ok = spread + noise < av
+            dphi = (xk[1] - xk[0]).imag + np.angle(v[1] / v[0])
+        if ok.any():
+            inc[:] += np.bincount(pid, np.where(ok, dphi, 0.0), inc.size)
+        at = (~ok).nonzero()[0]
+        bad = (~(av[at] > noise[at]), sb[at] - sa[at] < floor[pid[at]])
+        if (bad[0] | bad[1]).any():
             floored = "contour refinement hit the resolution floor (zero on contour?)"
-            why[short[np.equal(why[short], None)]] = floored
-            queue[:] = [np.concatenate([q, x]) for q, x in zip(queue, seg)]
-            dphi[bad] = 0.0
-        return dphi
+            for fail, reason in zip(bad, ("zero on or numerically near the contour", floored)):
+                ids = pid[at[fail]]
+                why[ids[np.equal(why[ids], None)]] = reason
+            at = at[np.equal(why[pid[at]], None)]
+        if not at.size:
+            return pid[at], sa[at], sb[at]
+        with np.errstate(divide="ignore", invalid="ignore"):  # T_j <= log(1 + |V_k(m)| / |u_j|)
+            room = np.logaddexp(0.0, np.log(av[at]) - y[2][:, at].real)
+            cnt = np.fmin(np.ceil((T[:, at] / room).max(axis=0, initial=2.0)), _MAX_SPLIT)
+        each = cnt.astype(int)
+        at, cnt = at.repeat(each), cnt.repeat(each)  # the piece cut and into how many
+        c = np.arange(at.size) - (each.cumsum() - each).repeat(each)
+        t0, t1 = c / cnt, (c + 1) / cnt  # 0 and 1 exactly at a piece's ends
+        sa, sb = sa[at], sb[at]
+        return pid[at], sa * (1.0 - t0) + sb * t0, sa * (1.0 - t1) + sb * t1
 
-    def bisect(limit):
-        while queue[0].size >= limit:
-            live = np.equal(why[queue[0][:_BATCH]], None)
-            pid, sa, sb, wa, wb = (x[:_BATCH][live] for x in queue)
-            queue[:] = [x[_BATCH:] for x in queue]
-            mid = 0.5 * (sa + sb)
-            wm = value(pid, mid)
-            halves = [np.concatenate(x) for x in ((pid, pid), (sa, mid), (mid, sb), (wa, wm), (wm, wb))]
-            inc[:] += np.bincount(halves[0], weights=settle(*halves, []), minlength=inc.size)
-
-    for pid, s, starts in _nodes(n0):
-        w = value(pid, s)
-        dphi = settle(pid[:-1], s[:-1], s[1:], w[:-1], w[1:], starts[1:] - 1)
-        # a last path with only its first node here sums the appended 0
-        inc[pid[0] : pid[0] + starts.size] += np.add.reduceat(np.append(dphi, 0.0), starts)
-        bisect(_BATCH)
-    bisect(1)
+    batch = max(_BATCH // 3, 1)
+    queue = (np.arange(floor.size), np.zeros(floor.size), np.ones(floor.size))
+    while queue[0].size:
+        more = certify(*(x[:batch] for x in queue))
+        queue = tuple(np.concatenate([x[batch:], y]) for x, y in zip(queue, more))
     inc[~np.equal(why, None)] = np.nan
     return inc, why.tolist()
 
@@ -533,15 +526,18 @@ def _split(es: _ExpSum, cells, kept=None):
     a side wind its part once. The paths of all cells are wound in one
     batch. A cell whose paths fail, whose child windings do not sum to its
     own, or whose cross through c meets a kept disc inside it retries at
-    its next split fraction in the next batch; such a cross is not wound.
+    its next split fraction in the next batch, which winds only the paths
+    that no batch of this call has wound; such a cross is not wound.
     kept = (centres, radii, cell) holds the kept zeros' discs and the index
     of the cell holding each, -1 for none.
     """
     out = [None] * (4 * len(cells))
+    slot: dict = {}  # (start, end) of each path wound in this call -> its index in inc
+    inc = np.zeros(0)
     tries = [(k, 0) for k in range(len(cells))]
     while tries:
         kids = [_children(cells[k][1], *_SPLIT_FRACTIONS[f]) for k, f in tries]
-        ends: dict = {}  # (start, end) of each path to wind -> (index, span)
+        new: dict = {}  # (start, end) of each path not wound yet -> span
         plans = []
         clear = _clear(kept, len(cells), tries, kids)
         for (k, _), (ll, lr, ul, _), free in zip(tries, kids, clear):
@@ -550,13 +546,15 @@ def _split(es: _ExpSum, cells, kept=None):
                 continue
             (p00, b, c, lt), (_, p10, rt, _), (_, _, t, p01) = ll.corners(), lr.corners(), ul.corners()
             paths = ((p00, b), (p10, rt), (p01, t), (p00, lt), (lt, c), (c, rt), (b, c), (c, t))
-            span = cells[k][1].width + cells[k][1].height  # a child's perimeter
-            plans.append([ends.setdefault(ab, (len(ends), span))[0] for ab in paths])
-        inc = np.full(len(ends) + 1, np.nan)
-        if ends:
-            (starts, stops), (_, spans) = zip(*ends), zip(*ends.values())
-            inc[:-1], _ = _increments(es, _segments(starts, stops, np.array(spans)))
-        b1, r1, t1, l1, h1, h2, v1, v2 = inc[np.array(plans)].T
+            for ab in paths:
+                if ab not in slot:
+                    slot[ab] = len(slot)
+                    new[ab] = cells[k][1].width + cells[k][1].height  # a child's perimeter
+            plans.append([slot[ab] for ab in paths])
+        if new:
+            (starts, stops), spans = zip(*new), list(new.values())
+            inc = np.concatenate([inc, _increments(es, _segments(starts, stops, np.array(spans)))[0]])
+        b1, r1, t1, l1, h1, h2, v1, v2 = np.append(inc, np.nan)[np.array(plans)].T
         bo, ri, to, le = np.array([cells[k][3] for k, _ in tries]).T
         sides = np.array([(b1, v1, h1, l1), (bo - b1, r1, h2, v1), (h1, v2, t1, le - l1),
                           (h2, ri - r1, to - t1, v2)]).transpose(2, 0, 1)  # cell, child, side
@@ -803,11 +801,12 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
 
     For a plus/minus symmetric model (analysis.lee_yang_hypotheses) W(i y)
     is real, so every sign change of Re W along the box's segment of the
-    axis brackets a zero of odd multiplicity. The segment is sampled at the
-    phase-rate node count of the box winding, _BATCH points per kernel call,
-    and every bracket is closed by diagram._close_brackets; the end of a
-    bracket still open after its steps is a root like the others. Every root
-    is one of _locate's candidates as it is, without Newton, so a kept root
+    axis brackets a zero of odd multiplicity. The segment is sampled at
+    (2K+1) height rate / 1.2 points, 65 at least, rate bounding the phase
+    rate of the K exponents on it, _BATCH points per kernel call, and every
+    bracket is closed by diagram._close_brackets; the end of a bracket
+    still open after its steps is a root like the others. Every root is
+    one of _locate's candidates as it is, without Newton, so a kept root
     has Re w exactly 0; _kept's residual rule (|W| <= 1e-10, the quadtree's)
     drops a bracket end too far from its zero, which the alpha-test alone
     could keep, as it only asks Newton to converge. The quadtree locates
@@ -820,8 +819,9 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     es, wound = _wound_box(fvm, box)
     roots = np.zeros(0)
     if box.re_lo < 0.0 < box.re_hi:
-        rate = es.rate_bound(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height)
-        y = np.linspace(box.im_lo, box.im_hi, _node_count(len(es.w), box.height, rate, 1.0) + 1)
+        rate = es.taylor(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height, 1, 1).max()
+        count = max((2 * len(es.w) + 1) * box.height * rate / 1.2, 65.0)
+        y = np.linspace(box.im_lo, box.im_hi, int(count) + 1)
         f = np.concatenate([_axis_re(es, y[i : i + _BATCH]) for i in range(0, y.size, _BATCH)])
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])

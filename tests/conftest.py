@@ -77,21 +77,21 @@ def mly():
 
 @pytest.fixture
 def kernel_counts(monkeypatch):
-    """A Counter of the work the zero locators do from here on: "points"
-    evaluated by the exponential-sum kernel (_normalized_terms points, which
-    value_normalized, newton_step and the alpha-test evaluate) and by the
-    per-path bounds that size and check the winding samples (rate_bound and
-    noise_bound disc centres), "contours" wound (closed contours and
-    quadtree cells), "splits", the cells handed to _split, "polished",
-    the points handed to _polish, and "largest_call", the most points in
-    one of those kernel or bound calls."""
+    """A Counter of the work the zero locators do from here on: "points",
+    every point at which the kernel evaluates exponents (exponents, which
+    value_normalized, newton_step and the alpha-test call) or their
+    derivatives (derivatives, which the winding certificate and the
+    alpha-test's Taylor bound call), "contours" wound (closed contours and
+    quadtree cells), "splits", the cells handed to _split, "polished", the
+    points handed to _polish, and "largest_call", the most points in one of
+    those kernel calls."""
     counts = Counter()
-    for name in ("_normalized_terms", "rate_bound", "noise_bound"):
+    for name in ("exponents", "derivatives"):
 
-        def counted(self, z, *args, method=getattr(_ExpSum, name)):
+        def counted(self, z, method=getattr(_ExpSum, name)):
             counts["points"] += np.size(z)
             counts["largest_call"] = max(counts["largest_call"], np.size(z))
-            return method(self, z, *args)
+            return method(self, z)
 
         monkeypatch.setattr(_ExpSum, name, counted)
     windings = zeros_mod._windings

@@ -114,11 +114,10 @@ def test_density_winds_one_circle_and_locates_nothing(m2_q12, kernel_counts):
     assert row.count == 636
     assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     assert kernel_counts["polished"] == 0
-    assert kernel_counts["points"] <= 45 * row.count
+    assert kernel_counts["points"] <= 400  # 201 measured
 
 
 def test_density_counts_past_a_million_nodes_in_flat_memory(m2_q12, kernel_counts):
-    # the circle takes 3.9e6 initial nodes at N=1e7
     N, eps = 10**7, 0.015
     tracemalloc.start()
     try:
@@ -132,6 +131,16 @@ def test_density_counts_past_a_million_nodes_in_flat_memory(m2_q12, kernel_count
     assert row.count == closed == 95_492
     assert peak < 20e6
     assert kernel_counts["largest_call"] <= zeros_mod._BATCH + 1
+
+
+def test_density_at_ten_million_counts_the_closed_form_in_few_points(m2_q12, kernel_counts):
+    # the two crossings of the coexistence line cost O(log N) pieces each
+    N, eps = 10**7, 0.1
+    (row,) = density_convergence(m2_q12, 0, 1, 0j, eps_list=[eps], L_list=[N], d=1)
+    # the odd m with |ln 2 + i pi m| < 2 N eps, as _closed_form_count counts them
+    x = math.sqrt((2 * N * eps) ** 2 - math.log(2) ** 2) / math.pi
+    assert row.count == 2 * math.ceil((x - 1) / 2) == 636_620
+    assert kernel_counts["points"] <= 720  # 357 measured
 
 
 def test_density_convergence_warns_on_tiny_disc(m2):

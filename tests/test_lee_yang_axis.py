@@ -67,7 +67,9 @@ def test_axis_search_evaluates_few_points(kernel_counts):
     on_axis = kernel_counts["points"]
     kernel_counts.clear()
     find_zeros_region(fvm, BOX)
-    assert on_axis <= 4000 < kernel_counts["points"]
+    # most of the quadtree's points are its Newton polish
+    assert on_axis <= 4000
+    assert 5 * on_axis < kernel_counts["points"]
 
 
 def _one_winding(fvm, box, monkeypatch):

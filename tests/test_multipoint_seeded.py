@@ -51,8 +51,8 @@ def test_a_dropped_seed_leaves_one_zero_to_the_quadtree(monkeypatch, kernel_coun
     kernel_counts.clear()
     dropped = _disc(10000, monkeypatch, lambda s: s[1:])
     assert dropped.quadtree_located == 1 and len(windings) == 1
-    # the whole-box quadtree evaluates 171,346 points
-    assert kernel_counts["points"] <= 80_000
+    # the whole-box quadtree evaluates 45,710 points
+    assert kernel_counts["points"] <= 4_300
     quadtree = _disc(10000, monkeypatch, lambda s: s[:0])
     for other in (seeded, quadtree):
         assert [w.multiplicity for w in dropped.zeros] == [w.multiplicity for w in other.zeros]
@@ -180,4 +180,4 @@ def test_seeded_disc_winds_one_contour_and_few_points(kernel_counts):
     zs = _disc(10000)
     assert zs.quadtree_located == 0 and len(zs) == 189
     assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
-    assert kernel_counts["points"] <= 100 * len(zs)
+    assert kernel_counts["points"] <= 12 * len(zs)

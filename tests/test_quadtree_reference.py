@@ -14,6 +14,7 @@ _polish and _neighbours with the finder.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +35,6 @@ from pfzeros import (
     symmetric_pair_perturbation,
 )
 from pfzeros.zeros import (
-    HALF_PI,
     _ExpSum,
     _neighbours,
     _polish,
@@ -45,6 +45,8 @@ from conftest import lee_yang_model, three_phase_model, two_phase_model
 
 # ---------------------------------------------------------------------------
 # Reference: one contour per winding, recursive depth-first quadtree
+
+HALF_PI = 0.5 * math.pi
 
 
 def _polish_one(es: _ExpSum, z: complex, tol: float):
@@ -394,6 +396,15 @@ def _double_zero_fvm():
     return finite_volume(model, L=1, d=1, tau=1.0)
 
 
+def _double_zero(z: complex) -> complex:
+    """The double zero of (e^z - 1)^2 near z, as a 50-digit zero of its
+    derivative 2 e^{2z} - 2 e^z."""
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda w: 2 * mpmath.exp(2 * w) - 2 * mpmath.exp(w), mpmath.mpc(z.real, z.imag))
+        assert abs(mpmath.exp(root) - 1) < mpmath.mpf(10) ** -40
+        return complex(root)
+
+
 _DISC_RHO = 25 * math.log(10000) / 10000
 
 
@@ -430,7 +441,18 @@ def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
     monkeypatch.setattr(zeros_mod, "_children", recorded)
     # with no candidates the locator is the seedless quadtree
     got, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N)
-    assert got == _find_zeros_expsum(es, box, 1.0 / fvm.N)
+    want = _find_zeros_expsum(es, box, 1.0 / fvm.N)
+    if make_fvm is _double_zero_fvm:
+        # A split cross through the double zero at 0 fails its path in the
+        # finder, where the reference's sampled phase steps over it, so the
+        # two trees retry differently and polish from different terminal
+        # cells. Newton resolves a double zero to about sqrt(machine epsilon).
+        assert [m for _, m, _ in got] == [m for _, m, _ in want] == [2, 2]
+        for zeros in (got, want):
+            for z, _, _ in zeros:
+                assert abs(z - _double_zero(z)) <= 1e-7
+    else:
+        assert got == want
     assert located == len(got)
     assert sum(m for _, m, _ in got) > 0
     if make_fvm is _lee_yang_fvm:

@@ -240,4 +240,4 @@ def test_seeded_search_winds_one_contour_and_few_points(kernel_counts):
     found = find_zeros_seeded(fvm, BOX, _predicted(10000, 1))
     assert found.quadtree_located == 0 and len(found.zeros) == 637
     assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
-    assert kernel_counts["points"] <= 100 * len(found.zeros)
+    assert kernel_counts["points"] <= 17 * len(found.zeros)

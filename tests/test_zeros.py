@@ -167,11 +167,9 @@ def test_winding_argument_principle_consistency(m2):
     assert zs.total_multiplicity() == winding_number(fvm, box)
 
 
-def test_find_zeros_double_zeros_split_by_rounding():
-    # W = e^{2z} - 2 e^z + 1 = (e^z - 1)^2: double zeros at 0 and 2 pi i. Rounding
-    # splits the one at 0 across a cell edge into two winding-1 cells; the
-    # merged candidates must still be counted as one zero of multiplicity 2.
-    model = ModelSpec(
+def _double_zero_model():
+    """W = e^{2z} - 2 e^z + 1 = (e^z - 1)^2: double zeros at 2 pi i k."""
+    return ModelSpec(
         phases=(
             PhaseSpec("a", 1, (0j, 2 + 0j)),
             PhaseSpec("b", 2, (1j * math.pi, 1 + 0j)),
@@ -179,7 +177,13 @@ def test_find_zeros_double_zeros_split_by_rounding():
         ),
         domain=Rectangle(-2.0, 2.0, -2.0, 8.0),
     )
-    fvm = finite_volume(model, L=1, d=1, tau=1.0)
+
+
+def test_find_zeros_double_zeros_split_by_rounding():
+    # double zeros at 0 and 2 pi i. Rounding splits the one at 0 across a
+    # cell edge into two winding-1 cells; the merged candidates must still
+    # be counted as one zero of multiplicity 2.
+    fvm = finite_volume(_double_zero_model(), L=1, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-1.0, 1.1, -1.0, 7.0))
     assert [w.multiplicity for w in zs.zeros] == [2, 2]
     # a double root is resolved to about sqrt(machine epsilon)
@@ -217,21 +221,10 @@ def test_find_zeros_windings_per_zero(m2, monkeypatch):
     assert len(kernel_calls) - len(polishes) <= 60
 
 
-@pytest.mark.parametrize("batch, n0", [(7, [1, 5, 49, 6, 7, 13, 2, 98, 1]), (8192, [8190, 1, 100_008])])
-def test_chunked_nodes_are_the_linspace_nodes(monkeypatch, batch, n0):
-    monkeypatch.setattr(zeros_mod, "_BATCH", batch)
-    chunks = list(zeros_mod._nodes(np.array(n0)))
-    assert max(s.size for _, s, _ in chunks) <= batch
-    pid = np.concatenate([chunks[0][0]] + [p[1:] for p, _, _ in chunks[1:]])  # one node overlaps
-    s = np.concatenate([chunks[0][1]] + [x[1:] for _, x, _ in chunks[1:]])
-    assert pid.tolist() == np.repeat(np.arange(len(n0)), np.array(n0) + 1).tolist()
-    assert s.tolist() == np.concatenate([np.linspace(0.0, 1.0, n + 1) for n in n0]).tolist()
-
-
 @pytest.mark.parametrize("batch", [3, 5, 8, 13])
 def test_increments_do_not_depend_on_the_chunks_or_the_batch(m2_q12, monkeypatch, batch):
-    # chunks of a few nodes end inside paths and at their first and last
-    # nodes; the circles 1e-6 and 1e-4 off the zeros at |z_0| are bisected
+    # batches of a few pieces hold parts of paths and of their cuts; the
+    # circles 1e-6 and 1e-4 off the zeros at |z_0| are cut finely near them
     es = _ExpSum.from_fvm(finite_volume(m2_q12, L=100, d=1, tau=1.0))
     r0 = abs(complex(math.log(2), math.pi)) / 200
     circles = ([0j, 0.01, 0.02j, 0j], [r0 * (1 + 1e-6), 0.05, 0.03, r0 * (1 - 1e-4)])
@@ -245,15 +238,71 @@ def test_increments_do_not_depend_on_the_chunks_or_the_batch(m2_q12, monkeypatch
 
 def test_find_zeros_on_the_three_phase_disc_evaluates_few_points(kernel_counts):
     # the three-phase find-zeros invocation: N=1e4 on [-rho, rho]^2 with
-    # rho = 25 log N / N. Winding every cell as a fresh closed contour with
-    # a 129-point rate probe cost 505,860 points; cells wound from shared
-    # side increments sized by the Taylor rate bound cost about a third
+    # rho = 25 log N / N; 45,683 points measured
     N = 10000
     rho = 25 * math.log(N) / N
     fvm = finite_volume(three_phase_model(), L=N, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-rho, rho, -rho, rho))
     assert len(zs) == zs.total_multiplicity() == 209
-    assert kernel_counts["points"] <= 200_000
+    assert kernel_counts["points"] <= 92_000
+
+
+def test_a_side_beside_a_double_zero_winds_two_or_names_the_box():
+    # the right side passes 1e-9 from the double zero 2 pi i inside the
+    # cell; a phase sampled at a node count read a winding of 1 here
+    es = _ExpSum.from_fvm(finite_volume(_double_zero_model(), L=1, d=1, tau=1.0))
+    cell = Rectangle(-0.0156, 1e-9, 6.25, 6.3125)
+    try:
+        wind = zeros_mod._box_winding(es, cell)[0]
+    except ContourDegeneracyError as err:
+        assert err.contour == cell and str(cell) in str(err)
+    else:
+        assert wind == 2
+
+
+def test_constant_exponents_wind_nothing():
+    model = ModelSpec(
+        phases=(PhaseSpec("a", 1, (0j,)), PhaseSpec("b", 2, (1j,))),
+        domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
+    )
+    fvm = finite_volume(model, L=10, d=1, tau=1.0)
+    assert winding_number(fvm, Rectangle(-0.5, 0.5, -0.5, 0.5)) == winding_number(fvm, (0j, 0.3)) == 0
+    assert len(find_zeros_region(fvm, Rectangle(-0.5, 0.5, -0.5, 0.5))) == 0
+
+
+_Z0 = complex(math.log(2), math.pi) / 20000  # a zero of e^{Nz} + 2 e^{-Nz} at N=1e4
+
+
+@pytest.mark.parametrize(
+    "contour",
+    [
+        (_Z0 - 0.01, 0.01),  # a circle from the zero
+        (_Z0 + 0.003j, 0.003),  # a circle through the zero three quarters along it
+        Rectangle(-0.01, 0.01, _Z0.imag, 0.05),  # a box whose bottom side crosses the zero
+    ],
+    ids=["circle_start", "circle", "box_side"],
+)
+def test_a_contour_through_a_zero_raises(m2_q12, contour):
+    fvm = finite_volume(m2_q12, L=10000, d=1, tau=1.0)
+    with pytest.raises(ContourDegeneracyError) as err:
+        winding_number(fvm, contour)
+    assert err.value.contour == contour
+
+
+@pytest.mark.parametrize("N, count", [(10**8, 6_366_198), (10**10, 636_619_772)])
+def test_the_two_phase_box_winds_its_closed_form_count_at_large_n(m2_q12, kernel_counts, N, count):
+    # the zeros (ln 2 + i pi (2k + 1)) / (2N) with 0 < Im z < 0.2
+    assert count == math.floor((0.4 * N / math.pi - 1) / 2) + 1
+    fvm = finite_volume(m2_q12, L=N, d=1, tau=1.0)
+    assert winding_number(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2)) == count
+    assert kernel_counts["points"] <= 900  # 360 and 444 measured
+
+
+def test_the_compare_box_winds_in_few_points(m2_q12, kernel_counts):
+    # the locate-two-phase compare box at N=1e6; 282 points measured
+    fvm = finite_volume(m2_q12, L=10**6, d=1, tau=1.0, perturbation=random_perturbation(m2_q12, seed=7))
+    assert winding_number(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2)) == 63_662
+    assert kernel_counts["points"] <= 1000
 
 
 def test_find_zeros_polishes_once_per_level(m2, monkeypatch):
