@@ -164,11 +164,12 @@ def lee_yang_report(
     """The theorem's conclusion on located zeros: the maximum |Re w| against
     a tolerance proportional to the finite-volume error scale, 10 e^{-tau L},
     and the zero count on Im w in (0, 1]."""
+    y = zeros.z.imag
     return LeeYangReport(
-        max_abs_re=max((abs(w.z.real) for w in zeros.zeros), default=0.0),
+        max_abs_re=float(np.abs(zeros.z.real).max(initial=0.0)),
         tolerance=10.0 * math.exp(-fvm.tau * fvm.L),
-        count_unit_segment=sum(w.multiplicity for w in zeros.zeros if 0.0 < w.z.imag <= 1.0),
-        zeros_checked=len(zeros.zeros),
+        count_unit_segment=int(zeros.multiplicity[(0.0 < y) & (y <= 1.0)].sum()),
+        zeros_checked=len(zeros),
         symmetry_residual=symmetry_residual,
     )
 

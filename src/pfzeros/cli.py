@@ -42,12 +42,9 @@ def _write(path: Path, text: str) -> Path:
 
 
 def zeros_csv(zs: zeros.ZeroSet) -> str:
-    lines = [ZEROS_HEADER]
-    for w in zs.zeros:
-        lines.append(
-            f"{_g17(w.z.real)},{_g17(w.z.imag)},{w.multiplicity},{_g17(w.residual)},{w.method}"
-        )
-    return "\n".join(lines) + "\n"
+    cols = (zs.z.real, zs.z.imag, zs.multiplicity, zs.residual, zs.method)
+    rows = map("%.17g,%.17g,%d,%.17g,%s\n".__mod__, zip(*(c.tolist() for c in cols)))
+    return "".join([ZEROS_HEADER, "\n", *rows])
 
 
 def read_zeros_csv(path) -> list[zeros.Zero]:
@@ -95,7 +92,6 @@ def _search_lines(found: zeros.ZeroSearch) -> list[str]:
 
 
 def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch) -> str:
-    located = found.zeros
     lines = [
         f"pairs: {len(rep.pairs)}",
         f"unmatched_predicted: {len(rep.unmatched_predicted)}",
@@ -107,14 +103,11 @@ def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch
         *_search_lines(found),
         "pair_table: predicted_idx,located_idx,distance,delta_L",
     ]
-    for pi, li, dist, tol in rep.pairs:
-        lines.append(f"  {pi},{li},{_g17(dist)},{_g17(tol)}")
-    for i in rep.unmatched_predicted:
-        z = predicted.zeros[i].z
-        lines.append(f"unmatched_predicted_at: {_g17(z.real)},{_g17(z.imag)}")
-    for i in rep.unmatched_located:
-        z = located.zeros[i].z
-        lines.append(f"unmatched_located_at: {_g17(z.real)},{_g17(z.imag)}")
+    lines += map("  %d,%d,%.17g,%.17g".__mod__, rep.pairs)
+    for side, zs, at in (("predicted", predicted, rep.unmatched_predicted),
+                         ("located", found.zeros, rep.unmatched_located)):
+        row = f"unmatched_{side}_at: %.17g,%.17g"
+        lines += [row % (z.real, z.imag) for z in zs.z[at].tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -253,8 +246,7 @@ def _predict_zeros(spec, args, out):
     m, n = args.pair
     box = model.Rectangle(*args.box)
     curve = _curve_for_pair(spec, m, n, box)
-    zs = zeros.predict_two_phase(spec, m, n, curve, L=args.L, d=args.d)
-    zs = zeros.ZeroSet.build([w for w in zs.zeros if box.contains(w.z)], box, args.L, args.d)
+    zs = zeros.predict_two_phase(spec, m, n, curve, L=args.L, d=args.d).within(box)
     return [_write(out / f"zeros_two_phase_L{args.L}d{args.d}.csv", zeros_csv(zs))]
 
 
@@ -264,9 +256,7 @@ def _compare(spec, args, out):
     fvm = _fvm(spec, args, kappa=args.kappa, xi_strength=args.theta)
     curve = _curve_for_pair(spec, m, n, box)
     predicted_all = zeros.predict_two_phase(spec, m, n, curve, L=fvm.L, d=fvm.d)
-    predicted = zeros.ZeroSet.build(
-        [w for w in predicted_all.zeros if box.contains(w.z)], box, fvm.L, fvm.d
-    )
+    predicted = predicted_all.within(box)
     # the unfiltered prediction also seeds zeros just inside the box whose
     # predictions fall just outside it
     found = zeros.find_zeros_seeded(fvm, box, predicted_all.points())

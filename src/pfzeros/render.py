@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .diagram import PhaseDiagram
 from .errors import ValidationError
 from .model import Rectangle
@@ -12,24 +14,6 @@ _ZERO_COLORS = {
     "two_phase_eq": "#ff7f0e",
     "multipoint_eq": "#bcbd22",
 }
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
-class _Mapper:
-    def __init__(self, viewport: Rectangle, width: int, height: int, pad: int):
-        self.v = viewport
-        self.sx = (width - 2 * pad) / viewport.width
-        self.sy = (height - 2 * pad) / viewport.height
-        self.pad = pad
-        self.height = height
-
-    def __call__(self, z: complex) -> tuple[float, float]:
-        x = self.pad + (z.real - self.v.re_lo) * self.sx
-        y = self.height - self.pad - (z.imag - self.v.im_lo) * self.sy
-        return x, y
 
 
 def emit_svg(
@@ -45,7 +29,12 @@ def emit_svg(
         raise ValidationError("a viewport rectangle is required")
     width = height = 640  # pixels
     pad = 30
-    m = _Mapper(viewport, width, height, pad)
+    sx, sy = (width - 2 * pad) / viewport.width, (height - 2 * pad) / viewport.height
+
+    def m(z):
+        """(x, y) of z, elementwise for an array z."""
+        return pad + (z.real - viewport.re_lo) * sx, height - pad - (z.imag - viewport.im_lo) * sy
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -57,13 +46,13 @@ def emit_svg(
     if viewport.re_lo < 0 < viewport.re_hi:
         x0, _ = m(0j)
         parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{pad}" x2="{_fmt(x0)}" y2="{height - pad}" '
+            f'<line x1="{x0:.2f}" y1="{pad}" x2="{x0:.2f}" y2="{height - pad}" '
             'stroke="#ccc" stroke-width="1"/>'
         )
     if viewport.im_lo < 0 < viewport.im_hi:
         _, y0 = m(0j)
         parts.append(
-            f'<line x1="{pad}" y1="{_fmt(y0)}" x2="{width - pad}" y2="{_fmt(y0)}" '
+            f'<line x1="{pad}" y1="{y0:.2f}" x2="{width - pad}" y2="{y0:.2f}" '
             'stroke="#ccc" stroke-width="1"/>'
         )
     parts.append(
@@ -78,26 +67,24 @@ def emit_svg(
             pts = [m(s.z) for s in curve.samples]
             if len(pts) < 2:
                 continue
-            d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+            d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pts)
             parts.append(
                 f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
         for mp in diagram.multiple_points:
             x, y = m(mp.z)
             parts.append(
-                f'<rect x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" height="8" '
+                f'<rect x="{x - 4:.2f}" y="{y - 4:.2f}" width="8" height="8" '
                 'fill="none" stroke="#000" stroke-width="1.5"/>'
             )
 
+    circle = '<circle cx="%.2f" cy="%.2f" r="2.2" fill="%s"/>'
     for zs in zero_sets:
-        for w in zs.zeros:
-            if not viewport.contains(w.z):
-                continue
-            color = _ZERO_COLORS.get(w.method, "#000")
-            x, y = m(w.z)
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.2" fill="{color}"/>'
-            )
+        inside = viewport.contains(zs.z)
+        with np.errstate(all="ignore"):  # inf and NaN as a float's arithmetic gives them
+            x, y = m(zs.z[inside])
+        color = [_ZERO_COLORS.get(s, "#000") for s in zs.method[inside].tolist()]
+        parts += map(circle.__mod__, zip(x.tolist(), y.tolist(), color))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -17,6 +17,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,9 +70,14 @@ class Zero:
 
 @dataclass
 class ZeroSet:
-    """Canonically sorted zeros with the region and volume they refer to."""
+    """Canonically sorted zeros in columns, with the region and volume they
+    refer to: row i is z[i] with its multiplicity, residual and method.
+    zeros builds the rows as Zero objects, on each access."""
 
-    zeros: tuple[Zero, ...]
+    z: np.ndarray  # complex
+    multiplicity: np.ndarray  # int
+    residual: np.ndarray  # float
+    method: np.ndarray  # str objects
     region: Rectangle
     L: int
     d: int
@@ -81,28 +87,47 @@ class ZeroSet:
     quadtree_located: int | None = None
 
     @classmethod
-    def build(cls, zeros, region, L, d, **search) -> "ZeroSet":
-        zeros = list(zeros)
-        pts = np.array([w.z for w in zeros], dtype=complex)
+    def build(cls, z, multiplicity, residual, method, region, L, d, **search) -> "ZeroSet":
+        """The set of zeros given in columns, a scalar standing for a whole
+        column; of zeros within _DEDUP_TOL the first in order is kept."""
+        z = np.asarray(z, dtype=complex).reshape(-1)
         # Sorting on the rounded key first keeps zeros on a common vertical
         # line in order of Im z even when their real parts differ by ulps.
         order = np.lexsort(
-            (pts.imag, pts.real, np.round(pts.imag / _DEDUP_TOL), np.round(pts.real / _DEDUP_TOL))
+            (z.imag, z.real, np.round(z.imag / _DEDUP_TOL), np.round(z.real / _DEDUP_TOL))
         )
-        unique = [zeros[order[i]] for i in _first_come(pts[order], _DEDUP_TOL)]
-        return cls(tuple(unique), region, int(L), int(d), _volume(L, d), **search)
+        rows = order[_first_come(z[order], _DEDUP_TOL)]
+        cols = (np.broadcast_to(np.asarray(c, dtype=t), z.shape)[rows]
+                for c, t in ((multiplicity, int), (residual, float), (method, object)))
+        return cls(z[rows], *cols, region, int(L), int(d), _volume(L, d), **search)
+
+    def within(self, box: Rectangle) -> "ZeroSet":
+        """The zeros in the closed box, as a set of that region: the rows of a
+        sorted set with no near duplicates are one."""
+        inside = box.contains(self.z)
+        cols = (self.z, self.multiplicity, self.residual, self.method)
+        return ZeroSet(*(c[inside] for c in cols), box, self.L, self.d, self.N)
+
+    @property
+    def zeros(self) -> tuple[Zero, ...]:
+        cols = (self.z, self.multiplicity, self.residual, self.method)
+        return tuple(map(Zero, *(c.tolist() for c in cols)))
+
+    def __eq__(self, other) -> bool:
+        key = attrgetter("zeros", "region", "L", "d", "N", "quadtree_located")
+        return isinstance(other, ZeroSet) and key(self) == key(other)
 
     def __len__(self) -> int:
-        return len(self.zeros)
+        return self.z.size
 
     def points(self) -> np.ndarray:
-        return np.array([w.z for w in self.zeros], dtype=complex)
+        return self.z
 
     def total_multiplicity(self) -> int:
-        return sum(w.multiplicity for w in self.zeros)
+        return int(self.multiplicity.sum())
 
     def count_in_disc(self, center: complex, radius: float) -> int:
-        return sum(w.multiplicity for w in self.zeros if abs(w.z - center) < radius)
+        return int(self.multiplicity[_modulus(self.z - center) < radius].sum())
 
     def min_spacing(self) -> float:
         """Smallest distance between two zeros, from grid pairs within a
@@ -653,8 +678,8 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
 
 
 def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
-    """(found, k): the zeros of a box whose _box_winding is wound, as (z,
-    multiplicity, residual) triples, and how many of them the quadtree
+    """(found, k): the zeros of a box whose _box_winding is wound, as the
+    columns (z, multiplicity, residual), and how many of them the quadtree
     located.
 
     z and res are candidate points, not trusted, and their residuals |W|,
@@ -672,34 +697,30 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
     """
     z, res = np.asarray(z, dtype=complex), np.asarray(res, dtype=float)
     keep, rad = _kept(es, box, z, res, scale)
-    cands = [(zk, 1, rk) for zk, rk in zip(z[keep].tolist(), res[keep].tolist())]
     total = wound[0]
-    if len(cands) == total:
-        return cands, 0
+    if keep.size == total:
+        return (z[keep], np.ones(keep.size, dtype=int), res[keep]), 0
     min_cell, r_mult = 1e-3 * scale, 1e-2 * scale
+    cands = list(zip(z[keep].tolist(), [1] * keep.size, res[keep].tolist()))
     cands += _quadtree(es, box, wound, min_cell, (z[keep], rad))
 
-    near = _neighbours(np.array([z for z, _, _ in cands], dtype=complex), 0.5 * r_mult)
-    taken: set[int] = set()
-    found: list[tuple[complex, int, float]] = []
-    for i, (zi, mult, res_i) in enumerate(cands):
-        if not box.contains(zi, pad=min_cell):
-            continue
-        if not taken.isdisjoint(near.get(i, ())):
+    cz = np.array([c[0] for c in cands], dtype=complex)
+    near, inside = _neighbours(cz, 0.5 * r_mult), box.contains(cz, pad=min_cell).tolist()
+    found: dict[int, int] = {}  # the index of each zero taken -> its multiplicity
+    for i, (zi, mult, _) in enumerate(cands):
+        if not inside[i] or not found.keys().isdisjoint(near.get(i, ())):
             continue
         if mult is None or i in near:
             mult = _multiplicity(es, zi, r_mult)
             if mult < 1:
                 continue
-        taken.add(i)
-        found.append((zi, mult, res_i))
-    if sum(m for _, m, _ in found) != total:
-        raise UnresolvedClusterError(
-            f"polished multiplicities sum to {sum(m for _, m, _ in found)}, "
-            f"box winding is {total}",
-            box,
-        )
-    return found, sum(i >= keep.size for i in taken)
+        found[i] = mult
+    if sum(found.values()) != total:
+        msg = f"polished multiplicities sum to {sum(found.values())}, box winding is {total}"
+        raise UnresolvedClusterError(msg, box)
+    at = list(found)
+    cols = (cz[at], np.array(list(found.values()), dtype=int), np.array([cands[i][2] for i in at]))
+    return cols, sum(i >= keep.size for i in at)
 
 
 def eval_logZ_normalized(fvm: FiniteVolumeModel, z: complex) -> complex:
@@ -756,8 +777,7 @@ def _require_box_in_domain(fvm: FiniteVolumeModel, box: Rectangle) -> None:
 
 
 def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
-    zeros = [Zero(z, mult, res, METHOD_BRUTE) for z, mult, res in found]
-    return ZeroSet.build(zeros, box, fvm.L, fvm.d)
+    return ZeroSet.build(*found, METHOD_BRUTE, box, fvm.L, fvm.d)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +846,7 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])
     res = _modulus(es.value_normalized(1j * roots))
-    z = np.array([complex(0.0, r) for r in roots.tolist()], dtype=complex)
+    z = 0.0 + 1j * roots  # the real parts +0.0, as in complex(0.0, y)
     found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N)
     return ZeroSearch(_located(fvm, box, found), wound[0], k, int(roots.size))
 
@@ -923,9 +943,10 @@ def predict_two_phase(
     supplies only the seeds. theta = N Im h increases strictly along a
     traced curve, so every pi (2j+1) between its end values gets one seed,
     interpolated between the samples against theta. One array Newton then
-    runs on all seeds at once, each seed until |N (h(z) - c_j)| <= tol, so
-    the curve may be as coarse as its shape allows. Samples along which
-    theta is not strictly monotone raise ValidationError.
+    runs on all seeds at once, each seed until |N (h(z) - c_j)| <= tol, or 8
+    ulps of |N c_j| where that is more (at large N tol is below the rounding
+    of N h), so the curve may be as coarse as its shape allows. Samples
+    along which theta is not strictly monotone raise ValidationError.
     """
     if curve.pair != (m, n) and curve.pair != (n, m):
         raise ValidationError(f"curve belongs to pair {curve.pair}, not ({m},{n})")
@@ -963,22 +984,23 @@ def predict_two_phase(
     tgt = tgt[(theta[0] <= tgt) & (tgt <= theta[-1])]
     z = np.interp(tgt, theta, pts)
     c = log_ratio + 1j * tgt  # N c_j
+    stop = np.maximum(tol, 8.0 * np.spacing(np.abs(c)))  # tol, or 8 ulps of |N c_j|
     act = np.arange(tgt.size)
     for k in range(_NEWTON_STEPS + 1):
         r = N * h(z[act]) - c[act]
-        keep = ~(np.abs(r) <= tol)
+        keep = ~(np.abs(r) <= stop[act])
         act = act[keep]
         if not act.size or k == _NEWTON_STEPS:
             break
         z[act] -= r[keep] / (N * dh(z[act]))
     if act.size:
         raise NoConvergenceError(
-            f"two-phase Newton did not reach |N(h - c_j)| <= {tol} in {_NEWTON_STEPS} steps",
+            f"two-phase Newton did not reach |N(h - c_j)| <= max({tol}, 8 ulps of |N c_j|) "
+            f"in {_NEWTON_STEPS} steps",
             complex(z[act[0]]),
         )
     hz = h(z)
     resid = np.abs(N * hz.imag - tgt) + N * np.abs(hz.real - log_ratio / N)
-    zeros = [Zero(zj, 1, rj, METHOD_TWO_PHASE) for zj, rj in zip(z.tolist(), resid.tolist())]
 
     pad = 1e-9 + 2.0 / max(N, 1)
     region = Rectangle(
@@ -987,7 +1009,7 @@ def predict_two_phase(
         float(pts.imag.min()) - pad,
         float(pts.imag.max()) + pad,
     )
-    return ZeroSet.build(zeros, region, L, d)
+    return ZeroSet.build(z, 1, resid, METHOD_TWO_PHASE, region, L, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,16 +1091,15 @@ def predict_multipoint(
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
     z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), _RESIDUAL_TOL)
-    found, k = _locate(es, box, _box_winding(es, box), z, res, 1.0)
-    zeros = [
-        Zero(mp.z + zf / N, mult, res, METHOD_MULTIPOINT)
-        for zf, mult, res in found
-        if abs(zf) <= R
-    ]
+    (zf, mult, res), k = _locate(es, box, _box_winding(es, box), z, res, 1.0)
+    inside = _modulus(zf) <= R
+    # zf / N by parts, as Python divides a complex by a real (numpy takes 1 / N)
+    z = mp.z + (zf.real[inside] / N + 1j * (zf.imag[inside] / N))
     region = Rectangle(
         mp.z.real - rho_L, mp.z.real + rho_L, mp.z.imag - rho_L, mp.z.imag + rho_L
     )
-    return ZeroSet.build(zeros, region, L, d, quadtree_located=k)
+    return ZeroSet.build(z, mult[inside], res[inside], METHOD_MULTIPOINT, region, L, d,
+                         quadtree_located=k)
 
 
 def asymptote_lines(model: ModelSpec, mp: MultiplePoint) -> list[AsymptoteLine]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pfzeros.zeros as zeros_mod
-from pfzeros import ModelSpec, PhaseSpec, Rectangle
+from pfzeros import ModelSpec, PhaseSpec, Rectangle, Zero
 from pfzeros.zeros import _ExpSum
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -115,4 +115,25 @@ def kernel_counts(monkeypatch):
         return polish(es, starts, *args)
 
     monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
+    return counts
+
+
+@pytest.fixture
+def row_counts(monkeypatch):
+    """A Counter of the work done once per zero from here on: "zeros", the
+    Zero objects constructed, and "contains", the calls of
+    Rectangle.contains, each of which may take a whole array."""
+    counts = Counter()
+    init, contains = Zero.__init__, Rectangle.contains
+
+    def counted_init(self, *args):
+        counts["zeros"] += 1
+        init(self, *args)
+
+    def counted_contains(self, z, *args, **kwargs):
+        counts["contains"] += 1
+        return contains(self, z, *args, **kwargs)
+
+    monkeypatch.setattr(Zero, "__init__", counted_init)
+    monkeypatch.setattr(Rectangle, "contains", counted_contains)
     return counts

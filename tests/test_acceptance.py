@@ -64,9 +64,7 @@ def axis_zeros(N, q_ratio=1.0, im_max=0.2):
 def m2_prediction(model, N, span=0.3):
     step = min(0.005, math.pi / (2 * N * 2.0))
     curve = trace_curve(model, 0, 1, 0j, step=step, max_steps=int(math.ceil(span / step)))
-    zs = predict_two_phase(model, 0, 1, curve, L=N, d=1)
-    kept = [w for w in zs.zeros if BOX.contains(w.z)]
-    return ZeroSet.build(kept, BOX, N, 1)
+    return predict_two_phase(model, 0, 1, curve, L=N, d=1).within(BOX)
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +92,9 @@ def m3_multipoint_data(m3):
     fvm = finite_volume(m3, N, 1, tau=1.0)
     box = Rectangle(-rho, rho, -rho, rho)
     located = find_zeros_region(fvm, box)
-    in_disc = ZeroSet.build(
-        [w for w in located.zeros if abs(w.z - mp.z) <= rho], box, N, 1
-    )
+    keep = np.array([abs(z - mp.z) <= rho for z in located.z.tolist()], dtype=bool)
+    cols = (located.z, located.multiplicity, located.residual, located.method)
+    in_disc = ZeroSet.build(*(c[keep] for c in cols), box, N, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         predicted = predict_multipoint(m3, mp, N, 1, rho + 10.0 * N ** (-4.0 / 3.0))

@@ -93,21 +93,20 @@ def test_random_sums_are_certified_from_their_seeds():
         es = _ExpSum.from_multipoint(qs, phis, vs)
         wound = zeros_mod._box_winding(es, box)
         z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), 1e-10)
-        found, k = _locate(es, box, wound, z, res, 1.0)
-        assert sum(m for _, m, _ in found) == wound[0]
+        (got, mult, _), k = _locate(es, box, wound, z, res, 1.0)
+        assert mult.sum() == wound[0]
         if draw < 30:
             # the seeds of a jittered regular K-gon account for every zero
-            assert k == 0 and len(found) == wound[0]
+            assert k == 0 and got.size == wound[0]
             counts.append(wound[0])
             continue
         # the seedless quadtree's zeros, matched one to one; 1e-14 is taken
         # relative to |zf|, as both polishes stop within a few ulps of it
-        ref, _ = _locate(es, box, wound, (), (), 1.0)
-        got, want = np.array([w[0] for w in found]), np.array([w[0] for w in ref])
+        (want, want_mult, _), _ = _locate(es, box, wound, (), (), 1.0)
         nearest = np.abs(got[:, None] - want[None, :]).argmin(axis=1)
-        assert sorted(nearest.tolist()) == list(range(len(ref)))
+        assert sorted(nearest.tolist()) == list(range(want.size))
         assert np.all(np.abs(got - want[nearest]) <= 1e-14 * np.maximum(1.0, np.abs(want[nearest])))
-        assert [w[1] for w in found] == [ref[j][1] for j in nearest.tolist()]
+        assert mult.tolist() == want_mult[nearest].tolist()
         located += k
     assert min(counts) > 20 and located > 0
 
@@ -136,8 +135,8 @@ def test_a_seed_still_stepping_after_80_newton_steps_is_kept(monkeypatch):
     z, res, _ = _polish(es, seeds, 1e-10)
     keep, _ = zeros_mod._kept(es, box, z, res, 1.0)
     assert 43 in keep.tolist()
-    found, k = _locate(es, box, wound, z, res, 1.0)
-    assert k == 0 and len(found) == wound[0] == 135
+    (found, _, _), k = _locate(es, box, wound, z, res, 1.0)
+    assert k == 0 and found.size == wound[0] == 135
 
 
 def _reference_G(model, mp, N, scale):

@@ -37,7 +37,7 @@ from pfzeros import (
 )
 
 from conftest import OMEGA, three_phase_model, two_phase_model
-from test_zeros import axis_zeros
+from test_zeros import _build, axis_zeros
 
 
 def quadruple_model():
@@ -290,6 +290,22 @@ def test_predict_two_phase_newton_cap_carries_its_iterate():
     assert np.abs(zs - exc.value.last_iterate).min() <= 1e-12
 
 
+def test_predict_two_phase_at_n_1e7_meets_the_closed_form():
+    # |N c_j| is about 4e6 here, where a stop at |N(h - c_j)| <= 1e-10 lies
+    # below the rounding of N h; the stop at 8 ulps of |N c_j| converges
+    N = 10**7
+    model = two_phase_model(q1=1, q2=2)
+    box = Rectangle(-0.01, 0.01, 0.199, 0.2)
+    curve = trace_curve(model, 0, 1, 0.1995j, step=5e-4, max_steps=2)
+    zs = predict_two_phase(model, 0, 1, curve, L=N, d=1).within(box)
+    k = np.arange(
+        math.ceil((0.199 * 2 * N / math.pi - 1) / 2), math.floor((0.2 * 2 * N / math.pi - 1) / 2) + 1
+    )
+    want = (math.log(2) + 1j * math.pi * (2 * k + 1)) / (2 * N)
+    assert len(zs) == k.size > 3000
+    assert np.abs(zs.z - want).max() <= 1e-12
+
+
 def test_predict_two_phase_wrong_pair(m2):
     curve = m2_curve(m2, 10)
     with pytest.raises(ValidationError):
@@ -540,7 +556,7 @@ def test_match_zeros_identical(m2):
 def test_match_zeros_extra_predicted(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
-    extra = ZeroSet.build(
+    extra = _build(
         list(zs.zeros) + [Zero(0.5 + 0.5j, 1, 0.0, "two_phase_eq")], zs.region, zs.L, zs.d
     )
     rep = match_zeros(extra, zs, tolerances=1e-10)
@@ -552,7 +568,7 @@ def test_match_zeros_extra_predicted(m2):
 def test_match_zeros_empty_predicted(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
-    empty = ZeroSet.build([], zs.region, zs.L, zs.d)
+    empty = _build([], zs.region, zs.L, zs.d)
     rep = match_zeros(empty, zs, tolerances=[1.0])
     assert rep.pairs == []
     assert len(rep.unmatched_located) == 6
@@ -591,8 +607,10 @@ def _brute_min_spacing(pts):
 
 def _raw_zero_set(pts):
     """A ZeroSet holding exactly these points, duplicates included."""
-    zeros = tuple(Zero(complex(z), 1, 0.0, "t") for z in pts)
-    return ZeroSet(zeros=zeros, region=Rectangle(-4, 4, -4, 4), L=1, d=1, N=1)
+    n = len(pts)
+    z = np.array(pts, dtype=complex).reshape(-1)
+    ones, box = np.ones(n, dtype=int), Rectangle(-4, 4, -4, 4)
+    return ZeroSet(z, ones, np.zeros(n), np.full(n, "t", dtype=object), box, 1, 1, 1)
 
 
 # half-integer lattice points give exact distance ties and duplicates
@@ -647,9 +665,7 @@ def test_degeneracy_audit_clean(m2):
 
 def test_degeneracy_audit_flags_single_phase_zero(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
-    fake = ZeroSet.build(
-        [Zero(0.5 + 0j, 1, 0.0, "brute_force")], Rectangle(-1, 1, -1, 1), 100, 1
-    )
+    fake = _build([Zero(0.5 + 0j, 1, 0.0, "brute_force")], Rectangle(-1, 1, -1, 1), 100, 1)
     rep = degeneracy_audit(fvm, fake)
     assert not rep.ok
     assert any("single-phase" in v for v in rep.violations)

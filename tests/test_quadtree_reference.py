@@ -440,7 +440,8 @@ def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
 
     monkeypatch.setattr(zeros_mod, "_children", recorded)
     # with no candidates the locator is the seedless quadtree
-    got, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N)
+    cols, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N)
+    got = list(zip(*(c.tolist() for c in cols)))
     want = _find_zeros_expsum(es, box, 1.0 / fvm.N)
     if make_fvm is _double_zero_fvm:
         # A split cross through the double zero at 0 fails its path in the

@@ -385,13 +385,19 @@ def test_contour_errors_name_their_contour(m2, monkeypatch):
     assert err.value.contour == (0.01j, 1e-4)
 
 
+def _build(rows, box, L, d):
+    """ZeroSet.build of Zero rows."""
+    cols = [[getattr(w, f) for w in rows] for f in ("z", "multiplicity", "residual", "method")]
+    return ZeroSet.build(*cols, box, L, d)
+
+
 def test_zeroset_order_ignores_ulp_noise_in_real_part():
     x = math.log(2) / 2e4
     low = Zero(complex(x + 1e-17, 0.1), 1, 0.0, "t")
     high = Zero(complex(x, 0.2), 1, 0.0, "t")
     box = Rectangle(-1, 1, -1, 1)
     for given in ([low, high], [high, low]):
-        assert ZeroSet.build(given, box, 1, 1).zeros == (low, high)
+        assert _build(given, box, 1, 1).zeros == (low, high)
 
 
 def test_zeroset_dedups_non_adjacent_pairs():
@@ -399,7 +405,7 @@ def test_zeroset_dedups_non_adjacent_pairs():
     p = Zero(0j, 1, 0.0, "t")
     q = Zero(complex(1e-13, 1.0), 1, 0.0, "t")
     r = Zero(complex(2e-13, 1e-13), 1, 0.0, "t")
-    zs = ZeroSet.build([p, q, r], Rectangle(-1, 2, -1, 2), 1, 1)
+    zs = _build([p, q, r], Rectangle(-1, 2, -1, 2), 1, 1)
     assert zs.zeros == (p, q)
 
 
