@@ -16,11 +16,11 @@ from .model import (
     FiniteVolumeModel,
     ModelSpec,
     Rectangle,
+    _in_strip,
+    _in_two_phase,
     _polyval,
     _volume,
     almost_stable_set,
-    in_coexistence_strip,
-    in_two_phase_region,
 )
 from .zeros import ZeroSet
 
@@ -220,11 +220,13 @@ def covering_check(
     mp_locs = [mp.z for mp in multiple_points]
     mesh = domain.grid(*grid).ravel()
     mesh = mesh[model.domain.contains(mesh)]
-    strip = mesh[in_coexistence_strip(model, mesh, omega_L / N)]
+    re_p = np.stack([p.log_weight(mesh).real for p in model.phases])  # one complex grid at a time
+    on = _in_strip(re_p, omega_L / N)
+    strip, re_p = mesh[on], re_p[:, on]
     two_phase = np.zeros(len(strip), dtype=bool)
     for m in range(model.r):
         for n in range(m + 1, model.r):
-            two_phase |= in_two_phase_region(model, strip, gamma_L, (m, n))
+            two_phase |= _in_two_phase(re_p, gamma_L, (m, n))
     uncovered: list[complex] = []
     required_rho = 0.0
     for z in strip[~two_phase].tolist():

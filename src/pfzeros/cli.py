@@ -64,15 +64,8 @@ def read_zeros_csv(path) -> list[zeros.Zero]:
 
 
 def curve_csv(curve: diagram.CoexistenceCurve) -> str:
-    lines = ["t,re_z,im_z,re_vm,im_vm,re_vn,im_vn"]
-    for s in curve.samples:
-        lines.append(
-            ",".join(
-                _g17(v)
-                for v in (s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag) for s in curve.samples)
+    return "".join(["t,re_z,im_z,re_vm,im_vm,re_vn,im_vn\n", *(",".join(map(_g17, r)) + "\n" for r in rows)])
 
 
 def density_csv(rows) -> str:
@@ -154,10 +147,7 @@ def covering_text(rep: analysis.CoveringReport) -> str:
 
 
 def uncovered_csv(rep: analysis.CoveringReport) -> str:
-    rows = ["re_z,im_z"]
-    for z in rep.uncovered:
-        rows.append(f"{_g17(z.real)},{_g17(z.imag)}")
-    return "\n".join(rows) + "\n"
+    return "".join(["re_z,im_z\n", *(f"{_g17(z.real)},{_g17(z.imag)}\n" for z in rep.uncovered)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ integration along the level set with re-projection after every step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .errors import (
     SpuriousRootError,
     ValidationError,
 )
-from .model import ModelSpec, _pair_gap, _require_finite, eval_v
+from .model import ModelSpec, _modulus, _pair_gap, _require_finite
 
 # Residual kept on the level set by re-projection.
 TOL_PROJECT = 1e-12
@@ -64,10 +65,6 @@ class CoexistenceCurve:
     samples: list[CurveSample]
     start: Termination
     end: Termination
-
-    @property
-    def is_loop(self) -> bool:
-        return self.start.kind == TERM_LOOP and self.end.kind == TERM_LOOP
 
     @property
     def arc_length(self) -> float:
@@ -324,7 +321,8 @@ def find_multiple_point(
 
     Raises SingularityError when the two tie conditions are parallel (the
     transversality assumption fails) and SpuriousRootError when the solver
-    converges to a point whose stable set does not contain the triple.
+    converges to a point whose stable set does not contain the triple. The
+    seed scans solve their seeds the same way, all at once.
     """
     a, b, c = (model.check_phase(k) for k in triple)
     if len({a, b, c}) != 3:
@@ -332,65 +330,74 @@ def find_multiple_point(
     z = _require_finite(seed, "seed")
     if not model.domain.contains(z):
         raise ValidationError(f"seed {seed} outside domain")
-    h1, dh1 = _pair_gap(model, a, b)
-    h2, dh2 = _pair_gap(model, a, c)
+    (mp,) = _multiple_newton(model, triple, np.array([z]))
+    if isinstance(mp, Exception):
+        raise mp
+    return mp
 
+
+def _multiple_newton(model: ModelSpec, triple, seeds: np.ndarray) -> list:
+    """find_multiple_point from every seed at once, each seed taking the
+    steps it takes alone: per seed its MultiplePoint or the error it raises."""
+    (h1, dh1), (h2, dh2) = (_pair_gap(model, triple[0], k) for k in triple[1:])
+    z, out = seeds.astype(complex), [None] * seeds.size
+    act, done = np.arange(z.size), np.zeros(z.size, dtype=bool)  # the seeds stepping, converged
     for _ in range(STEPS_MULTIPOINT):
-        f1 = h1(z).real
-        f2 = h2(z).real
-        if max(abs(f1), abs(f2)) <= TOL_MULTIPOINT:
+        if not act.size:
             break
-        g1 = dh1(z)
-        g2 = dh2(z)
+        w = z[act]
+        f1, f2, g1, g2 = h1(w).real, h2(w).real, dh1(w), dh2(w)
         # Jacobian of (f1, f2) in (x, y)
-        j11, j12 = g1.real, -g1.imag
-        j21, j22 = g2.real, -g2.imag
+        j11, j12, j21, j22 = g1.real, -g1.imag, g2.real, -g2.imag
         det = j11 * j22 - j12 * j21
-        scale = max(abs(g1), abs(g2), 1e-30) ** 2
-        if abs(det) < 1e-12 * scale:
-            raise SingularityError(
-                f"tie conditions for phases {triple} are parallel near {z} (|det|={abs(det):.3e})"
+        done[act] = np.maximum(np.abs(f1), np.abs(f2)) <= TOL_MULTIPOINT
+        flat = ~done[act] & (np.abs(det) < 1e-12 * np.maximum(np.maximum(_modulus(g1), _modulus(g2)), 1e-30) ** 2)
+        for i, zi, d in zip(act[flat].tolist(), w[flat].tolist(), det[flat].tolist()):
+            out[i] = SingularityError(
+                f"tie conditions for phases {triple} are parallel near {zi} (|det|={abs(d):.3e})"
             )
-        dx = (f1 * j22 - f2 * j12) / det
-        dy = (j11 * f2 - j21 * f1) / det
-        z = z - complex(dx, dy)
-    else:
-        raise NoConvergenceError(f"multiple-point Newton stalled for {triple}", z)
-
-    if not model.domain.contains(z):
-        raise NoConvergenceError("multiple-point Newton left the domain", z)
-    re_p = np.real(model.log_weights(z))
-    log_max = float(re_p.max())
-    q_set = tuple(int(k) for k in range(model.r) if re_p[k] >= log_max - TIE_MULTIPOINT)
-    if not set(triple) <= set(q_set):
-        raise SpuriousRootError(
-            f"converged to {z} but stable set {q_set} lacks part of {tuple(triple)}"
-        )
-    return MultiplePoint(
-        z=z,
-        stable_set=q_set,
-        v_values={k: eval_v(model, k, z) for k in q_set},
-    )
+        go = ~done[act] & ~flat
+        act, f1, f2, det, j11, j12, j21, j22 = (x[go] for x in (act, f1, f2, det, j11, j12, j21, j22))
+        z.real[act] -= (f1 * j22 - f2 * j12) / det
+        z.imag[act] -= (j11 * f2 - j21 * f1) / det
+    for i in act.tolist():
+        out[i] = NoConvergenceError(f"multiple-point Newton stalled for {triple}", complex(z[i]))
+    (at,) = np.nonzero(done)
+    re_p, v = np.real(model.log_weights(z[at])), model.v_values(z[at])
+    tie = re_p >= re_p.max(axis=0) - TIE_MULTIPOINT
+    for j, (i, zi) in enumerate(zip(at.tolist(), z[at].tolist())):
+        q_set = tuple(np.flatnonzero(tie[:, j]).tolist())
+        if not model.domain.contains(zi):
+            out[i] = NoConvergenceError("multiple-point Newton left the domain", zi)
+        elif not set(triple) <= set(q_set):
+            out[i] = SpuriousRootError(
+                f"converged to {zi} but stable set {q_set} lacks part of {tuple(triple)}"
+            )
+        else:
+            out[i] = MultiplePoint(z=zi, stable_set=q_set, v_values={k: v[k, j].item() for k in q_set})
+    return out
 
 
 def _scan_mesh(model: ModelSpec, grid):
-    """Seed-scan mesh of the domain, its cell size, and the slack within
-    which a triple tie is detectable: the exponent spread across a few cells."""
+    """Seed-scan mesh of the domain, Re P_m on it, its cell size, and the
+    slack within which a triple tie is detectable: the exponent spread
+    across a few cells."""
     nx, ny = grid
     if nx < 4 or ny < 4:
         raise ValidationError("need at least 4 grid points per axis")
     mesh = model.domain.grid(nx, ny)
+    re_p = np.stack([p.log_weight(mesh).real for p in model.phases])  # one complex grid at a time
     cell = max(model.domain.width / (nx - 1), model.domain.height / (ny - 1))
     v_scale = float(np.abs(model.v_values(model.domain.center)).max()) + 1.0
-    return mesh, cell, 3.0 * cell * v_scale
+    return mesh, re_p, cell, 3.0 * cell * v_scale
 
 
-def _coexistence_points(model: ModelSpec, m: int, n: int, mesh: np.ndarray, cell: float):
+def _coexistence_points(model: ModelSpec, m: int, n: int, mesh: np.ndarray, re_p, cell: float):
     """Coexistence points of (m, n) in the domain, each solved within one
-    cell of the midpoint of a mesh edge on which Re(P_m - P_n) changes sign;
-    seeds that do not converge, and roots outside the domain, are skipped."""
-    h, _ = _pair_gap(model, m, n)
-    sgn = np.signbit(h(mesh).real)
+    cell of the midpoint of a mesh edge on which Re(P_m - P_n) = re_p[m] -
+    re_p[n] changes sign; seeds that do not converge, and roots outside the
+    domain, are skipped."""
+    sgn = np.signbit(re_p[m] - re_p[n])
     i, j = np.nonzero(sgn[:, 1:] != sgn[:, :-1])
     k, l = np.nonzero(sgn[1:, :] != sgn[:-1, :])
     edges = (mesh[i, j] + mesh[i, j + 1], mesh[k, l] + mesh[k + 1, l])
@@ -399,28 +406,27 @@ def _coexistence_points(model: ModelSpec, m: int, n: int, mesh: np.ndarray, cell
     return z[model.domain.contains(z)].tolist()
 
 
-def _multiple_points(model: ModelSpec, mesh: np.ndarray, cell: float, slack: float):
+def _multiple_points(model: ModelSpec, mesh: np.ndarray, re_p, cell: float, slack: float):
     """Multiple points solved from the mesh points where at least three
-    exponents tie to within slack, each seeded with its top three phases.
+    exponents Re P_m = re_p[m] tie to within slack, each seeded with its top
+    three phases, the seeds of a triple in one _multiple_newton.
 
     Yields (z, MultiplePoint) per new solution and (seed, None) per seed whose
     tie is degenerate (SingularityError or SpuriousRootError); seeds that do
     not converge are skipped. A solution within 1e-8, or a degenerate seed
     within two cells, of a point already yielded is a repeat.
     """
-    re_p = np.real(model.log_weights(mesh))
-    near = np.sum(re_p >= np.max(re_p, axis=0) - slack, axis=0)
+    i, j = np.nonzero(np.sum(re_p >= np.max(re_p, axis=0) - slack, axis=0) >= 3)
+    triples = [tuple(t) for t in np.argsort(re_p[:, i, j], axis=0)[::-1][:3].T.tolist()]
+    seeds, solved = mesh[i, j], {}  # seed index -> its solution or error
+    for triple in dict.fromkeys(triples):
+        at = [k for k, t in enumerate(triples) if t == triple]
+        solved.update(zip(at, _multiple_newton(model, triple, seeds[at])))
     seen: list[complex] = []
-    for i, j in zip(*np.nonzero(near >= 3)):
-        seed = complex(mesh[i, j])
-        triple = tuple(int(k) for k in np.argsort(re_p[:, i, j])[::-1][:3])
-        try:
-            mp = find_multiple_point(model, triple, seed)
-            z, radius = mp.z, 1e-8
-        except NoConvergenceError:
+    for seed, mp in zip(seeds.tolist(), map(solved.get, range(seeds.size))):
+        if isinstance(mp, NoConvergenceError):
             continue
-        except (SingularityError, SpuriousRootError):
-            mp, z, radius = None, seed, 2.0 * cell
+        mp, z, radius = (None, seed, 2.0 * cell) if isinstance(mp, Exception) else (mp, mp.z, 1e-8)
         if any(abs(z - p) < radius for p in seen):
             continue
         seen.append(z)
@@ -429,14 +435,9 @@ def _multiple_points(model: ModelSpec, mesh: np.ndarray, cell: float, slack: flo
 
 def find_multiple_points(model: ModelSpec, grid=(41, 41)) -> list[MultiplePoint]:
     """Scan a grid for triple ties and polish each into a multiple point."""
-    mesh, cell, slack = _scan_mesh(model, grid)
-    found = [mp for _, mp in _multiple_points(model, mesh, cell, slack) if mp is not None]
+    found = [mp for _, mp in _multiple_points(model, *_scan_mesh(model, grid)) if mp is not None]
     found.sort(key=lambda p: (p.z.real, p.z.imag))
     return found
-
-
-def _point_to_polyline_dist(z: complex, pts: np.ndarray) -> float:
-    return float(np.abs(pts - z).min())
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -475,7 +476,7 @@ def build_phase_diagram(
 ) -> PhaseDiagram:
     """Seed curves from grid-edge sign changes, trace, deduplicate, and
     attach arcs to multiple points, checking the expected local topology."""
-    mesh, cell, _ = _scan_mesh(model, grid)
+    mesh, re_p, cell, _ = _scan_mesh(model, grid)
     if step is None:
         step = 1e-2 * model.domain.min_side
     elif not step > 0:
@@ -488,9 +489,9 @@ def build_phase_diagram(
     for m in range(model.r):
         for n in range(m + 1, model.r):
             traced_pts: list[np.ndarray] = []
-            seeds = _coexistence_points(model, m, n, mesh, cell)
+            seeds = _coexistence_points(model, m, n, mesh, re_p, cell)
             for z in _trace_seeds(model, m, n, seeds).tolist():
-                if any(_point_to_polyline_dist(z, pts) < 2.0 * step for pts in traced_pts):
+                if any(np.abs(pts - z).min() < 2.0 * step for pts in traced_pts):
                     continue
                 curve = trace_curve(model, m, n, z, step, max_steps)
                 if len(curve.samples) < 3:
@@ -512,33 +513,20 @@ def build_phase_diagram(
             except (NoConvergenceError, SingularityError, SpuriousRootError) as exc:
                 diagnostics.append(f"curve {ci} {which}: multiple-point solve failed: {exc}")
                 continue
-            idx = None
-            for k, other in enumerate(mps):
-                if abs(other.z - mp.z) < 1e-8:
-                    idx = k
-                    break
-            if idx is None:
+            idx = next((k for k, other in enumerate(mps) if abs(other.z - mp.z) < 1e-8), len(mps))
+            if idx == len(mps):
                 mps.append(mp)
-                idx = len(mps) - 1
             term.mp_index = idx
             mps[idx].incident_arcs.append((ci, which))
 
     min_angle = math.inf
-    for idx, mp in enumerate(mps):
-        expected = len(mp.stable_set)
-        got = len(mp.incident_arcs)
+    for mp in mps:
+        got, expected = len(mp.incident_arcs), len(mp.stable_set)
         if got != expected:
-            diagnostics.append(
-                f"multiple point {mp.z}: {got} incident arcs, expected {expected}"
-            )
-        dirs = [
-            _end_direction(curves[ci], which, mp.z) for ci, which in mp.incident_arcs
-        ]
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                dot = (dirs[i] * dirs[j].conjugate()).real
-                ang = math.acos(max(-1.0, min(1.0, dot)))
-                min_angle = min(min_angle, ang)
+            diagnostics.append(f"multiple point {mp.z}: {got} incident arcs, expected {expected}")
+        dirs = [_end_direction(curves[ci], which, mp.z) for ci, which in mp.incident_arcs]
+        for d1, d2 in itertools.combinations(dirs, 2):
+            min_angle = min(min_angle, math.acos(max(-1.0, min(1.0, (d1 * d2.conjugate()).real))))
     if mps and min_angle < 1e-3:
         diagnostics.append(f"minimal tangent angle {min_angle:.3e} below 1e-3")
 

@@ -305,6 +305,8 @@ class ModelSpec:
 
     def log_weights(self, z) -> np.ndarray:
         """All P_m(z) stacked along the first axis."""
+        if np.ndim(z) == 0:  # as log_weight evaluates a 0-d array
+            return np.array([_polyval(p.exponent, complex(z)) for p in self.phases])
         return np.stack([p.log_weight(np.asarray(z)) for p in self.phases])
 
     def v_values(self, z) -> np.ndarray:
@@ -463,20 +465,27 @@ def in_two_phase_region(model: ModelSpec, z, eps: float, q_set):
     """True if z lies in the region where exactly the phases of q_set are
     almost stable: all of q_set within eps of the top, everything else
     strictly below the top by more than eps/2. Elementwise for an array z."""
-    re_p = np.real(model.log_weights(z))
+    return _in_two_phase(np.real(model.log_weights(z)), eps, q_set)
+
+
+def _in_two_phase(re_p, eps: float, q_set):
+    """in_two_phase_region from Re P_m = re_p[m] at its points."""
     log_max = re_p.max(axis=0)
-    in_q = np.isin(np.arange(model.r), list(q_set))
-    return np.all(re_p[in_q] > log_max - eps, axis=0) & np.all(
-        re_p[~in_q] < log_max - eps / 2, axis=0
-    )
+    in_q = np.isin(np.arange(len(re_p)), list(q_set))
+    return np.all(re_p[in_q] > log_max - eps, axis=0) & np.all(re_p[~in_q] < log_max - eps / 2, axis=0)
 
 
 def in_coexistence_strip(model: ModelSpec, z, eps: float):
     """True where no single phase dominates by more than eps/2, i.e. the
     second-largest exponent real part is within eps/2 of the largest.
     Elementwise for an array z."""
-    re_p = np.sort(np.real(model.log_weights(z)), axis=0)
-    return re_p[-2] >= re_p[-1] - eps / 2
+    return _in_strip(np.real(model.log_weights(z)), eps)
+
+
+def _in_strip(re_p, eps: float):
+    """in_coexistence_strip from Re P_m = re_p[m] at its points, by two max passes."""
+    top = np.arange(len(re_p)).reshape((-1,) + (1,) * (re_p.ndim - 1)) == re_p.argmax(axis=0)
+    return np.where(top, -np.inf, re_p).max(axis=0) >= re_p.max(axis=0) - eps / 2
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +520,8 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
     # diagram imports this module, so its seed scans are imported on use
     from .diagram import _coexistence_points, _multiple_points, _scan_mesh
 
-    mesh, cell, slack = _scan_mesh(model, grid)
-    log_max_grid = np.max(np.real(model.log_weights(mesh)), axis=0)
-    positivity_min = float(np.exp(log_max_grid.min()))
+    mesh, re_p, cell, slack = _scan_mesh(model, grid)
+    positivity_min = float(np.exp(re_p.max(axis=0).min()))
     positivity_ok = positivity_min > 0.0
 
     violations: list[AssumptionViolation] = []
@@ -521,7 +529,7 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
     alpha = math.inf
     for m in range(model.r):
         for n in range(m + 1, model.r):
-            pts = np.array(_coexistence_points(model, m, n, mesh, cell), dtype=complex)
+            pts = np.array(_coexistence_points(model, m, n, mesh, re_p, cell), dtype=complex)
             # a point is dropped within |z - p| < cell/2 of a kept one
             pts = pts[_first_come(pts, np.nextafter(0.5 * cell, 0.0))]
             _, dh = _pair_gap(model, m, n)
@@ -533,7 +541,7 @@ def check_assumption_A(model: ModelSpec, grid=(41, 41)) -> AssumptionReport:
             pair_samples[(m, n)] = pts.tolist()
 
     convexity_results: list[tuple[complex, bool, float]] = []
-    for z_mp, mp in _multiple_points(model, mesh, cell, slack):
+    for z_mp, mp in _multiple_points(model, mesh, re_p, cell, slack):
         if mp is None:
             # the tie structure itself is the diagnostic: a degenerate tie
             # set cannot carry a strictly convex derivative polygon

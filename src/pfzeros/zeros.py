@@ -422,9 +422,13 @@ def _increments(es: _ExpSum, paths):
 def _windings(totals) -> list:
     """Winding of each closed contour from its total argument increment: an
     int, or a str when the total / 2 pi is not within 1/4 of an integer."""
-    turns = (np.asarray(totals, dtype=float) / (2.0 * math.pi)).tolist()
-    bad = "winding {} did not settle on an integer"
-    return [round(t) if abs(t - round(t)) <= 0.25 else bad.format(t) for t in turns]
+    turns = np.asarray(totals, dtype=float) / (2.0 * math.pi)
+    near = np.round(turns)
+    bad = ~(np.abs(turns - near) <= 0.25)
+    out = np.where(bad, 0.0, near).astype(int).tolist()
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = f"winding {turns[i].item()} did not settle on an integer"
+    return out
 
 
 def _winding(es: _ExpSum, paths, signs, contour):
@@ -468,15 +472,16 @@ def winding_number(fvm: FiniteVolumeModel, contour) -> int:
 # ---------------------------------------------------------------------------
 # Quadtree root finding
 
-_SPLIT_FRACTIONS = (
-    (0.5, 0.5),
-    (0.53125, 0.5),
-    (0.5, 0.53125),
-    (0.46875, 0.5),
-    (0.5, 0.46875),
-    (0.53125, 0.46875),
-    (0.46875, 0.53125),
-)
+# The split fractions (fx, fy) of a cell's cross, in the order tried.
+_SPLIT_FRACTIONS = np.array([(0.5, 0.5), (0.53125, 0.5), (0.5, 0.53125), (0.46875, 0.5),
+                             (0.5, 0.46875), (0.53125, 0.46875), (0.46875, 0.53125)])
+
+
+def _chunked(f, z):
+    """f(z), an array or a tuple of arrays, for an elementwise f of the
+    points z, _BATCH points per call."""
+    parts = [f(z[i : i + _BATCH]) for i in range(0, max(z.size, 1), _BATCH)]
+    return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
 
 
 def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
@@ -500,7 +505,7 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
     for _ in range(max_iter):
         if not act.size:
             break
-        num, den = es.newton_step(z[act])
+        num, den = _chunked(es.newton_step, z[act])
         flat = den == 0
         for i in act[flat].tolist():
             why[i] = "vanishing derivative during polishing"
@@ -510,8 +515,7 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
         r = _modulus(z[act])
         act = act[~(_modulus(dz) <= np.maximum(1e-16 * (1.0 + r), 4.0 * np.spacing(r)))]
     ok = np.array([w is None for w in why], dtype=bool)
-    if ok.any():
-        res[ok] = _modulus(es.value_normalized(z[ok]))
+    res[ok] = _modulus(_chunked(es.value_normalized, z[ok]))
     for i in np.flatnonzero(ok & ~(res <= tol)).tolist():
         why[i] = f"polish stalled at residual {res[i]:.3e}"
     return z, res, why
@@ -529,152 +533,166 @@ def _multiplicity(es: _ExpSum, z: complex, radius: float) -> int:
     )
 
 
-def _children(rect: Rectangle, fx: float, fy: float) -> list[Rectangle]:
-    xm = rect.re_lo + fx * rect.width
-    ym = rect.im_lo + fy * rect.height
-    return [
-        Rectangle(rect.re_lo, xm, rect.im_lo, ym),
-        Rectangle(xm, rect.re_hi, rect.im_lo, ym),
-        Rectangle(rect.re_lo, xm, ym, rect.im_hi),
-        Rectangle(xm, rect.re_hi, ym, rect.im_hi),
-    ]
+def _complex(x, y):
+    """The points x + i y, with their parts exactly x and y."""
+    z = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    z.real, z.imag = x, y
+    return z
+
+
+def _root(box: Rectangle, wound):
+    """The quadtree depth of one cell, a box whose _box_winding is wound.
+
+    A depth is held as the columns (rect, wind, sides): row i is a cell with
+    the corners (re_lo, re_hi, im_lo, im_hi) = rect[i], the winding wind[i]
+    and the increments sides[i] along its _box_sides."""
+    return np.array([[box.re_lo, box.re_hi, box.im_lo, box.im_hi]]), np.array(wound[:1]), np.array([wound[1]])
 
 
 def _split(es: _ExpSum, cells, kept=None):
-    """(path, child, winding, sides) for the children of every (path, cell,
-    winding, sides), sides being the increments along a cell's _box_sides;
-    four children per cell, in the order of the cells.
+    """The depth of the children of a depth of cells: four per cell, lower
+    left, lower right, upper left and upper right, in the order of the cells.
 
     A split at the children's shared corner c winds eight paths: the four
     from c to the cell's sides and the lower or left part of every side,
-    whose other part is the side's increment minus it, so that cells sharing
-    a side wind its part once. The paths of all cells are wound in one
-    batch. A cell whose paths fail, whose child windings do not sum to its
-    own, or whose cross through c meets a kept disc inside it retries at
-    its next split fraction in the next batch, which winds only the paths
-    that no batch of this call has wound; such a cross is not wound.
-    kept = (centres, radii, cell) holds the kept zeros' discs and the index
-    of the cell holding each, -1 for none.
+    whose other part is the side's increment minus it. The paths of all
+    cells are wound in one batch, each path once, in the order the cells
+    first name it, so neighbours sharing a side wind its part once. A cell
+    whose paths fail, whose child windings do not sum to its own, or whose
+    cross through c meets a kept disc inside it retries at its next split
+    fraction in the next batch, which winds only the paths that no batch of
+    this call has wound; such a cross is not wound. A retry skips every
+    fraction that keeps a line of the cross already shown to fail: the line
+    y = ym where a horizontal half-edge failed or a kept disc meets it, and
+    likewise x = xm. kept = (centres, radii, cell) holds the kept zeros'
+    discs and the index of the cell holding each, -1 for none.
     """
-    out = [None] * (4 * len(cells))
-    slot: dict = {}  # (start, end) of each path wound in this call -> its index in inc
-    inc = np.zeros(0)
-    tries = [(k, 0) for k in range(len(cells))]
-    while tries:
-        kids = [_children(cells[k][1], *_SPLIT_FRACTIONS[f]) for k, f in tries]
-        new: dict = {}  # (start, end) of each path not wound yet -> span
-        plans = []
-        clear = _clear(kept, len(cells), tries, kids)
-        for (k, _), (ll, lr, ul, _), free in zip(tries, kids, clear):
-            if not free:
-                plans.append([-1] * 8)  # the NaN of a failed path
-                continue
-            (p00, b, c, lt), (_, p10, rt, _), (_, _, t, p01) = ll.corners(), lr.corners(), ul.corners()
-            paths = ((p00, b), (p10, rt), (p01, t), (p00, lt), (lt, c), (c, rt), (b, c), (c, t))
-            for ab in paths:
-                if ab not in slot:
-                    slot[ab] = len(slot)
-                    new[ab] = cells[k][1].width + cells[k][1].height  # a child's perimeter
-            plans.append([slot[ab] for ab in paths])
-        if new:
-            (starts, stops), spans = zip(*new), list(new.values())
-            inc = np.concatenate([inc, _increments(es, _segments(starts, stops, np.array(spans)))[0]])
-        b1, r1, t1, l1, h1, h2, v1, v2 = np.append(inc, np.nan)[np.array(plans)].T
-        bo, ri, to, le = np.array([cells[k][3] for k, _ in tries]).T
-        sides = np.array([(b1, v1, h1, l1), (bo - b1, r1, h2, v1), (h1, v2, t1, le - l1),
-                          (h2, ri - r1, to - t1, v2)]).transpose(2, 0, 1)  # cell, child, side
-        ok = ~np.isnan(sides).any(axis=(1, 2))  # NaN where a path failed
-        winds = iter(_windings((sides[ok] @ _CCW).ravel()))
-        retry = []
-        for (k, f), four, good, kid_sides in zip(tries, kids, ok.tolist(), sides):
-            path, rect, w, _ = cells[k]
-            ws = [next(winds) for _ in four] if good else ["failed"]
-            if not any(isinstance(x, str) for x in ws) and sum(ws) == w:
-                kid_paths = [path + (i,) for i in range(4)]
-                out[4 * k : 4 * k + 4] = zip(kid_paths, four, ws, kid_sides)
-            elif f + 1 < len(_SPLIT_FRACTIONS):
-                retry.append((k, f + 1))
-            else:
-                raise UnresolvedClusterError(
-                    f"subdivision of {rect} kept hitting zeros on internal edges", rect
-                )
-        tries = retry
-    return out
+    rect, wind, sides = cells
+    n, (fx, fy) = wind.size, _SPLIT_FRACTIONS.T
+    out = np.empty((n, 4, 4)), np.empty((n, 4), dtype=int), np.empty((n, 4, 4))
+    ends, inc = np.empty((4, 0)), np.zeros(0)  # each path wound in this call, by the parts of its ends
+    left = np.ones((n, fx.size), dtype=bool)  # the fractions a cell may still try
+    k, f = np.arange(n), np.zeros(n, dtype=int)  # the cells to try, at these fractions
+    while k.size:
+        (x0, x1, y0, y1), (xm, ym) = rect[k].T, _cross(rect[k], f)
+        hit = _hit(kept, n, k, xm, ym)
+        free = ~hit.any(axis=0)
+        p0, p1, q0, q1, pm, qm = (v[free] for v in (x0, x1, y0, y1, xm, ym))
+        # (p00, b), (p10, rt), (p01, t), (p00, lt), (lt, c), (c, rt), (b, c), (c, t)
+        new = np.array([[p0, p1, p0, p0, p0, pm, pm, pm], [q0, q0, q1, q0, qm, qm, q0, qm],
+                        [pm, p1, pm, p0, pm, p1, pm, pm], [q0, qm, q1, qm, qm, qm, qm, q1]])
+        new = np.concatenate([ends, new.transpose(0, 2, 1).reshape(4, -1)], axis=1)
+        order = np.lexsort(new)
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (np.diff(new[:, order], axis=1) != 0).any(axis=0)
+        first = np.empty_like(order)  # the first path equal to each
+        first[order] = order[head][head.cumsum() - 1]
+        own = first == np.arange(first.size)
+        slot = (own.cumsum() - 1)[first[inc.size :]]  # each path's place in ends
+        span = ((p1 - p0) + (q1 - q0)).repeat(8)[own[inc.size :]]  # a child's perimeter
+        ends = new[:, own]
+        if span.size:
+            new = _segments(_complex(*ends[:2, inc.size :]), _complex(*ends[2:, inc.size :]), span)
+            inc = np.concatenate([inc, _increments(es, new)[0]])
+        paths = np.full((k.size, 8), np.nan)  # NaN where a path failed or was not wound
+        paths[free] = inc[slot].reshape(-1, 8)
+        b1, r1, t1, l1, h1, h2, v1, v2 = paths.T
+        bo, ri, to, le = sides[k].T
+        kid = np.array([(b1, v1, h1, l1), (bo - b1, r1, h2, v1), (h1, v2, t1, le - l1),
+                        (h2, ri - r1, to - t1, v2)]).transpose(2, 0, 1)  # cell, child, side
+        ok = ~np.isnan(kid).any(axis=(1, 2))
+        winds = np.full((k.size, 4), np.nan)
+        winds[ok] = np.reshape([w if isinstance(w, int) else np.nan for w in _windings((kid[ok] @ _CCW).ravel())], (-1, 4))
+        done = winds.sum(axis=1) == wind[k]
+        quads = np.array([(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)])
+        for col, val in zip(out, (quads.transpose(2, 0, 1), winds, kid)):
+            col[k[done]] = val[done]
+        # the lines of each failed cross shown to fail, x = xm and y = ym
+        lines = np.where(free, [np.isnan(v1) | np.isnan(v2), np.isnan(h1) | np.isnan(h2)], hit)[:, ~done]
+        k, f = k[~done], f[~done]
+        left[k] &= ~((lines[0, :, None] & (fx == fx[f, None])) | (lines[1, :, None] & (fy == fy[f, None])))
+        later = left[k] & (np.arange(fx.size) > f[:, None])
+        if not later.any(axis=1).all():
+            box = Rectangle(*rect[k[~later.any(axis=1)][0]].tolist())
+            raise UnresolvedClusterError(f"subdivision of {box} kept hitting zeros on internal edges", box)
+        f = later.argmax(axis=1)
+    return out[0].reshape(-1, 4), out[1].reshape(-1), out[2].reshape(-1, 4)
 
 
-def _clear(kept, n, tries, kids) -> list:
-    """Whether the cross through each try's split corner misses the kept
-    discs inside its cell, for _split on n cells."""
-    if kept is None or not kept[0].size:
-        return [True] * len(tries)
-    z, r, cell = kept
-    xm, ym = np.full(n + 1, np.nan), np.full(n + 1, np.nan)  # cell -1 reads NaN
-    for (k, _), (ll, _, _, _) in zip(tries, kids):
-        xm[k], ym[k] = ll.re_hi, ll.im_hi
-    hit = set(cell[(np.abs(z.real - xm[cell]) <= r) | (np.abs(z.imag - ym[cell]) <= r)].tolist())
-    return [k not in hit for k, _ in tries]
+def _cross(rect, f):
+    """The corner (xm, ym) of the children of the cells rect split at _SPLIT_FRACTIONS[f]."""
+    (fx, fy), (x0, x1, y0, y1) = _SPLIT_FRACTIONS[f].T, rect.T
+    return x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)
+
+
+def _hit(kept, n, k, xm, ym):
+    """Whether a kept disc inside the cell k[i] meets the line x = xm[i]
+    (row 0) or y = ym[i] (row 1), for _split on n cells."""
+    z, r, cell = kept or (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+    at = np.full(n + 1, -1)  # the try of each cell; cell -1 reads the last slot
+    at[k] = np.arange(k.size)
+    i = at[cell]
+    meets = (i >= 0) & [np.abs(z.real - xm[i]) <= r, np.abs(z.imag - ym[i]) <= r]
+    return np.array([np.bincount(i[m], minlength=k.size) > 0 for m in meets])
 
 
 def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
     """Candidate zeros of a box whose _box_winding is `wound`, besides the
     kept zeros whose centres and disjoint disc radii kept = (z, r) holds.
 
-    Returns (z, multiplicity, residual) in depth-first order of the cells,
-    with multiplicity None when it still has to be counted by a small
-    circle. The tree is walked one depth at a time. A cell is finished when
-    its winding equals the number of kept zeros inside it; no kept disc
+    Returns the columns (z, multiplicity, residual) in depth-first order of
+    the cells, with multiplicity 0 where it still has to be counted by a
+    small circle. The tree is walked one depth at a time, each depth as
+    columns (_root) with a depth-first path key per cell. A cell is finished
+    when its winding equals the number of kept zeros inside it; no kept disc
     meets a cell edge (_split), so each lies in one cell. An unfinished
     winding-1 cell holds no kept zero; when Newton from its centre converges
     inside it, that point is its only zero, simple, and its descent stops
     there. Every other unfinished cell is split down to min_cell (_split,
     the cells of one depth in one batch of side increments), and terminal
     cells are polished from their centres. The winding-1 and terminal cells
-    of a depth are polished in one batch, then visited in path order, so a
-    failure raises where the cell-by-cell walk would have raised it.
+    of a depth are polished in one batch, and a failure raises at the first
+    cell of the depth, in path order, that fails.
     """
     kz, kr = kept
-    cell = np.zeros(kz.size, dtype=int)  # the cell of the level holding each kept zero, or -1
-    cands = []
-    level = [((), box, *wound)]
-    while level:
-        held = [0] * len(level)  # the kept zeros inside each cell
-        if kz.size:
-            held = np.bincount(cell[cell >= 0], minlength=len(level)).tolist()
-        live = [k for k, (_, _, w, _) in enumerate(level) if w != held[k]]
-        terminal = {k: max(level[k][1].width, level[k][1].height) < min_cell for k in live}
-        todo = [k for k in live if level[k][2] == 1 or terminal[k]]
-        z, res, why = _polish(es, [level[k][1].center for k in todo], _RESIDUAL_TOL)
-        polished = dict(zip(todo, zip(z.tolist(), res.tolist(), why)))
-        splits = []
-        for k in live:
-            path, rect, w, _ = level[k]
-            if w < held[k]:
-                raise UnresolvedClusterError(f"{rect} winds {w} around {held[k]} kept zeros", rect)
-            if w == 1:  # and so holds no kept zero
-                zk, rk, failed = polished[k]
-                if failed is None and rect.contains(zk):
-                    cands.append((path, zk, 1, rk))
-                    continue
-            if terminal[k]:
-                zk, rk, failed = polished[k]
-                if failed is not None:
-                    raise NoConvergenceError(failed, zk)
-                cands.append((path, zk, None, rk))
-                continue
-            splits.append(k)
-        if kz.size and splits:
-            at = np.full(len(level) + 1, -1)  # the split of each cell; -1 reads the last slot
-            at[splits] = np.arange(len(splits))
-            cell = at[cell]
-        level = _split(es, [level[k] for k in splits], (kz, kr, cell)) if splits else []
-        if kz.size and splits:
-            # the child quadrant of each kept zero, which no cross meets
-            corner = np.array([complex(ll.re_hi, ll.im_hi) for _, ll, _, _ in level[::4]])
-            own = cell >= 0
-            c = corner[cell[own]]
-            cell[own] = 4 * cell[own] + (kz.real[own] > c.real) + 2 * (kz.imag[own] > c.imag)
-    cands.sort(key=lambda cand: cand[0])
-    return [cand[1:] for cand in cands]
+    cell = np.zeros(kz.size, dtype=int)  # the cell of the depth holding each kept zero, or -1
+    (rect, wind, sides), path = _root(box, wound), np.array([b""])
+    cands = []  # the path keys and columns of each depth's candidates
+    while wind.size:
+        x0, x1, y0, y1 = rect.T
+        held = np.bincount(cell[cell >= 0], minlength=wind.size)
+        live = wind != held
+        terminal = live & (np.maximum(x1 - x0, y1 - y0) < min_cell)
+        todo = np.flatnonzero(live & (wind == 1) | terminal)
+        z, res, why = _polish(es, _complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))[todo], _RESIDUAL_TOL)
+        polished = np.zeros((2, wind.size), dtype=bool)  # converged, and inside its cell
+        polished[0, todo] = np.equal(why, None)
+        polished[1, todo] = (x0[todo] <= z.real) & (z.real <= x1[todo]) & (y0[todo] <= z.imag) & (z.imag <= y1[todo])
+        one = (wind == 1) & polished.all(axis=0)
+        bad = np.flatnonzero((wind < held) | terminal & ~one & ~polished[0])
+        if bad.size and wind[bad[0]] < held[bad[0]]:
+            at = Rectangle(*rect[bad[0]].tolist())
+            raise UnresolvedClusterError(f"{at} winds {wind[bad[0]]} around {held[bad[0]]} kept zeros", at)
+        if bad.size:
+            i = np.searchsorted(todo, bad[0])
+            raise NoConvergenceError(why[i], complex(z[i]))
+        at = np.flatnonzero(one | terminal)
+        i = np.searchsorted(todo, at)
+        cands.append((path[at], z[i], one[at].astype(int), res[i]))
+        split = np.flatnonzero(live & ~one & ~terminal)
+        at = np.full(wind.size + 1, -1)  # the split of each cell; -1 reads the last slot
+        at[split] = np.arange(split.size)
+        cell = at[cell]
+        rect, wind, sides = _split(es, (rect[split], wind[split], sides[split]), (kz, kr, cell))
+        path = np.char.add(path[split].repeat(4), np.tile(np.array([b"0", b"1", b"2", b"3"]), split.size))
+        # the child quadrant of each kept zero, which no cross meets: the
+        # upper right child's lower left corner is the cross
+        own = cell >= 0
+        c = rect[4 * cell[own] + 3]
+        cell[own] = 4 * cell[own] + (kz.real[own] > c[:, 0]) + 2 * (kz.imag[own] > c[:, 2])
+    path, *cols = map(np.concatenate, zip(*cands))
+    order = np.argsort(path, kind="stable")
+    return tuple(c[order] for c in cols)
 
 
 def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
@@ -701,16 +719,14 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
     if keep.size == total:
         return (z[keep], np.ones(keep.size, dtype=int), res[keep]), 0
     min_cell, r_mult = 1e-3 * scale, 1e-2 * scale
-    cands = list(zip(z[keep].tolist(), [1] * keep.size, res[keep].tolist()))
-    cands += _quadtree(es, box, wound, min_cell, (z[keep], rad))
-
-    cz = np.array([c[0] for c in cands], dtype=complex)
+    quad = _quadtree(es, box, wound, min_cell, (z[keep], rad))
+    cz, cm, cr = (np.concatenate(c) for c in zip((z[keep], np.ones(keep.size, dtype=int), res[keep]), quad))
     near, inside = _neighbours(cz, 0.5 * r_mult), box.contains(cz, pad=min_cell).tolist()
     found: dict[int, int] = {}  # the index of each zero taken -> its multiplicity
-    for i, (zi, mult, _) in enumerate(cands):
+    for i, (zi, mult) in enumerate(zip(cz.tolist(), cm.tolist())):
         if not inside[i] or not found.keys().isdisjoint(near.get(i, ())):
             continue
-        if mult is None or i in near:
+        if not mult or i in near:
             mult = _multiplicity(es, zi, r_mult)
             if mult < 1:
                 continue
@@ -719,7 +735,7 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
         msg = f"polished multiplicities sum to {sum(found.values())}, box winding is {total}"
         raise UnresolvedClusterError(msg, box)
     at = list(found)
-    cols = (cz[at], np.array(list(found.values()), dtype=int), np.array([cands[i][2] for i in at]))
+    cols = (cz[at], np.array(list(found.values()), dtype=int), cr[at])
     return cols, sum(i >= keep.size for i in at)
 
 
@@ -770,12 +786,6 @@ def find_zeros_region(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSet:
     return _located(fvm, box, _locate(es, box, wound, (), (), 1.0 / fvm.N)[0])
 
 
-def _require_box_in_domain(fvm: FiniteVolumeModel, box: Rectangle) -> None:
-    for corner in box.corners():
-        if not fvm.domain.contains(corner):
-            raise ValidationError(f"box {box} not contained in domain {fvm.domain}")
-
-
 def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
     return ZeroSet.build(*found, METHOD_BRUTE, box, fvm.L, fvm.d)
 
@@ -804,7 +814,8 @@ class ZeroSearch:
 
 def _wound_box(fvm: FiniteVolumeModel, box: Rectangle):
     """The model's kernel and the _box_winding of a box in its domain."""
-    _require_box_in_domain(fvm, box)
+    if not fvm.domain.contains(np.array(box.corners())).all():
+        raise ValidationError(f"box {box} not contained in domain {fvm.domain}")
     es = _ExpSum.from_fvm(fvm)
     return es, _box_winding(es, box)
 
@@ -842,7 +853,7 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
         rate = es.taylor(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height, 1, 1).max()
         count = max((2 * len(es.w) + 1) * box.height * rate / 1.2, 65.0)
         y = np.linspace(box.im_lo, box.im_hi, int(count) + 1)
-        f = np.concatenate([_axis_re(es, y[i : i + _BATCH]) for i in range(0, y.size, _BATCH)])
+        f = _chunked(lambda t: _axis_re(es, t), y)
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])
     res = _modulus(es.value_normalized(1j * roots))
@@ -891,12 +902,13 @@ def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, res: np.ndarray, r: float)
     is farther than twice the largest such radius (and 1e-12) from every
     candidate kept before it, so that its disc meets none of theirs. The
     kept discs hold distinct simple zeros of the box. Only the candidates
-    that pass the first two rules are evaluated for alpha.
+    that pass the first two rules are evaluated for alpha, _BATCH points
+    per kernel call.
     """
     ok = np.flatnonzero((res <= _RESIDUAL_TOL) & box.contains(z))
     if not ok.size:
         return ok, np.zeros(0)
-    alpha, beta = _alpha_beta(es, z[ok], r)
+    alpha, beta = _chunked(lambda p: _alpha_beta(es, p, r), z[ok])
     rad = 2.0 * beta
     good = (alpha <= _ALPHA_MAX) & box.contains(z[ok], pad=-rad)
     ok, rad = ok[good], rad[good]

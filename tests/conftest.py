@@ -82,7 +82,8 @@ def kernel_counts(monkeypatch):
     value_normalized, newton_step and the alpha-test call) or their
     derivatives (derivatives, which the winding certificate and the
     alpha-test's Taylor bound call), "contours" wound (closed contours and
-    quadtree cells), "splits", the cells handed to _split, "polished", the
+    quadtree cells), "splits", the cells of the depths handed to _split,
+    "polished", the
     points handed to _polish, and "largest_call", the most points in one of
     those kernel calls."""
     counts = Counter()
@@ -104,7 +105,7 @@ def kernel_counts(monkeypatch):
     split = zeros_mod._split
 
     def counted_split(es, cells, *args):
-        counts["splits"] += len(cells)
+        counts["splits"] += cells[1].size
         return split(es, cells, *args)
 
     monkeypatch.setattr(zeros_mod, "_split", counted_split)

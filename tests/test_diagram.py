@@ -64,7 +64,7 @@ def test_find_coexistence_point_no_root_nearby():
 
 
 def test_seed_scan_equals_per_seed_solves(m3):
-    mesh, cell, _ = _scan_mesh(m3, (41, 41))
+    mesh, re_p, cell, _ = _scan_mesh(m3, (41, 41))
     for m, n in ((0, 1), (0, 2), (1, 2)):
         h, _ = _pair_gap(m3, m, n)
         sgn = np.signbit(h(mesh).real)
@@ -80,7 +80,7 @@ def test_seed_scan_equals_per_seed_solves(m3):
                 continue
             if m3.domain.contains(z):
                 expected.append(z)
-        got = _coexistence_points(m3, m, n, mesh, cell)
+        got = _coexistence_points(m3, m, n, mesh, re_p, cell)
         assert expected and got == expected
 
 
@@ -90,10 +90,10 @@ def test_seed_scan_equals_per_seed_solves(m3):
 def test_trace_seeds_are_the_points_the_scalar_rules_keep(model):
     # the level-set lines run on past the triple point, where the third
     # phase dominates, so the rules drop part of every pair's points
-    mesh, cell, _ = _scan_mesh(model, (201, 201))
+    mesh, re_p, cell, _ = _scan_mesh(model, (201, 201))
     eps = diagram_mod.EPS_MULTIPOINT
     for m, n in ((0, 1), (0, 2), (1, 2)):
-        points = _coexistence_points(model, m, n, mesh, cell)
+        points = _coexistence_points(model, m, n, mesh, re_p, cell)
         want = [
             z for z in points
             if {m, n} <= stability(model, z, eps_list=(TOL_CURVE,)).eps_stable_sets[TOL_CURVE]
@@ -125,8 +125,8 @@ def test_seed_brackets_at_roots_near_0_close_in_few_steps(m3, monkeypatch):
     # pair (1,2) has roots at Im z ~ 1e-18, which closing to 4 ulps of their
     # own coordinate took 56 steps
     steps = _counted_brackets(monkeypatch)
-    mesh, cell, _ = _scan_mesh(m3, (201, 201))
-    points = _coexistence_points(m3, 1, 2, mesh, cell)
+    mesh, re_p, cell, _ = _scan_mesh(m3, (201, 201))
+    points = _coexistence_points(m3, 1, 2, mesh, re_p, cell)
     assert len(points) == 202 and steps == [9]
 
 

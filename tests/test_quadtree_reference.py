@@ -374,9 +374,9 @@ def test_edge_increments_sum_to_closed_contour_windings(name, spec):
     wind, sides = _finder_box_winding(es, rect)
     assert wind == _reference_winding(es, "rect", rect)
     assume(sides is not None)
-    kids = zeros_mod._split(es, [((), rect, wind, sides)])
-    assert [w for _, _, w, _ in kids] == [_reference_winding(es, "rect", k) for _, k, _, _ in kids]
-    assert sum(w for _, _, w, _ in kids) == wind
+    kids, winds, _ = zeros_mod._split(es, zeros_mod._root(rect, (wind, sides)))
+    assert winds.tolist() == [_reference_winding(es, "rect", Rectangle(*k)) for k in kids.tolist()]
+    assert winds.sum() == wind
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +432,13 @@ def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
     fvm = make_fvm()
     es = _ExpSum.from_fvm(fvm)
     fractions = []
-    children = zeros_mod._children
+    cross = zeros_mod._cross
 
-    def recorded(rect, fx, fy):
-        fractions.append((fx, fy))
-        return children(rect, fx, fy)
+    def recorded(rect, f):
+        fractions.extend(map(tuple, zeros_mod._SPLIT_FRACTIONS[f].tolist()))
+        return cross(rect, f)
 
-    monkeypatch.setattr(zeros_mod, "_children", recorded)
+    monkeypatch.setattr(zeros_mod, "_cross", recorded)
     # with no candidates the locator is the seedless quadtree
     cols, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N)
     got = list(zip(*(c.tolist() for c in cols)))

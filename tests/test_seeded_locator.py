@@ -199,12 +199,24 @@ def test_a_split_moves_its_cross_off_a_kept_disc():
     zero = _closed_form(100, 1)[0]
     xm = zero.real + 1e-4
     box = Rectangle(xm - 0.01, xm + 0.01, 0.0, 0.05)
-    cell = ((), box, *zeros_mod._box_winding(es, box))
+    cell = zeros_mod._root(box, zeros_mod._box_winding(es, box))
     kept = (np.array([zero]), np.array([2e-4]), np.array([0]))
     for discs, fx in ((None, 0.5), (kept, 0.53125)):
-        kids = zeros_mod._split(es, [cell], discs)
-        assert kids[0][1].re_hi == box.re_lo + fx * box.width
-        assert [w for _, _, w, _ in kids] == [1, 0, 1, 0]
+        rect, wind, _ = zeros_mod._split(es, cell, discs)
+        assert rect[0, 1] == box.re_lo + fx * box.width
+        assert wind.tolist() == [1, 0, 1, 0]
+
+
+def test_a_kept_disc_skips_only_the_line_it_meets():
+    # the disc of the test above meets the cross's line x = xm, not y = ym,
+    # so the retry keeps ym at the next fraction, (0.53125, 0.5)
+    es = _ExpSum.from_fvm(_perturbed(100, 1, None))
+    zero = _closed_form(100, 1)[0]
+    box = Rectangle(zero.real + 1e-4 - 0.01, zero.real + 1e-4 + 0.01, 0.0, 0.05)
+    kept = (np.array([zero]), np.array([2e-4]), np.array([0]))
+    rect, _, _ = zeros_mod._split(es, zeros_mod._root(box, zeros_mod._box_winding(es, box)), kept)
+    assert rect[0, 1] == box.re_lo + 0.53125 * box.width
+    assert rect[0, 3] == box.im_lo + 0.5 * box.height
 
 
 def test_seeded_zeros_against_a_50_digit_reference():
@@ -241,3 +253,10 @@ def test_seeded_search_winds_one_contour_and_few_points(kernel_counts):
     assert found.quadtree_located == 0 and len(found.zeros) == 637
     assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     assert kernel_counts["points"] <= 17 * len(found.zeros)
+
+
+def test_the_seeded_locator_calls_the_kernel_on_batches(kernel_counts):
+    # 12,732 seeds are polished and alpha-tested, _BATCH points per call
+    found = find_zeros_seeded(_perturbed(200_000, 1, 7), BOX, _predicted(200_000, 1))
+    assert len(found.zeros) == 12_732 and found.quadtree_located == 0
+    assert kernel_counts["largest_call"] <= zeros_mod._BATCH + 1

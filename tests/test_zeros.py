@@ -247,6 +247,29 @@ def test_find_zeros_on_the_three_phase_disc_evaluates_few_points(kernel_counts):
     assert kernel_counts["points"] <= 92_000
 
 
+def test_a_retry_skips_the_line_that_failed(kernel_counts, monkeypatch):
+    # the root cell's cross at (0.5, 0.5) runs along Im z = 0, which holds
+    # 64 zeros, so its horizontal half-edges fail; the next fraction,
+    # (0.53125, 0.5), keeps that line and is skipped. 35,378 points
+    # measured, where re-winding it took 45,683.
+    fractions = []
+    cross = zeros_mod._cross
+
+    def recorded(rect, f):
+        fractions.extend(map(tuple, zeros_mod._SPLIT_FRACTIONS[f].tolist()))
+        return cross(rect, f)
+
+    monkeypatch.setattr(zeros_mod, "_cross", recorded)
+    N = 10000
+    rho = 25 * math.log(N) / N
+    fvm = finite_volume(three_phase_model(), L=N, d=1, tau=1.0)
+    zs = find_zeros_region(fvm, Rectangle(-rho, rho, -rho, rho))
+    assert len(zs) == zs.total_multiplicity() == 209
+    assert fractions[:2] == [(0.5, 0.5), (0.5, 0.53125)]
+    assert kernel_counts["contours"] == 1225
+    assert kernel_counts["points"] <= 36_000
+
+
 def test_a_side_beside_a_double_zero_winds_two_or_names_the_box():
     # the right side passes 1e-9 from the double zero 2 pi i inside the
     # cell; a phase sampled at a node count read a winding of 1 here
