@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import find_multiple_points
+from .diagram import _multiple_points, _scan_mesh
 from .errors import DomainError, HypothesisViolationError, SingularityError, ValidationError
 from .model import (
     FiniteVolumeModel,
     ModelSpec,
-    Rectangle,
     _in_strip,
     _in_two_phase,
     _polyval,
@@ -193,34 +192,31 @@ class CoveringReport:
 
 def covering_check(
     model: ModelSpec,
-    domain: Rectangle,
     L: int,
     d: int,
     omega_L: float,
     gamma_L: float,
     rho_L: float,
     grid=(41, 41),
-    multiple_points=None,
 ) -> CoveringReport:
     """Verify that the coexistence strip splits into two-phase shells and
     multiple-point discs.
 
-    Every grid point of the strip where no phase dominates by omega_L/N must
-    lie in a two-phase almost-stable region at scale gamma_L or within
-    rho_L of a multiple point. The report lists uncovered points and the
-    smallest rho_L/gamma_L ratio that would have covered everything.
+    Every point of the model domain's grid that lies in the strip where no
+    phase dominates by omega_L/N must lie in a two-phase almost-stable
+    region at scale gamma_L or within rho_L of a multiple point. The grid
+    is the seed-scan mesh of diagram._scan_mesh, evaluated once for both the
+    strip and the multiple points found on it. The report lists uncovered
+    points and the smallest rho_L/gamma_L ratio that would have covered
+    everything.
     """
     N = _volume(L, d)
     if gamma_L <= 0:
         raise ValidationError(f"gamma_L must be positive, got {gamma_L:.3g}")
     if omega_L > gamma_L * N:
         raise ValidationError(f"omega_L={omega_L:.3g} must not exceed gamma_L*N={gamma_L * N:.3g}")
-    if multiple_points is None:
-        multiple_points = find_multiple_points(model, grid)
-    mp_locs = [mp.z for mp in multiple_points]
-    mesh = domain.grid(*grid).ravel()
-    mesh = mesh[model.domain.contains(mesh)]
-    re_p = np.stack([p.log_weight(mesh).real for p in model.phases])  # one complex grid at a time
+    mesh, re_p, cell, slack = _scan_mesh(model, grid)
+    mp_locs = [mp.z for _, mp in _multiple_points(model, mesh, re_p, cell, slack) if mp is not None]
     on = _in_strip(re_p, omega_L / N)
     strip, re_p = mesh[on], re_p[:, on]
     two_phase = np.zeros(len(strip), dtype=bool)
@@ -238,7 +234,7 @@ def covering_check(
         warnings.warn("strip points needed a multiple-point disc but none was found", stacklevel=2)
     chi = required_rho / gamma_L if math.isfinite(required_rho) else math.inf
     return CoveringReport(
-        checked=len(mesh),
+        checked=mesh.size,
         in_strip=len(strip),
         uncovered=uncovered,
         chi_empirical=chi,

@@ -335,7 +335,6 @@ def _covering(spec, args, out):
     ln_n = math.log(N)
     rep = analysis.covering_check(
         spec,
-        spec.domain,
         L=args.L,
         d=args.d,
         omega_L=args.omega_scale * ln_n,

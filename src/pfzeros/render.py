@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .diagram import PhaseDiagram
-from .errors import ValidationError
 from .model import Rectangle
 
 _CURVE_COLORS = ("#1f77b4", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#17becf")
@@ -16,17 +15,11 @@ _ZERO_COLORS = {
 }
 
 
-def emit_svg(
-    diagram: PhaseDiagram | None,
-    zero_sets=(),
-    viewport: Rectangle | None = None,
-) -> str:
-    """Render curves, multiple points and zeros.
+def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> str:
+    """Render curves, multiple points and zeros in the viewport.
 
     Empty inputs yield a valid axes-only document.
     """
-    if viewport is None:
-        raise ValidationError("a viewport rectangle is required")
     width = height = 640  # pixels
     pad = 30
     sx, sy = (width - 2 * pad) / viewport.width, (height - 2 * pad) / viewport.height

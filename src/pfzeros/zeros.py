@@ -58,6 +58,10 @@ METHOD_MULTIPOINT = "multipoint_eq"
 _DEDUP_TOL = 1e-12
 # A located zero z has |W(z)| at most this.
 _RESIDUAL_TOL = 1e-10
+# Newton steps allowed per two-phase zero; seeds from a traced curve take 1-3.
+_NEWTON_STEPS = 50
+# Newton steps allowed per point that _polish polishes.
+_POLISH_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -233,44 +237,29 @@ class _ExpSum:
         """g_k^(i)(z) for i = 0..D, shape (D+1, K) + z.shape."""
         return _polyval_rows(self.ders, z).reshape((len(self.c), len(self.w)) + np.shape(z))
 
-    def taylor(self, z, r, first: int = 0, shift: int = 0):
-        """sum_{i >= first} |g_k^(i)(z)| r^(i-shift) / (i-shift)!, shape (K,) + z.shape;
-        from first = shift it bounds |g_k^(shift)| on the disc of radius r about z."""
-        a = np.abs(self.derivatives(z))
-        tail = np.zeros(a.shape[1:])
-        for i in range(first, len(a)):
-            tail = tail + a[i] * (r ** (i - shift) / math.factorial(i - shift))
-        return tail
-
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
         z = np.asarray(z)
-        e = self._normalized_terms(z)
+        e = _normalized(self.exponents(z))
         e *= self._weights(z)
         return self.scale * _add_terms(e)
 
     def newton_step(self, z):
         """(value, derivative) at z with the shared normalization cancelled;
         their quotient is the Newton step. Elementwise for an array z."""
-        return self._newton_terms(z)[1:]
-
-    def _newton_terms(self, z):
-        """(terms, value, derivative): the normalized terms w_k exp(g_k(z) -
-        max_j Re g_j(z)) and newton_step's two sums."""
         z = np.asarray(z)
-        e = self._normalized_terms(z)
+        e = _normalized(self.exponents(z))
         w = self._weights(z)
-        terms = w * e
-        return terms, _add_terms(terms), _add_terms(w * _polyval_rows(self.dc, z) * e)
-
-    def _normalized_terms(self, z):
-        """exp(g_k(z) - max_j Re g_j(z)), computed in place."""
-        g = self.exponents(z)
-        g -= np.max(g.real, axis=0)
-        return np.exp(g, out=g)
+        return _add_terms(w * e), _add_terms(w * _polyval_rows(self.dc, z) * e)
 
     def _weights(self, z):
         return self.w.reshape(self.w.shape + (1,) * z.ndim)
+
+
+def _normalized(g):
+    """exp(g_k - max_j Re g_j) of the exponents g, computed in place."""
+    g -= np.max(g.real, axis=0)
+    return np.exp(g, out=g)
 
 
 def _add_terms(terms):
@@ -450,21 +439,25 @@ def winding_number(fvm: FiniteVolumeModel, contour) -> int:
     """Winding of the normalized partition function around a closed contour.
 
     contour may be a Rectangle, a (center, radius) pair for a circle, or a
-    sequence of polyline vertices (closed automatically).
+    sequence of polyline vertices (closed automatically). It must lie in the
+    model domain, a rectangle, so a box or a polyline is checked at its
+    corners and a circle by its bounding square.
     """
     es = _ExpSum.from_fvm(fvm)
     if isinstance(contour, Rectangle):
         paths, signs = _box_sides(contour), _CCW
+        inside = fvm.domain.contains(np.array(contour.corners())).all()
     elif isinstance(contour, tuple) and len(contour) == 2 and np.ndim(contour[1]) == 0:
-        paths, signs = _circles([complex(contour[0])], [float(contour[1])]), [1.0]
+        c, r = complex(contour[0]), float(contour[1])
+        paths, signs, inside = _circles([c], [r]), [1.0], fvm.domain.contains(c, pad=-r)
     else:
         pts = [complex(v) for v in contour]
         if abs(pts[0] - pts[-1]) > 0.0:
             pts = pts + [pts[0]]
         span = float(np.abs(np.diff(pts)).sum())
         paths, signs = _segments(pts[:-1], pts[1:], span), np.ones(len(pts) - 1)
-    s = np.tile(np.linspace(0.0, 1.0, 64), len(signs))
-    if not fvm.domain.contains(paths[0](s, np.arange(len(signs)).repeat(64))).all():
+        inside = fvm.domain.contains(np.array(pts)).all()
+    if not inside:
         raise ValidationError(f"contour leaves the model domain {fvm.domain}")
     return _winding(es, paths, signs, contour)[0]
 
@@ -484,25 +477,24 @@ def _chunked(f, z):
     return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
 
 
-def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
-    """Newton from every start at once: arrays z and residual and a list of
-    failure reasons, None for a polished point.
+def _polish(es: _ExpSum, starts):
+    """Newton from every start at once: an array z and a list of failure
+    reasons, None for a polished point.
 
     Each point steps until |dz| <= 1e-16 (1 + |z|), or 4 ulps of |z| where
     that is more (from |z| = 1/4 on, where the first bound falls towards one
-    ulp), at most max_iter times, and has the kernel evaluated only while it
-    steps. A point fails where the derivative vanishes, keeping the iterate
-    it vanished at, or where its residual |W(z)| is not <= tol (so also when
-    it is NaN). A point still stepping after max_iter steps, as near a
-    multiple zero, where rounding leaves Newton stepping about sqrt(eps)
-    from it, is returned like the others: the alpha-test (_kept) or a cell's
-    winding decides what it is.
+    ulp), at most _POLISH_STEPS times, and has the kernel evaluated only
+    while it steps. A point fails where the derivative vanishes, keeping the
+    iterate it vanished at. A point still stepping after _POLISH_STEPS
+    steps, as near a multiple zero, where rounding leaves Newton stepping
+    about sqrt(eps) from it, is returned like the others. No residual is
+    taken here: the alpha-test (_kept) measures a candidate, and the
+    quadtree measures the centres it polishes.
     """
     z = np.array(starts, dtype=complex).reshape(-1)
-    res = np.full(z.size, np.nan)
     why: list = [None] * z.size
     act = np.arange(z.size)
-    for _ in range(max_iter):
+    for _ in range(_POLISH_STEPS):
         if not act.size:
             break
         num, den = _chunked(es.newton_step, z[act])
@@ -514,11 +506,7 @@ def _polish(es: _ExpSum, starts, tol: float, max_iter: int = 80):
         z[act] -= dz
         r = _modulus(z[act])
         act = act[~(_modulus(dz) <= np.maximum(1e-16 * (1.0 + r), 4.0 * np.spacing(r)))]
-    ok = np.array([w is None for w in why], dtype=bool)
-    res[ok] = _modulus(_chunked(es.value_normalized, z[ok]))
-    for i in np.flatnonzero(ok & ~(res <= tol)).tolist():
-        why[i] = f"polish stalled at residual {res[i]:.3e}"
-    return z, res, why
+    return z, why
 
 
 def _multiplicity(es: _ExpSum, z: complex, radius: float) -> int:
@@ -645,7 +633,9 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
     small circle. The tree is walked one depth at a time, each depth as
     columns (_root) with a depth-first path key per cell. A cell is finished
     when its winding equals the number of kept zeros inside it; no kept disc
-    meets a cell edge (_split), so each lies in one cell. An unfinished
+    meets a cell edge (_split), so each lies in one cell. A polished centre
+    converges when Newton does and its residual |W| is <= 1e-10 (so not
+    NaN), the one residual this walk measures itself. An unfinished
     winding-1 cell holds no kept zero; when Newton from its centre converges
     inside it, that point is its only zero, simple, and its descent stops
     there. Every other unfinished cell is split down to min_cell (_split,
@@ -664,9 +654,14 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
         live = wind != held
         terminal = live & (np.maximum(x1 - x0, y1 - y0) < min_cell)
         todo = np.flatnonzero(live & (wind == 1) | terminal)
-        z, res, why = _polish(es, _complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))[todo], _RESIDUAL_TOL)
+        z, why = _polish(es, _complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))[todo])
+        ok = np.array([w is None for w in why], dtype=bool)
+        res = np.full(z.size, np.nan)
+        res[ok] = _modulus(_chunked(es.value_normalized, z[ok]))
+        for i in np.flatnonzero(ok & ~(res <= _RESIDUAL_TOL)).tolist():
+            why[i] = f"polish stalled at residual {res[i]:.3e}"
         polished = np.zeros((2, wind.size), dtype=bool)  # converged, and inside its cell
-        polished[0, todo] = np.equal(why, None)
+        polished[0, todo] = res <= _RESIDUAL_TOL
         polished[1, todo] = (x0[todo] <= z.real) & (z.real <= x1[todo]) & (y0[todo] <= z.imag) & (z.imag <= y1[todo])
         one = (wind == 1) & polished.all(axis=0)
         bad = np.flatnonzero((wind < held) | terminal & ~one & ~polished[0])
@@ -695,32 +690,32 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
     return tuple(c[order] for c in cols)
 
 
-def _locate(es: _ExpSum, box: Rectangle, wound, z, res, scale: float):
+def _locate(es: _ExpSum, box: Rectangle, wound, z, scale: float):
     """(found, k): the zeros of a box whose _box_winding is wound, as the
     columns (z, multiplicity, residual), and how many of them the quadtree
     located.
 
-    z and res are candidate points, not trusted, and their residuals |W|,
-    NaN where none was taken. _kept is the one rule that decides which of
-    them are zeros: those it keeps, with the Cauchy radius scale (the zero
-    spacing), are distinct simple zeros; when they are as many as the box
-    winding, they are all of them. Otherwise the quadtree runs, down to
-    terminal cells of 1e-3 scale, on the cells whose winding the kept zeros
-    leave unaccounted for. Candidates closer than half the multiplicity
-    circle of 1e-2 scale are merged, and every merged or terminal-cell zero
-    has its multiplicity counted by that circle, so a multiple zero that
-    rounding splits across a cell edge is counted in full; the
-    multiplicities must sum to the box winding. With no candidates this is
-    the seedless quadtree.
+    z are candidate points, not trusted and not yet measured. _kept is the
+    one rule that decides which of them are zeros, from one evaluation of
+    each: those it keeps, with the Cauchy radius scale (the zero spacing),
+    are distinct simple zeros; when they are as many as the box winding,
+    they are all of them. Otherwise the quadtree runs, down to terminal
+    cells of 1e-3 scale, on the cells whose winding the kept zeros leave
+    unaccounted for. Candidates closer than half the multiplicity circle of
+    1e-2 scale are merged, and every merged or terminal-cell zero has its
+    multiplicity counted by that circle, so a multiple zero that rounding
+    splits across a cell edge is counted in full; the multiplicities must
+    sum to the box winding. With no candidates this is the seedless
+    quadtree.
     """
-    z, res = np.asarray(z, dtype=complex), np.asarray(res, dtype=float)
-    keep, rad = _kept(es, box, z, res, scale)
+    z = np.asarray(z, dtype=complex)
+    keep, rad, res = _kept(es, box, z, scale)
     total = wound[0]
     if keep.size == total:
-        return (z[keep], np.ones(keep.size, dtype=int), res[keep]), 0
+        return (z[keep], np.ones(keep.size, dtype=int), res), 0
     min_cell, r_mult = 1e-3 * scale, 1e-2 * scale
     quad = _quadtree(es, box, wound, min_cell, (z[keep], rad))
-    cz, cm, cr = (np.concatenate(c) for c in zip((z[keep], np.ones(keep.size, dtype=int), res[keep]), quad))
+    cz, cm, cr = (np.concatenate(c) for c in zip((z[keep], np.ones(keep.size, dtype=int), res), quad))
     near, inside = _neighbours(cz, 0.5 * r_mult), box.contains(cz, pad=min_cell).tolist()
     found: dict[int, int] = {}  # the index of each zero taken -> its multiplicity
     for i, (zi, mult) in enumerate(zip(cz.tolist(), cm.tolist())):
@@ -783,7 +778,7 @@ def find_zeros_region(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSet:
     winding that the candidates it keeps leave unaccounted for.
     """
     es, wound = _wound_box(fvm, box)
-    return _located(fvm, box, _locate(es, box, wound, (), (), 1.0 / fvm.N)[0])
+    return _located(fvm, box, _locate(es, box, wound, (), 1.0 / fvm.N)[0])
 
 
 def _located(fvm: FiniteVolumeModel, box: Rectangle, found) -> ZeroSet:
@@ -821,8 +816,8 @@ def _wound_box(fvm: FiniteVolumeModel, box: Rectangle):
 
 
 def _axis_re(es: _ExpSum, y) -> np.ndarray:
-    """Re W at the points i y of the axis."""
-    return es.value_normalized(1j * np.asarray(y, dtype=float)).real
+    """Re W at the points i y of the axis, _BATCH points per kernel call."""
+    return _chunked(lambda t: es.value_normalized(1j * t).real, np.asarray(y, dtype=float))
 
 
 def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
@@ -834,31 +829,33 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     is real, so every sign change of Re W along the box's segment of the
     axis brackets a zero of odd multiplicity. The segment is sampled at
     (2K+1) height rate / 1.2 points, 65 at least, rate bounding the phase
-    rate of the K exponents on it, _BATCH points per kernel call, and every
-    bracket is closed by diagram._close_brackets; the end of a bracket
+    rate of the K exponents on it, and every bracket is closed by
+    diagram._close_brackets, both through _axis_re; the end of a bracket
     still open after its steps is a root like the others. Every root is
-    one of _locate's candidates as it is, without Newton, so a kept root
-    has Re w exactly 0; _kept's residual rule (|W| <= 1e-10, the quadtree's)
-    drops a bracket end too far from its zero, which the alpha-test alone
-    could keep, as it only asks Newton to converge. The quadtree locates
-    only the zeros the kept roots leave unaccounted for: zeros off the axis,
-    multiple zeros, and every zero of a box that does not straddle the axis.
-    When the kept roots are as many as the box winding, every zero in the
-    box is simple and on the axis: the theorem's conclusion, checked rather
-    than assumed.
+    one of _locate's candidates as it is, without Newton and without a
+    residual, so a kept root has Re w exactly 0; _kept measures each root
+    once, and its residual rule (|W| <= 1e-10, the quadtree's) drops a
+    bracket end too far from its zero, which the alpha-test alone could
+    keep, as it only asks Newton to converge. The quadtree locates only the
+    zeros the kept roots leave unaccounted for: zeros off the axis,
+    multiple zeros, and every zero of a box that does not straddle the
+    axis. When the kept roots are as many as the box winding, every zero in
+    the box is simple and on the axis: the theorem's conclusion, checked
+    rather than assumed.
     """
     es, wound = _wound_box(fvm, box)
     roots = np.zeros(0)
     if box.re_lo < 0.0 < box.re_hi:
-        rate = es.taylor(0.5j * (box.im_lo + box.im_hi), 0.5 * box.height, 1, 1).max()
+        # sum_{i >= 1} |g_k^(i)| r^(i-1) / (i-1)! bounds |g_k'| on the segment
+        a, r = np.abs(es.derivatives(0.5j * (box.im_lo + box.im_hi))), 0.5 * box.height
+        rate = sum(a[i] * (r ** (i - 1) / math.factorial(i - 1)) for i in range(1, len(a))).max()
         count = max((2 * len(es.w) + 1) * box.height * rate / 1.2, 65.0)
         y = np.linspace(box.im_lo, box.im_hi, int(count) + 1)
-        f = _chunked(lambda t: _axis_re(es, t), y)
+        f = _axis_re(es, y)
         (i,) = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
         roots, _ = _close_brackets(lambda t, _: _axis_re(es, t), y[i], y[i + 1], f[i], f[i + 1])
-    res = _modulus(es.value_normalized(1j * roots))
     z = 0.0 + 1j * roots  # the real parts +0.0, as in complex(0.0, y)
-    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N)
+    found, k = _locate(es, box, wound, z, 1.0 / fvm.N)
     return ZeroSearch(_located(fvm, box, found), wound[0], k, int(roots.size))
 
 
@@ -868,9 +865,10 @@ _ALPHA_MAX = 0.01
 
 
 def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
-    """Smale's alpha = beta gamma and beta at each point z of the analytic
-    sum V(t) = sum_k w_k exp(g_k(t) - G), with G = max_j Re g_j(z) fixed at
-    that point; V has the zeros of W.
+    """(residual, alpha, beta) at each point z: the residual |W(z)|, and
+    Smale's alpha = beta gamma and beta of the analytic sum V(t) = sum_k w_k
+    exp(g_k(t) - G), with G = max_j Re g_j(z) fixed at that point; V has the
+    zeros of W, and W(z) = scale V(z).
 
     beta = |V|/|V'|, with |V| raised by the rounding bound
     4u sum_k a_k (sum_i |c_ki| |z|^i + K) of its K-term evaluation, where
@@ -878,42 +876,45 @@ def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
     over i >= 2 is bounded by Cauchy's estimate on the disc of radius r
     about z, where |V| <= M = sum_k a_k exp(sum_i |g_k^(i)(z)| r^i/i!), the
     polynomial g_k being its own Taylor series: gamma <= max(1, M/(r|V'|))/r.
-    The terms are evaluated once, by newton_step's kernel.
+    g_k and all its derivatives come from one derivatives call.
     """
-    terms, v, dv = es._newton_terms(z)
+    d = es.derivatives(z)
+    t = sum(np.abs(d[i]) * (r**i / math.factorial(i)) for i in range(1, len(d)))
+    w = es._weights(z)
+    e = _normalized(d[0])
+    terms = e * w  # as value_normalized takes them
+    v, dv = _add_terms(terms), _add_terms(w * d[1] * e)
     a = np.abs(terms)
     size = _polyval_rows(np.abs(es.c), np.abs(z)).real
     slack = 2.0**-51 * _add_terms(a * (size + len(es.w)))
-    bound = _add_terms(a * np.exp(es.taylor(z, r, first=1)))
+    bound = _add_terms(a * np.exp(t))
     m = _modulus(dv)
     with np.errstate(divide="ignore"):
         beta = (_modulus(v) + slack) / m
         gamma = np.maximum(1.0, bound / (r * m)) / r
-    return beta * gamma, beta
+    return _modulus(es.scale * v), beta * gamma, beta
 
 
-def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, res: np.ndarray, r: float):
-    """(indices, radii): the candidates z kept, in order, and their 2 beta.
+def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, r: float):
+    """(indices, radii, residuals): the candidates z kept, in order, their
+    2 beta and their residuals |W|.
 
-    A candidate is kept when its residual res is <= 1e-10 (so not NaN), when
-    it lies inside the box, when it passes Smale's alpha-test with alpha <=
-    0.01 and the Cauchy radius r, so a zero lies within 2 beta of it, unique
-    and simple there, when that 2 beta disc lies inside the box, and when it
-    is farther than twice the largest such radius (and 1e-12) from every
+    Every candidate inside the box is measured once by _alpha_beta, _BATCH
+    points per kernel call. It is kept when its residual is <= 1e-10 (so
+    not NaN), when it passes Smale's alpha-test with alpha <= 0.01 and the
+    Cauchy radius r, so a zero lies within 2 beta of it, unique and simple
+    there, when that 2 beta disc lies inside the box, and when it is
+    farther than twice the largest such radius (and 1e-12) from every
     candidate kept before it, so that its disc meets none of theirs. The
-    kept discs hold distinct simple zeros of the box. Only the candidates
-    that pass the first two rules are evaluated for alpha, _BATCH points
-    per kernel call.
+    kept discs hold distinct simple zeros of the box.
     """
-    ok = np.flatnonzero((res <= _RESIDUAL_TOL) & box.contains(z))
-    if not ok.size:
-        return ok, np.zeros(0)
-    alpha, beta = _chunked(lambda p: _alpha_beta(es, p, r), z[ok])
+    ok = np.flatnonzero(box.contains(z))
+    res, alpha, beta = _chunked(lambda p: _alpha_beta(es, p, r), z[ok])
     rad = 2.0 * beta
-    good = (alpha <= _ALPHA_MAX) & box.contains(z[ok], pad=-rad)
-    ok, rad = ok[good], rad[good]
+    good = (res <= _RESIDUAL_TOL) & (alpha <= _ALPHA_MAX) & box.contains(z[ok], pad=-rad)
+    ok, rad, res = ok[good], rad[good], res[good]
     first = _first_come(z[ok], max(2.0 * float(rad.max(initial=0.0)), _DEDUP_TOL))
-    return ok[first], rad[first]
+    return ok[first], rad[first], res[first]
 
 
 def find_zeros_seeded(fvm: FiniteVolumeModel, box: Rectangle, seeds) -> ZeroSearch:
@@ -921,22 +922,20 @@ def find_zeros_seeded(fvm: FiniteVolumeModel, box: Rectangle, seeds) -> ZeroSear
     from seeds, such as predicted zeros, that are not trusted.
 
     The box is wound once and the seeds are polished in one array Newton
-    (_polish). Every point it returns goes to _locate with its residual:
-    _kept keeps those that Smale's alpha-test certifies as distinct simple
-    zeros of the box, and the quadtree of find_zeros_region locates only
-    the zeros they leave unaccounted for in the box winding.
+    (_polish), which takes no residual. Every point it returns goes to
+    _locate: _kept measures each once and keeps those that Smale's
+    alpha-test certifies as distinct simple zeros of the box, and the
+    quadtree of find_zeros_region locates only the zeros they leave
+    unaccounted for in the box winding.
     """
     es, wound = _wound_box(fvm, box)
-    z, res, _ = _polish(es, seeds, _RESIDUAL_TOL)
-    found, k = _locate(es, box, wound, z, res, 1.0 / fvm.N)
+    found, k = _locate(es, box, wound, _polish(es, seeds)[0], 1.0 / fvm.N)
     return ZeroSearch(_located(fvm, box, found), wound[0], k)
 
 
 # ---------------------------------------------------------------------------
 # Predicted zeros: two-phase balance equations
 
-# Newton steps allowed per two-phase zero; seeds from a traced curve take 1-3.
-_NEWTON_STEPS = 50
 
 
 def predict_two_phase(
@@ -1078,7 +1077,7 @@ def predict_multipoint(
     [-R, R]^2, R = N rho_L, then maps those with |zf| <= R back. The zeros
     are seeded by the two-term balances of G (_multipoint_seeds), which
     away from z_M put them on the asymptote half-lines, polished and handed
-    to _locate with their residuals like find_zeros_seeded's, with the
+    to _locate like find_zeros_seeded's, with the
     Cauchy radius 1, the zero spacing in zf; the quadtree locates only the
     zeros of the box that the kept ones leave unaccounted for in its
     winding. The result's quadtree_located counts those.
@@ -1102,8 +1101,8 @@ def predict_multipoint(
         vs.append(mp.v_values[k])
     es = _ExpSum.from_multipoint(qs, phis, vs)
     box = Rectangle(-R, R, -R, R)
-    z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), _RESIDUAL_TOL)
-    (zf, mult, res), k = _locate(es, box, _box_winding(es, box), z, res, 1.0)
+    z, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R))
+    (zf, mult, res), k = _locate(es, box, _box_winding(es, box), z, 1.0)
     inside = _modulus(zf) <= R
     # zf / N by parts, as Python divides a complex by a real (numpy takes 1 / N)
     z = mp.z + (zf.real[inside] / N + 1j * (zf.imag[inside] / N))

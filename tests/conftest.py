@@ -79,9 +79,9 @@ def mly():
 def kernel_counts(monkeypatch):
     """A Counter of the work the zero locators do from here on: "points",
     every point at which the kernel evaluates exponents (exponents, which
-    value_normalized, newton_step and the alpha-test call) or their
-    derivatives (derivatives, which the winding certificate and the
-    alpha-test's Taylor bound call), "contours" wound (closed contours and
+    value_normalized and newton_step call) or them with their derivatives
+    (derivatives, which the winding certificate, the axis sampler's rate
+    bound and the alpha-test call), "contours" wound (closed contours and
     quadtree cells), "splits", the cells of the depths handed to _split,
     "polished", the
     points handed to _polish, and "largest_call", the most points in one of
@@ -111,9 +111,9 @@ def kernel_counts(monkeypatch):
     monkeypatch.setattr(zeros_mod, "_split", counted_split)
     polish = zeros_mod._polish
 
-    def counted_polish(es, starts, *args):
+    def counted_polish(es, starts):
         counts["polished"] += np.size(starts)
-        return polish(es, starts, *args)
+        return polish(es, starts)
 
     monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
     return counts

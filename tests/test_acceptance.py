@@ -267,12 +267,12 @@ def test_criterion_11_covering(m3):
         N = 1000
         ln_n = math.log(N)
         rep = covering_check(
-            m3, m3.domain, L=N, d=1,
+            m3, L=N, d=1,
             omega_L=ln_n, gamma_L=5 * ln_n / N, rho_L=ln_n / N, grid=(41, 41),
         )
         assert rep.covered
         rep0 = covering_check(
-            m3, m3.domain, L=N, d=1,
+            m3, L=N, d=1,
             omega_L=ln_n, gamma_L=5 * ln_n / N, rho_L=0.0, grid=(41, 41),
         )
         assert not rep0.covered

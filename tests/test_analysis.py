@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -132,7 +133,7 @@ def test_covering_two_phase_model(m2):
     N = 1000
     ln = math.log(N)
     rep = covering_check(
-        m2, m2.domain, L=N, d=1, omega_L=ln, gamma_L=5 * ln / N, rho_L=ln / N, grid=(21, 21)
+        m2, L=N, d=1, omega_L=ln, gamma_L=5 * ln / N, rho_L=ln / N, grid=(21, 21)
     )
     assert rep.covered
     assert rep.in_strip > 0
@@ -142,7 +143,7 @@ def test_covering_three_phase_defaults(m3):
     N = 1000
     ln = math.log(N)
     rep = covering_check(
-        m3, m3.domain, L=N, d=1, omega_L=ln, gamma_L=5 * ln / N, rho_L=ln / N, grid=(41, 41)
+        m3, L=N, d=1, omega_L=ln, gamma_L=5 * ln / N, rho_L=ln / N, grid=(41, 41)
     )
     assert rep.covered
     assert rep.chi_empirical < ln / N / (5 * ln / N) + 1e-9
@@ -152,23 +153,21 @@ def test_covering_rho_zero_uncovers_multiple_point(m3):
     N = 1000
     ln = math.log(N)
     rep = covering_check(
-        m3, m3.domain, L=N, d=1, omega_L=ln, gamma_L=5 * ln / N, rho_L=0.0, grid=(41, 41)
+        m3, L=N, d=1, omega_L=ln, gamma_L=5 * ln / N, rho_L=0.0, grid=(41, 41)
     )
     assert not rep.covered
     assert all(abs(z) <= 0.05 for z in rep.uncovered)
     assert any(abs(z) <= 1e-12 for z in rep.uncovered)
 
 
-def covering_reference(model, domain, N, omega_L, gamma_L, rho_L, grid, multiple_points):
-    """The covering check as a loop over grid points with the scalar predicates:
-    (checked, in_strip, uncovered, required_rho)."""
+def covering_reference(model, N, omega_L, gamma_L, rho_L, grid, multiple_points):
+    """The covering check as a loop over the model domain's grid points with
+    the scalar predicates: (checked, in_strip, uncovered, required_rho)."""
     pairs = [(m, n) for m in range(model.r) for n in range(m + 1, model.r)]
     checked = in_strip = 0
     uncovered, required_rho = [], 0.0
-    for z in domain.grid(*grid).ravel():
+    for z in model.domain.grid(*grid).ravel():
         z = complex(z)
-        if not model.domain.contains(z):
-            continue
         checked += 1
         if not in_coexistence_strip(model, z, omega_L / N):
             continue
@@ -191,15 +190,16 @@ def covering_reference(model, domain, N, omega_L, gamma_L, rho_L, grid, multiple
     ],
 )
 def test_covering_check_matches_point_loop(model, domain, rho_scale):
+    model = dataclasses.replace(model, domain=domain)  # checked on its own domain
     N = 1000
     ln = math.log(N)
     scales = dict(omega_L=ln, gamma_L=5 * ln / N, rho_L=rho_scale * ln / N, grid=(41, 41))
     mps = find_multiple_points(model, (41, 41))
-    rep = covering_check(model, domain, L=N, d=1, multiple_points=mps, **scales)
-    want = covering_reference(model, domain, N, multiple_points=mps, **scales)
+    rep = covering_check(model, L=N, d=1, **scales)
+    want = covering_reference(model, N, multiple_points=mps, **scales)
     assert (rep.checked, rep.in_strip, rep.uncovered, rep.required_rho) == want
 
 
 def test_covering_validates_scales(m3):
     with pytest.raises(ValidationError):
-        covering_check(m3, m3.domain, L=10, d=1, omega_L=10.0, gamma_L=0.01, rho_L=0.1)
+        covering_check(m3, L=10, d=1, omega_L=10.0, gamma_L=0.01, rho_L=0.1)

@@ -72,6 +72,16 @@ def test_axis_search_evaluates_few_points(kernel_counts):
     assert 5 * on_axis < kernel_counts["points"]
 
 
+def test_the_axis_search_calls_the_kernel_on_batches(kernel_counts):
+    # 31,785 roots at L=316: the samples, the bracket steps and the
+    # alpha-test each take _BATCH points per kernel call
+    up, un = symmetric_pair_perturbation(7)
+    fvm = finite_volume(lee_yang_model(), L=316, d=2, tau=2.0, perturbation=[up, un])
+    found = find_zeros_on_axis(fvm, BOX)
+    assert found.axis_sign_changes == len(found.zeros) == 31_785
+    assert kernel_counts["largest_call"] <= zeros_mod._BATCH + 1
+
+
 def _one_winding(fvm, box, monkeypatch):
     """find_zeros_on_axis, asserting that it winds one closed contour."""
     windings = []

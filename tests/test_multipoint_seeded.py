@@ -11,7 +11,7 @@ import pytest
 
 import pfzeros.zeros as zeros_mod
 from pfzeros import Rectangle, find_multiple_point, predict_multipoint
-from pfzeros.zeros import _ExpSum, _locate, _multipoint_seeds, _polish
+from pfzeros.zeros import _alpha_beta, _ExpSum, _locate, _multipoint_seeds, _polish
 
 from conftest import three_phase_model
 
@@ -92,8 +92,8 @@ def test_random_sums_are_certified_from_their_seeds():
     for draw, (qs, phis, vs) in enumerate(_sums()):
         es = _ExpSum.from_multipoint(qs, phis, vs)
         wound = zeros_mod._box_winding(es, box)
-        z, res, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R), 1e-10)
-        (got, mult, _), k = _locate(es, box, wound, z, res, 1.0)
+        z, _ = _polish(es, _multipoint_seeds(qs, phis, vs, R))
+        (got, mult, _), k = _locate(es, box, wound, z, 1.0)
         assert mult.sum() == wound[0]
         if draw < 30:
             # the seeds of a jittered regular K-gon account for every zero
@@ -102,7 +102,7 @@ def test_random_sums_are_certified_from_their_seeds():
             continue
         # the seedless quadtree's zeros, matched one to one; 1e-14 is taken
         # relative to |zf|, as both polishes stop within a few ulps of it
-        (want, want_mult, _), _ = _locate(es, box, wound, (), (), 1.0)
+        (want, want_mult, _), _ = _locate(es, box, wound, (), 1.0)
         nearest = np.abs(got[:, None] - want[None, :]).argmin(axis=1)
         assert sorted(nearest.tolist()) == list(range(want.size))
         assert np.all(np.abs(got - want[nearest]) <= 1e-14 * np.maximum(1.0, np.abs(want[nearest])))
@@ -126,16 +126,17 @@ def test_a_seed_still_stepping_after_80_newton_steps_is_kept(monkeypatch):
     monkeypatch.setattr(
         _ExpSum, "newton_step", lambda self, z: steps.append(1) or newton_step(self, z)
     )
-    (z,), (res,), (why,) = _polish(es, seeds[43:44], 1e-10)
+    (z,), (why,) = _polish(es, seeds[43:44])
     monkeypatch.undo()
+    (res,), _, _ = _alpha_beta(es, np.array([z]), 1.0)
     num, den = es.newton_step(z)
     assert len(steps) == 80 and abs(num / den) > 4.0 * np.spacing(abs(z)) > 1e-16 * (1 + abs(z))
     assert why is None and res <= 1e-10
     wound = zeros_mod._box_winding(es, box)
-    z, res, _ = _polish(es, seeds, 1e-10)
-    keep, _ = zeros_mod._kept(es, box, z, res, 1.0)
+    z, _ = _polish(es, seeds)
+    keep, _, _ = zeros_mod._kept(es, box, z, 1.0)
     assert 43 in keep.tolist()
-    (found, _, _), k = _locate(es, box, wound, z, res, 1.0)
+    (found, _, _), k = _locate(es, box, wound, z, 1.0)
     assert k == 0 and found.size == wound[0] == 135
 
 

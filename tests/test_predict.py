@@ -62,7 +62,7 @@ def test_volume_functions_reject_nonpositive_L_and_d(m2, m3, L, d):
     with pytest.raises(ValidationError):
         predict_multipoint(m3, mp, L=L, d=d, rho_L=0.1)
     with pytest.raises(ValidationError):
-        covering_check(m3, m3.domain, L=L, d=d, omega_L=1.0, gamma_L=0.1, rho_L=0.1)
+        covering_check(m3, L=L, d=d, omega_L=1.0, gamma_L=0.1, rho_L=0.1)
     with pytest.raises(ValidationError):
         density_convergence(m2, 0, 1, 0j, [0.1], [L], d)
 

@@ -36,6 +36,7 @@ from pfzeros import (
 )
 from pfzeros.zeros import (
     _ExpSum,
+    _modulus,
     _neighbours,
     _polish,
     _polyval_rows,
@@ -53,10 +54,13 @@ def _polish_one(es: _ExpSum, z: complex, tol: float):
     """The scalar polish: (z, residual), or NoConvergenceError at its iterate.
     A point that met the residual, also one that ran out of Newton steps as
     near a double zero, is accepted: the cell's winding counts it."""
-    (z,), (res,), (why,) = _polish(es, [z], tol)
+    (z,), (why,) = _polish(es, [z])
+    res = float(_modulus(es.value_normalized(np.array([z])))[0])
+    if why is None and not res <= tol:
+        why = f"polish stalled at residual {res:.3e}"
     if why is not None:
         raise NoConvergenceError(why, complex(z))
-    return complex(z), float(res)
+    return complex(z), res
 
 
 def _rect_contour(rect: Rectangle):
@@ -440,7 +444,7 @@ def test_find_zeros_expsum_equals_reference(make_fvm, box, monkeypatch):
 
     monkeypatch.setattr(zeros_mod, "_cross", recorded)
     # with no candidates the locator is the seedless quadtree
-    cols, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), (), 1.0 / fvm.N)
+    cols, located = zeros_mod._locate(es, box, zeros_mod._box_winding(es, box), (), 1.0 / fvm.N)
     got = list(zip(*(c.tolist() for c in cols)))
     want = _find_zeros_expsum(es, box, 1.0 / fvm.N)
     if make_fvm is _double_zero_fvm:

@@ -134,15 +134,15 @@ def test_polish_reports_a_point_that_ran_out_of_newton_steps(monkeypatch):
         _ExpSum, "newton_step", lambda self, z: steps.append(1) or newton_step(self, z)
     )
     zero = 2j * math.pi / 11
-    z, res, (why,) = zeros_mod._polish(es, [zero], 1e-10)
+    z, (why,) = zeros_mod._polish(es, [zero])
     monkeypatch.undo()
+    res, alpha, _ = zeros_mod._alpha_beta(es, z, 1.0 / 11)
     assert why is None and len(steps) == 80
     assert res[0] <= 1e-10 and 1e-12 < abs(z[0] - zero) < 1e-6
     # the alpha-test, not the step count, rejects it (alpha = 14.9)
     box = Rectangle(-0.1, 0.1, 0.3, 1.0)
-    alpha, _ = zeros_mod._alpha_beta(es, z, 1.0 / 11)
     assert alpha[0] > 1.0
-    assert _kept(es, box, z, res, 1.0 / 11)[0].size == 0
+    assert _kept(es, box, z, 1.0 / 11)[0].size == 0
     # a quadtree terminal cell still takes it; the circle counts it twice
     (w,) = find_zeros_region(fvm, box).zeros
     assert w.multiplicity == 2 and abs(w.z - zero) < 1e-6
@@ -167,27 +167,28 @@ def test_a_zero_on_the_box_edge_is_a_typed_error():
 
 
 @pytest.mark.parametrize(
-    "offsets, box, res, kept",
+    "offsets, box, tol, kept",
     [
         # points 1e-6 off a zero pass the alpha-test with 2 beta ~ 2e-6 ...
-        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 0.0, [0]),
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), math.inf, [0]),
         # ... which must lie inside the box
-        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), 0.0, []),
+        ([1e-6], Rectangle(-0.1, 0.0034657359 + 2e-6, 0.0, 0.2), math.inf, []),
         # ... and not meet the disc of a point kept before it
-        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 0.0, [0]),
+        ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), math.inf, [0]),
         # a point far from any zero fails the alpha-test
-        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), 0.0, []),
-        # a candidate whose residual is above 1e-10, or NaN, is not tested
-        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 2e-10, []),
-        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), math.nan, []),
+        ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), math.inf, []),
+        # a candidate whose residual is above 1e-10 is not kept
+        ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 1e-10, []),
     ],
-    ids=["certified", "disc_leaves_box", "discs_meet", "far_point", "residual", "nan_residual"],
+    ids=["certified", "disc_leaves_box", "discs_meet", "far_point", "residual"],
 )
-def test_certificate_rejects_what_it_cannot_prove(offsets, box, res, kept):
+def test_certificate_rejects_what_it_cannot_prove(monkeypatch, offsets, box, tol, kept):
     es = _ExpSum.from_fvm(_perturbed(100, 1, None))
     z = _closed_form(100, 1)[0] + np.array(offsets)
-    # the residuals given, not |W(z)|, so that the other rules decide
-    keep, rad = _kept(es, box, z, np.full(z.size, res), 1.0 / 100)
+    # |W| is about 2e-4 this far off the zero: with no residual rule the
+    # other rules decide
+    monkeypatch.setattr(zeros_mod, "_RESIDUAL_TOL", tol)
+    keep, rad, _ = _kept(es, box, z, 1.0 / 100)
     assert keep.tolist() == kept
     assert np.all((1e-6 < rad) & (rad < 3e-6))
 
@@ -253,6 +254,15 @@ def test_seeded_search_winds_one_contour_and_few_points(kernel_counts):
     assert found.quadtree_located == 0 and len(found.zeros) == 637
     assert kernel_counts["contours"] == 1 and kernel_counts["splits"] == 0
     assert kernel_counts["points"] <= 17 * len(found.zeros)
+
+
+def test_the_seeded_locator_measures_each_candidate_once(kernel_counts):
+    # the compare box at N=1e4 from all 1,910 predictions along the curve:
+    # Newton takes no residual, and _kept takes residual, alpha and beta
+    # from one derivatives call per candidate (2,751 points measured)
+    found = find_zeros_seeded(_perturbed(10000, 1, 7), BOX, _predicted(10000, 1))
+    assert len(found.zeros) == 637 and found.quadtree_located == 0
+    assert kernel_counts["points"] <= 2_800
 
 
 def test_the_seeded_locator_calls_the_kernel_on_batches(kernel_counts):

@@ -121,6 +121,9 @@ def test_winding_contour_must_be_inside_domain(m2):
     fvm = finite_volume(m2, L=10, d=1, tau=1.0)
     with pytest.raises(ValidationError):
         winding_number(fvm, (0j, 2.0))
+    # it reaches Im z = 1.2002 between samples of the circle
+    with pytest.raises(ValidationError):
+        winding_number(fvm, (0.2002j, 1.0))
 
 
 def test_find_zeros_conjugation_symmetry(m2):
@@ -384,11 +387,10 @@ def test_kernel_and_polish_bits_do_not_depend_on_the_batch(name, pts):
     z = np.array(pts)
     assert es.value_normalized(z).tolist() == [complex(es.value_normalized(w)) for w in z]
     with np.errstate(all="ignore"):  # a start may run off to infinity
-        got = zeros_mod._polish(es, z, 1e-10)
-        alone = [zeros_mod._polish(es, [w], 1e-10) for w in z]
+        got = zeros_mod._polish(es, z)
+        alone = [zeros_mod._polish(es, [w]) for w in z]
     np.testing.assert_array_equal(got[0], [a[0][0] for a in alone])
-    np.testing.assert_array_equal(got[1], [a[1][0] for a in alone])
-    assert got[2] == [a[2][0] for a in alone]
+    assert got[1] == [a[1][0] for a in alone]
 
 
 def test_contour_errors_name_their_contour(m2, monkeypatch):
