@@ -27,6 +27,8 @@ TOL_STAB = 1e-12
 # Perturbation sup norms are measured on this grid (per axis).
 _SUP_GRID = 101
 
+_BATCH = 8192  # points per kernel call or grid search; a fixed size keeps memory flat
+
 
 def _require_finite(z: complex, what: str = "point") -> complex:
     z = complex(z)
@@ -42,8 +44,9 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
     from the lower-left corner of both sets, so such a pair lies in the same
     or adjacent cells however the keys round. The cells are found by binary
     search on the sorted (complex, so lexicographic) cell keys of b, which
-    keeps the cost O((n + pairs) log n). Pairs of adjacent cells that are
-    farther apart are returned too: callers measure the distance their own way.
+    keeps the cost O((n + pairs) log n), _BATCH points of a at a time. Pairs
+    of adjacent cells that are farther apart are returned too: callers
+    measure the distance their own way. The pairs come in no set order.
     """
     if not (a.size and b.size):
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
@@ -57,12 +60,15 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
     kb = key(b)
     order = np.argsort(kb, kind="stable")
     skey = kb[order]
-    ka = (key(a) + np.array([[-1.0], [0.0], [1.0]])).ravel()  # the three columns of cells
-    lo = np.searchsorted(skey, ka - 1j, side="left")
-    n = np.searchsorted(skey, ka + 1j, side="right") - lo
-    # run k of the output counts up from lo[k]
-    jj = order[np.repeat(lo - n.cumsum() + n, n) + np.arange(n.sum())]
-    return np.repeat(np.tile(np.arange(a.size), 3), n), jj
+    cols, parts = np.array([[-1.0], [0.0], [1.0]]), []  # the three columns of cells
+    for s in range(0, a.size, _BATCH):
+        ka = (key(a[s : s + _BATCH]) + cols).ravel()
+        lo = np.searchsorted(skey, ka - 1j, side="left")
+        n = np.searchsorted(skey, ka + 1j, side="right") - lo
+        # run k of the output counts up from lo[k]
+        jj = order[np.repeat(lo - n.cumsum() + n, n) + np.arange(n.sum())]
+        parts.append((np.repeat(np.tile(np.arange(s, s + ka.size // 3), 3), n), jj))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _modulus(z):

@@ -34,6 +34,7 @@ from .model import (
     FiniteVolumeModel,
     ModelSpec,
     Rectangle,
+    _BATCH,
     _first_come,
     _grid_pairs,
     _modulus,
@@ -56,10 +57,12 @@ METHOD_MULTIPOINT = "multipoint_eq"
 
 # Zeros closer than this are one zero in a ZeroSet.
 _DEDUP_TOL = 1e-12
-# A located zero z has |W(z)| at most this.
-_RESIDUAL_TOL = 1e-10
+# A located simple zero is proven to lie within this distance of its point.
+_LOCATE_TOL = 1e-10
 # Newton steps allowed per two-phase zero; seeds from a traced curve take 1-3.
 _NEWTON_STEPS = 50
+# Two-phase Newton stops at |N (h - c_j)| <= this, or 8 ulps of |N c_j|.
+_TWO_PHASE_TOL = 1e-10
 # Newton steps allowed per point that _polish polishes.
 _POLISH_STEPS = 80
 
@@ -282,7 +285,6 @@ def _add_terms(terms):
 # pieces. A batch of paths is (mp, shares): a point map mp(s, pid) from s in
 # [0, 1] and path ids to points, and each path's share of its contour.
 
-_BATCH = 8192  # points per kernel call; a fixed size keeps memory flat
 _MIN_GAP = 1e-12  # a piece to cut shorter than this share of its contour fails its path
 _MAX_SPLIT = 16  # the most pieces a piece is cut into
 
@@ -624,7 +626,7 @@ def _hit(kept, n, k, xm, ym):
     return np.array([np.bincount(i[m], minlength=k.size) > 0 for m in meets])
 
 
-def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
+def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept, r: float):
     """Candidate zeros of a box whose _box_winding is `wound`, besides the
     kept zeros whose centres and disjoint disc radii kept = (z, r) holds.
 
@@ -633,16 +635,18 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
     small circle. The tree is walked one depth at a time, each depth as
     columns (_root) with a depth-first path key per cell. A cell is finished
     when its winding equals the number of kept zeros inside it; no kept disc
-    meets a cell edge (_split), so each lies in one cell. A polished centre
-    converges when Newton does and its residual |W| is <= 1e-10 (so not
-    NaN), the one residual this walk measures itself. An unfinished
-    winding-1 cell holds no kept zero; when Newton from its centre converges
-    inside it, that point is its only zero, simple, and its descent stops
-    there. Every other unfinished cell is split down to min_cell (_split,
-    the cells of one depth in one batch of side increments), and terminal
-    cells are polished from their centres. The winding-1 and terminal cells
-    of a depth are polished in one batch, and a failure raises at the first
-    cell of the depth, in path order, that fails.
+    meets a cell edge (_split), so each lies in one cell. Every point that
+    Newton reaches from a centre is measured by _alpha_beta with the Cauchy
+    radius r, as _kept measures a candidate. An unfinished winding-1 cell
+    holds no kept zero; when Newton from its centre does not fail and
+    reaches a point inside it that is _certified, that point is its only
+    zero, simple, and its descent stops there. Every other unfinished cell
+    is split down to min_cell (_split, the cells of one depth in one batch
+    of side increments), and terminal cells are polished from their
+    centres, their points left to _locate's multiplicity circle. The
+    winding-1 and terminal cells of a depth are polished in one batch, and
+    a terminal cell whose Newton failed raises, at the first such cell of
+    the depth in path order.
     """
     kz, kr = kept
     cell = np.zeros(kz.size, dtype=int)  # the cell of the depth holding each kept zero, or -1
@@ -656,15 +660,12 @@ def _quadtree(es: _ExpSum, box: Rectangle, wound, min_cell, kept):
         todo = np.flatnonzero(live & (wind == 1) | terminal)
         z, why = _polish(es, _complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))[todo])
         ok = np.array([w is None for w in why], dtype=bool)
-        res = np.full(z.size, np.nan)
-        res[ok] = _modulus(_chunked(es.value_normalized, z[ok]))
-        for i in np.flatnonzero(ok & ~(res <= _RESIDUAL_TOL)).tolist():
-            why[i] = f"polish stalled at residual {res[i]:.3e}"
-        polished = np.zeros((2, wind.size), dtype=bool)  # converged, and inside its cell
-        polished[0, todo] = res <= _RESIDUAL_TOL
-        polished[1, todo] = (x0[todo] <= z.real) & (z.real <= x1[todo]) & (y0[todo] <= z.imag) & (z.imag <= y1[todo])
-        one = (wind == 1) & polished.all(axis=0)
-        bad = np.flatnonzero((wind < held) | terminal & ~one & ~polished[0])
+        res, alpha, beta = _chunked(lambda p: _alpha_beta(es, p, r), z)
+        inside = (x0[todo] <= z.real) & (z.real <= x1[todo]) & (y0[todo] <= z.imag) & (z.imag <= y1[todo])
+        one, failed = np.zeros((2, wind.size), dtype=bool)
+        one[todo] = ok & (wind[todo] == 1) & inside & _certified(alpha, beta)
+        failed[todo] = ~ok
+        bad = np.flatnonzero((wind < held) | terminal & failed)
         if bad.size and wind[bad[0]] < held[bad[0]]:
             at = Rectangle(*rect[bad[0]].tolist())
             raise UnresolvedClusterError(f"{at} winds {wind[bad[0]]} around {held[bad[0]]} kept zeros", at)
@@ -695,18 +696,19 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, scale: float):
     columns (z, multiplicity, residual), and how many of them the quadtree
     located.
 
-    z are candidate points, not trusted and not yet measured. _kept is the
-    one rule that decides which of them are zeros, from one evaluation of
-    each: those it keeps, with the Cauchy radius scale (the zero spacing),
-    are distinct simple zeros; when they are as many as the box winding,
-    they are all of them. Otherwise the quadtree runs, down to terminal
-    cells of 1e-3 scale, on the cells whose winding the kept zeros leave
-    unaccounted for. Candidates closer than half the multiplicity circle of
-    1e-2 scale are merged, and every merged or terminal-cell zero has its
-    multiplicity counted by that circle, so a multiple zero that rounding
-    splits across a cell edge is counted in full; the multiplicities must
-    sum to the box winding. With no candidates this is the seedless
-    quadtree.
+    z are candidate points, not trusted and not yet measured. _kept
+    decides which of them are zeros, from one evaluation of each: those it
+    keeps, with the Cauchy radius scale (the zero spacing), are distinct
+    simple zeros, each proven within 1e-10 of its point (_certified); when
+    they are as many as the box winding, they are all of them. Otherwise
+    the quadtree runs, down to terminal cells of 1e-3 scale, on the cells
+    whose winding the kept zeros leave unaccounted for, and accepts a simple
+    zero by the same _certified rule and Cauchy radius. Candidates closer
+    than half the multiplicity circle of 1e-2 scale are merged, and every
+    merged or terminal-cell zero has its multiplicity counted by that
+    circle, so a multiple zero that rounding splits across a cell edge is
+    counted in full; the multiplicities must sum to the box winding. With
+    no candidates this is the seedless quadtree.
     """
     z = np.asarray(z, dtype=complex)
     keep, rad, res = _kept(es, box, z, scale)
@@ -714,7 +716,7 @@ def _locate(es: _ExpSum, box: Rectangle, wound, z, scale: float):
     if keep.size == total:
         return (z[keep], np.ones(keep.size, dtype=int), res), 0
     min_cell, r_mult = 1e-3 * scale, 1e-2 * scale
-    quad = _quadtree(es, box, wound, min_cell, (z[keep], rad))
+    quad = _quadtree(es, box, wound, min_cell, (z[keep], rad), scale)
     cz, cm, cr = (np.concatenate(c) for c in zip((z[keep], np.ones(keep.size, dtype=int), res), quad))
     near, inside = _neighbours(cz, 0.5 * r_mult), box.contains(cz, pad=min_cell).tolist()
     found: dict[int, int] = {}  # the index of each zero taken -> its multiplicity
@@ -763,10 +765,11 @@ def find_zeros_region(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSet:
     """All zeros of the normalized partition function inside a box.
 
     Quadtree subdivision of the box by boundary winding numbers. A cell of
-    winding 1 stops descending as soon as Newton from its centre converges
-    inside it: that point is its only zero, simple by the cell's winding.
-    Cells of higher winding descend to 1e-3/N and each terminal cell is
-    polished, with a small-circle winding for its multiplicity. The
+    winding 1 stops descending as soon as Newton from its centre reaches a
+    point inside it that the alpha-test proves within 1e-10 of a simple
+    zero (_certified, with the Cauchy radius 1/N): that zero is the cell's
+    only one. Cells of higher winding descend to 1e-3/N and each terminal
+    cell is polished, with a small-circle winding for its multiplicity. The
     multiplicities are required to add up to the winding of the whole box.
     A cell winds as the sum of the increments along its sides, so a split
     winds only the half-edges from the new corner and part of each side
@@ -834,9 +837,9 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
     still open after its steps is a root like the others. Every root is
     one of _locate's candidates as it is, without Newton and without a
     residual, so a kept root has Re w exactly 0; _kept measures each root
-    once, and its residual rule (|W| <= 1e-10, the quadtree's) drops a
-    bracket end too far from its zero, which the alpha-test alone could
-    keep, as it only asks Newton to converge. The quadtree locates only the
+    once and keeps it only when the alpha-test proves its zero within 2
+    beta <= 1e-10 (_certified, the quadtree's rule too), so a bracket end
+    farther than that from its zero is dropped. The quadtree locates only the
     zeros the kept roots leave unaccounted for: zeros off the axis,
     multiple zeros, and every zero of a box that does not straddle the
     axis. When the kept roots are as many as the box winding, every zero in
@@ -862,6 +865,12 @@ def find_zeros_on_axis(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSearch:
 # The largest alpha a kept zero may have: Smale's alpha_0 = (13 - 3 sqrt 17)/4
 # = 0.1577, with room for the rounding of |V'| and M in the computed alpha.
 _ALPHA_MAX = 0.01
+
+
+def _certified(alpha, beta):
+    """Whether Smale's alpha-test proves a unique simple zero within 2 beta
+    <= _LOCATE_TOL of each point: the one rule that accepts a simple zero."""
+    return (alpha <= _ALPHA_MAX) & (2.0 * beta <= _LOCATE_TOL)
 
 
 def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
@@ -900,18 +909,20 @@ def _kept(es: _ExpSum, box: Rectangle, z: np.ndarray, r: float):
     2 beta and their residuals |W|.
 
     Every candidate inside the box is measured once by _alpha_beta, _BATCH
-    points per kernel call. It is kept when its residual is <= 1e-10 (so
-    not NaN), when it passes Smale's alpha-test with alpha <= 0.01 and the
-    Cauchy radius r, so a zero lies within 2 beta of it, unique and simple
-    there, when that 2 beta disc lies inside the box, and when it is
-    farther than twice the largest such radius (and 1e-12) from every
-    candidate kept before it, so that its disc meets none of theirs. The
-    kept discs hold distinct simple zeros of the box.
+    points per kernel call. It is kept when it is _certified, Smale's
+    alpha-test with alpha <= 0.01 and the Cauchy radius r proving a unique
+    simple zero within 2 beta <= 1e-10 of it (so neither is NaN), when that
+    2 beta disc lies inside the box, and when it is farther than twice the
+    largest such radius (and 1e-12) from every candidate kept before it, so
+    that its disc meets none of theirs. The kept discs hold distinct simple
+    zeros of the box. The residual is measured, not judged: at large N it
+    may exceed 1e-10 by the rounding of W itself while 2 beta, which
+    carries that rounding, proves the zero far closer.
     """
     ok = np.flatnonzero(box.contains(z))
     res, alpha, beta = _chunked(lambda p: _alpha_beta(es, p, r), z[ok])
     rad = 2.0 * beta
-    good = (res <= _RESIDUAL_TOL) & (alpha <= _ALPHA_MAX) & box.contains(z[ok], pad=-rad)
+    good = _certified(alpha, beta) & box.contains(z[ok], pad=-rad)
     ok, rad, res = ok[good], rad[good], res[good]
     first = _first_come(z[ok], max(2.0 * float(rad.max(initial=0.0)), _DEDUP_TOL))
     return ok[first], rad[first], res[first]
@@ -945,7 +956,6 @@ def predict_two_phase(
     curve: CoexistenceCurve,
     L: int | None = None,
     d: int | None = None,
-    tol: float = 1e-10,
 ) -> ZeroSet:
     """Solutions of the two-phase modulus and phase-quantization equations.
 
@@ -954,10 +964,10 @@ def predict_two_phase(
     supplies only the seeds. theta = N Im h increases strictly along a
     traced curve, so every pi (2j+1) between its end values gets one seed,
     interpolated between the samples against theta. One array Newton then
-    runs on all seeds at once, each seed until |N (h(z) - c_j)| <= tol, or 8
-    ulps of |N c_j| where that is more (at large N tol is below the rounding
-    of N h), so the curve may be as coarse as its shape allows. Samples
-    along which theta is not strictly monotone raise ValidationError.
+    runs on all seeds at once, each seed until |N (h(z) - c_j)| <= 1e-10, or
+    8 ulps of |N c_j| where that is more (at large N 1e-10 is below the
+    rounding of N h), so the curve may be as coarse as its shape allows.
+    Samples along which theta is not strictly monotone raise ValidationError.
     """
     if curve.pair != (m, n) and curve.pair != (n, m):
         raise ValidationError(f"curve belongs to pair {curve.pair}, not ({m},{n})")
@@ -995,7 +1005,7 @@ def predict_two_phase(
     tgt = tgt[(theta[0] <= tgt) & (tgt <= theta[-1])]
     z = np.interp(tgt, theta, pts)
     c = log_ratio + 1j * tgt  # N c_j
-    stop = np.maximum(tol, 8.0 * np.spacing(np.abs(c)))  # tol, or 8 ulps of |N c_j|
+    stop = np.maximum(_TWO_PHASE_TOL, 8.0 * np.spacing(np.abs(c)))
     act = np.arange(tgt.size)
     for k in range(_NEWTON_STEPS + 1):
         r = N * h(z[act]) - c[act]
@@ -1006,7 +1016,7 @@ def predict_two_phase(
         z[act] -= r[keep] / (N * dh(z[act]))
     if act.size:
         raise NoConvergenceError(
-            f"two-phase Newton did not reach |N(h - c_j)| <= max({tol}, 8 ulps of |N c_j|) "
+            f"two-phase Newton did not reach |N(h - c_j)| <= max({_TWO_PHASE_TOL}, 8 ulps of |N c_j|) "
             f"in {_NEWTON_STEPS} steps",
             complex(z[act[0]]),
         )

@@ -20,7 +20,7 @@ from pfzeros import (
     stability,
     xi_normalized,
 )
-from pfzeros.model import _pair_gap, in_coexistence_strip, in_two_phase_region
+from pfzeros.model import _BATCH, _grid_pairs, _pair_gap, in_coexistence_strip, in_two_phase_region
 
 from conftest import OMEGA, collinear_model, three_phase_model, two_phase_model
 
@@ -258,3 +258,20 @@ def test_symmetric_pair_perturbation_reflection():
 def test_three_phase_shifted_model_places_tie_at_shift():
     m = three_phase_model(shift=0.25 + 0.1j)
     assert stability(m, 0.25 + 0.1j).stable_set == {0, 1, 2}
+
+
+def test_grid_pairs_taken_in_batches_hold_every_close_pair():
+    # more query points than one batch; the brute force takes 1,000 rows
+    # of the distance matrix at a time
+    rng = np.random.default_rng(2)
+    a = rng.random(_BATCH + 1808) + 1j * rng.random(_BATCH + 1808)
+    b = rng.random(1500) + 1j * rng.random(1500)
+    r = 0.01
+    i, j = _grid_pairs(a, b, r)
+    got = set(zip(i.tolist(), j.tolist()))
+    assert len(got) == i.size
+    want = set()
+    for s in range(0, a.size, 1000):
+        ii, jj = np.nonzero(np.abs(a[s : s + 1000, None] - b) <= r)
+        want.update(zip((ii + s).tolist(), jj.tolist()))
+    assert {(p, q) for p, q in got if abs(a[p] - b[q]) <= r} == want

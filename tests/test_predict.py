@@ -280,13 +280,14 @@ def test_predict_two_phase_coarse_curve_matches_fine_reference():
     assert_matches_reference(model, got, want, 700)
 
 
-def test_predict_two_phase_newton_cap_carries_its_iterate():
-    # with tol=0 the rounding floor of N h keeps some zeros unconverged
+def test_predict_two_phase_newton_cap_carries_its_iterate(monkeypatch):
+    # with a stop of 0 the rounding floor of N h keeps some zeros unconverged
     model = curved_model()
     curve = curved_curve(model)
     zs = predict_two_phase(model, 0, 1, curve, L=200, d=1).points()
+    monkeypatch.setattr(zeros_mod, "_TWO_PHASE_TOL", 0.0)
     with pytest.raises(NoConvergenceError, match="in 50 steps") as exc:
-        predict_two_phase(model, 0, 1, curve, L=200, d=1, tol=0.0)
+        predict_two_phase(model, 0, 1, curve, L=200, d=1)
     assert np.abs(zs - exc.value.last_iterate).min() <= 1e-12
 
 

@@ -177,17 +177,17 @@ def test_a_zero_on_the_box_edge_is_a_typed_error():
         ([1e-6, -1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), math.inf, [0]),
         # a point far from any zero fails the alpha-test
         ([0.01], Rectangle(-0.1, 0.1, 0.0, 0.2), math.inf, []),
-        # a candidate whose residual is above 1e-10 is not kept
+        # a candidate whose zero is not proven within 1e-10 is not kept
         ([1e-6], Rectangle(-0.1, 0.1, 0.0, 0.2), 1e-10, []),
     ],
-    ids=["certified", "disc_leaves_box", "discs_meet", "far_point", "residual"],
+    ids=["certified", "disc_leaves_box", "discs_meet", "far_point", "two_beta"],
 )
 def test_certificate_rejects_what_it_cannot_prove(monkeypatch, offsets, box, tol, kept):
     es = _ExpSum.from_fvm(_perturbed(100, 1, None))
     z = _closed_form(100, 1)[0] + np.array(offsets)
-    # |W| is about 2e-4 this far off the zero: with no residual rule the
+    # 2 beta is about 2e-6 this far off the zero: with no bound on it the
     # other rules decide
-    monkeypatch.setattr(zeros_mod, "_RESIDUAL_TOL", tol)
+    monkeypatch.setattr(zeros_mod, "_LOCATE_TOL", tol)
     keep, rad, _ = _kept(es, box, z, 1.0 / 100)
     assert keep.tolist() == kept
     assert np.all((1e-6 < rad) & (rad < 3e-6))
@@ -245,6 +245,38 @@ def test_seeded_zeros_against_a_50_digit_reference():
             start = mpmath.mpc(w.z.real, w.z.imag)
             root = mpmath.findroot(partition_function, (start, start + 1e-9))
             assert abs(complex(root) - w.z) <= 1e-13
+
+
+def _far_zeros(k):
+    """z_k of _closed_form at N=1e7 to 50 digits, k = 604,700..604,799."""
+    with mpmath.workdps(50):
+        return [complex((mpmath.log(2) + 1j * mpmath.pi * (2 * j + 1)) / (2 * 10**7)) for j in k]
+
+
+FAR_SEEDS = np.array(_far_zeros(range(604_700, 604_800)))
+FAR_BOX = Rectangle(-1e-6, 1e-6, FAR_SEEDS[10].imag - 1e-7, FAR_SEEDS[60].imag + 1e-7)
+
+
+def _far_checks(zs):
+    # each zero within 1e-10 of its closed form, though the rounding of W
+    # leaves some residuals above 1e-10
+    assert len(zs) == 51 and (zs.multiplicity == 1).all()
+    assert np.abs(zs.points() - FAR_SEEDS[10:61]).max() <= 1e-10
+    assert zs.residual.max() > 1e-10
+
+
+def test_seeded_zeros_at_n_1e7_are_certified_by_distance():
+    fvm = finite_volume(SPEC, L=10**7, d=1, tau=1.0)
+    found = find_zeros_seeded(fvm, FAR_BOX, FAR_SEEDS)
+    assert found.quadtree_located == 0 and found.box_winding == 51
+    _far_checks(found.zeros)
+
+
+def test_seedless_zeros_at_n_1e7_are_certified_by_distance():
+    fvm = finite_volume(SPEC, L=10**7, d=1, tau=1.0)
+    located = find_zeros_region(fvm, FAR_BOX)
+    _far_checks(located)
+    _same_zeros(located, find_zeros_seeded(fvm, FAR_BOX, FAR_SEEDS).zeros)
 
 
 def test_seeded_search_winds_one_contour_and_few_points(kernel_counts):
