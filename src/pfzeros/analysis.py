@@ -17,6 +17,7 @@ from .model import (
     ModelSpec,
     _in_strip,
     _in_two_phase,
+    _modulus,
     _polyval,
     _volume,
     almost_stable_set,
@@ -223,13 +224,10 @@ def covering_check(
     for m in range(model.r):
         for n in range(m + 1, model.r):
             two_phase |= _in_two_phase(re_p, gamma_L, (m, n))
-    uncovered: list[complex] = []
-    required_rho = 0.0
-    for z in strip[~two_phase].tolist():
-        dist = min((abs(z - zm) for zm in mp_locs), default=math.inf)
-        required_rho = max(required_rho, dist)
-        if dist >= rho_L:
-            uncovered.append(z)
+    rest = strip[~two_phase]
+    dist = _modulus(rest[:, None] - mp_locs).min(axis=1, initial=math.inf)  # to the nearest multiple point
+    required_rho = float(dist.max(initial=0.0))
+    uncovered = rest[dist >= rho_L].tolist()
     if math.isinf(required_rho):
         warnings.warn("strip points needed a multiple-point disc but none was found", stacklevel=2)
     chi = required_rho / gamma_L if math.isfinite(required_rho) else math.inf

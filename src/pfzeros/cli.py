@@ -47,20 +47,20 @@ def zeros_csv(zs: zeros.ZeroSet) -> str:
     return "".join([ZEROS_HEADER, "\n", *rows])
 
 
-def read_zeros_csv(path) -> list[zeros.Zero]:
-    out = []
+def read_zeros_csv(path):
+    """The columns (z, multiplicity, residual, method) of a zeros CSV, in
+    the argument order of ZeroSet.build."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ZEROS_HEADER:
             raise ValidationError(
                 f"{path}: expected zeros CSV header {ZEROS_HEADER!r}, got {header!r}"
             )
-        for line in fh:
-            re_z, im_z, mult, res, method = line.strip().split(",")
-            out.append(
-                zeros.Zero(complex(float(re_z), float(im_z)), int(mult), float(res), method)
-            )
-    return out
+        rows = [line.strip().split(",") for line in fh]
+    if any(len(r) != 5 for r in rows):
+        raise ValidationError(f"{path}: a zeros CSV row does not have 5 fields")
+    re_z, im_z, mult, res, method = np.array(rows, dtype=object).reshape(-1, 5).T
+    return zeros._complex(re_z.astype(float), im_z.astype(float)), mult.astype(int), res.astype(float), method
 
 
 def curve_csv(curve: diagram.CoexistenceCurve) -> str:
@@ -86,17 +86,18 @@ def _search_lines(found: zeros.ZeroSearch) -> list[str]:
 
 def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch) -> str:
     lines = [
-        f"pairs: {len(rep.pairs)}",
+        f"pairs: {rep.i.size}",
         f"unmatched_predicted: {len(rep.unmatched_predicted)}",
         f"unmatched_located: {len(rep.unmatched_located)}",
         f"min_located_spacing: {_g17(rep.min_located_spacing)}",
         f"max_distance: {_g17(rep.max_distance)}",
         f"c_match: {_g17(rep.c_match)}",
-        f"violations: {len(rep.violations)}",
+        f"violations: {rep.violations.size}",
         *_search_lines(found),
         "pair_table: predicted_idx,located_idx,distance,delta_L",
     ]
-    lines += map("  %d,%d,%.17g,%.17g".__mod__, rep.pairs)
+    cols = (rep.i, rep.j, rep.distance, rep.tol)
+    lines += map("  %d,%d,%.17g,%.17g".__mod__, zip(*(c.tolist() for c in cols)))
     for side, zs, at in (("predicted", predicted, rep.unmatched_predicted),
                          ("located", found.zeros, rep.unmatched_located)):
         row = f"unmatched_{side}_at: %.17g,%.17g"
@@ -249,10 +250,10 @@ def _compare(spec, args, out):
     predicted = predicted_all.within(box)
     # the unfiltered prediction also seeds zeros just inside the box whose
     # predictions fall just outside it
-    found = zeros.find_zeros_seeded(fvm, box, predicted_all.points())
+    found = zeros.find_zeros_seeded(fvm, box, predicted_all.z)
     located = found.zeros
     gamma = args.gamma_scale * math.log(fvm.N) / fvm.N
-    tol = zeros.delta_L(spec, predicted.points(), fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))
+    tol = zeros.delta_L(spec, predicted.z, fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))
     # outside the gamma_L two-phase region the core tolerance stands in; the
     # theoretical tolerance can undercut double-precision localization, so
     # floor it at the polishing resolution and reports flag real violations

@@ -38,18 +38,20 @@ def _require_finite(z: complex, what: str = "point") -> complex:
 
 
 def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
-    """Index arrays (i, j) holding every pair with |a[i] - b[j]| <= r, and others.
+    """Index arrays (i, j) for each _BATCH points of a in turn, holding
+    every pair of those points with |a[i] - b[j]| <= r, and others; a
+    caller that needs no more than one block at a time keeps memory flat.
 
     The points are binned on a grid of cells a little wider than r, counted
     from the lower-left corner of both sets, so such a pair lies in the same
     or adjacent cells however the keys round. The cells are found by binary
-    search on the sorted (complex, so lexicographic) cell keys of b, which
-    keeps the cost O((n + pairs) log n), _BATCH points of a at a time. Pairs
-    of adjacent cells that are farther apart are returned too: callers
-    measure the distance their own way. The pairs come in no set order.
+    search on the sorted (complex, so lexicographic) cell keys of b, sorted
+    once, which keeps the cost O((n + pairs) log n). Pairs of adjacent cells
+    that are farther apart are yielded too: callers measure the distance
+    their own way. The pairs come in no set order.
     """
     if not (a.size and b.size):
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        return
     origin = complex(min(a.real.min(), b.real.min()), min(a.imag.min(), b.imag.min()))
     cell = 1.01 * r
 
@@ -60,15 +62,14 @@ def _grid_pairs(a: np.ndarray, b: np.ndarray, r: float):
     kb = key(b)
     order = np.argsort(kb, kind="stable")
     skey = kb[order]
-    cols, parts = np.array([[-1.0], [0.0], [1.0]]), []  # the three columns of cells
+    cols = np.array([[-1.0], [0.0], [1.0]])  # the three columns of cells
     for s in range(0, a.size, _BATCH):
         ka = (key(a[s : s + _BATCH]) + cols).ravel()
         lo = np.searchsorted(skey, ka - 1j, side="left")
         n = np.searchsorted(skey, ka + 1j, side="right") - lo
         # run k of the output counts up from lo[k]
         jj = order[np.repeat(lo - n.cumsum() + n, n) + np.arange(n.sum())]
-        parts.append((np.repeat(np.tile(np.arange(s, s + ka.size // 3), 3), n), jj))
-    return tuple(map(np.concatenate, zip(*parts)))
+        yield np.repeat(np.tile(np.arange(s, s + ka.size // 3), 3), n), jj
 
 
 def _modulus(z):
@@ -79,23 +80,22 @@ def _modulus(z):
 
 def _neighbours(points: np.ndarray, tol: float) -> dict[int, list[int]]:
     """Indices of the other points within tol, for each point that has any."""
-    i, j = _grid_pairs(points, points, tol)
-    close = (i != j) & (_modulus(points[i] - points[j]) <= tol)
     near: dict[int, list[int]] = {}
-    for a, b in zip(i[close].tolist(), j[close].tolist()):
-        near.setdefault(a, []).append(b)
+    for i, j in _grid_pairs(points, points, tol):
+        close = (i != j) & (_modulus(points[i] - points[j]) <= tol)
+        for a, b in zip(i[close].tolist(), j[close].tolist()):
+            near.setdefault(a, []).append(b)
     return near
 
 
-def _first_come(points: np.ndarray, r: float) -> list[int]:
+def _first_come(points: np.ndarray, r: float) -> np.ndarray:
     """Indices of the points kept when each point, in order, is dropped if it
     lies within r of a point kept before it."""
     near = _neighbours(points, r)
-    dropped: set[int] = set()
+    keep = np.ones(len(points), dtype=bool)
     for i in sorted(near):
-        if any(j < i and j not in dropped for j in near[i]):
-            dropped.add(i)
-    return [i for i in range(len(points)) if i not in dropped]
+        keep[i] = not any(j < i and keep[j] for j in near[i])
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True)

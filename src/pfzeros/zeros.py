@@ -37,6 +37,7 @@ from .model import (
     _BATCH,
     _first_come,
     _grid_pairs,
+    _in_strip,
     _modulus,
     _neighbours,
     _pair_gap,
@@ -44,9 +45,7 @@ from .model import (
     _polyval,
     _require_finite,
     _volume,
-    almost_stable_set,
     convexity_margin,
-    in_coexistence_strip,
     in_two_phase_region,
 )
 
@@ -69,6 +68,8 @@ _POLISH_STEPS = 80
 
 @dataclass(frozen=True)
 class Zero:
+    """A row of a ZeroSet, built by ZeroSet.zeros alone."""
+
     z: complex
     multiplicity: int
     residual: float
@@ -79,7 +80,8 @@ class Zero:
 class ZeroSet:
     """Canonically sorted zeros in columns, with the region and volume they
     refer to: row i is z[i] with its multiplicity, residual and method.
-    zeros builds the rows as Zero objects, on each access."""
+    zeros builds the rows as Zero objects on each access, only for the
+    benchmark, which counts zeros by len(zs.zeros)."""
 
     z: np.ndarray  # complex
     multiplicity: np.ndarray  # int
@@ -121,14 +123,15 @@ class ZeroSet:
         return tuple(map(Zero, *(c.tolist() for c in cols)))
 
     def __eq__(self, other) -> bool:
-        key = attrgetter("zeros", "region", "L", "d", "N", "quadtree_located")
-        return isinstance(other, ZeroSet) and key(self) == key(other)
+        """Equal columns and metadata; a NaN is unequal to itself and -0.0
+        equals 0.0, as when the rows are compared."""
+        key = attrgetter("region", "L", "d", "N", "quadtree_located")
+        cols = attrgetter("z", "multiplicity", "residual", "method")
+        return (isinstance(other, ZeroSet) and key(self) == key(other)
+                and all(map(np.array_equal, cols(self), cols(other))))
 
     def __len__(self) -> int:
         return self.z.size
-
-    def points(self) -> np.ndarray:
-        return self.z
 
     def total_multiplicity(self) -> int:
         return int(self.multiplicity.sum())
@@ -138,37 +141,50 @@ class ZeroSet:
 
     def min_spacing(self) -> float:
         """Smallest distance between two zeros, from grid pairs within a
-        radius that doubles until it holds the closest pair."""
-        pts = self.points()
+        radius that doubles until it holds the closest pair, block by block."""
+        pts = self.z
         if len(pts) < 2:
             return math.inf
         span = max(np.ptp(pts.real), np.ptp(pts.imag))
         r = span / len(pts) or 1.0
         while True:
-            i, j = _grid_pairs(pts, pts, r)
-            d = np.abs(pts[i] - pts[j])[i != j]
+            d = math.inf
+            for i, j in _grid_pairs(pts, pts, r):
+                d = min(d, np.abs(pts[i] - pts[j])[i != j].min(initial=math.inf))
             # past the span every pair is a candidate
-            if d.size and (d.min() <= r or r > span):
-                return float(d.min())
+            if d <= r or r > span:
+                return float(d)
             r *= 2.0
 
 
 @dataclass
 class MatchReport:
-    pairs: list[tuple[int, int, float, float]]
-    unmatched_predicted: list[int]
-    unmatched_located: list[int]
+    """Matched pairs in columns, in order of i: pair k matches predicted
+    zero i[k] to located zero j[k] at distance[k], with the tolerance tol[k]
+    of i[k]; and the indices of the zeros left unmatched on each side."""
+
+    i: np.ndarray  # int
+    j: np.ndarray  # int
+    distance: np.ndarray
+    tol: np.ndarray
+    unmatched_predicted: np.ndarray  # int
+    unmatched_located: np.ndarray  # int
     min_located_spacing: float
-    violations: list[tuple[int, int, float, float]]
     c_match: float
 
     @property
+    def violations(self) -> np.ndarray:
+        """The pairs farther apart than c_match times their tolerance."""
+        with np.errstate(over="ignore"):  # an infinite bound flags nothing
+            return np.flatnonzero(self.distance > self.c_match * self.tol)
+
+    @property
     def ok(self) -> bool:
-        return not self.violations and not self.unmatched_predicted and not self.unmatched_located
+        return not (self.violations.size or self.unmatched_predicted.size or self.unmatched_located.size)
 
     @property
     def max_distance(self) -> float:
-        return max((p[2] for p in self.pairs), default=0.0)
+        return float(self.distance.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -1223,55 +1239,53 @@ def match_zeros(predicted: ZeroSet, located: ZeroSet, tolerances, c_match: float
     np_, nl = len(predicted), len(located)
     tol = np.asarray(tolerances, dtype=float)
     tol = np.zeros(np_) if np_ == 0 else np.broadcast_to(tol, (np_,))
-    pp, ll = predicted.points(), located.points()
-    pairs: list[tuple[int, int, float, float]] = []
-    free_p, free_l = np.ones(np_, dtype=bool), np.ones(nl, dtype=bool)
+    pp, ll = predicted.z, located.z
+    taken_p, taken_l = bytearray(np_), bytearray(nl)  # 1 where a zero is paired
     fp, fl = np.arange(np_), np.arange(nl)
+    partner, gap = np.zeros(np_, dtype=int), np.zeros(np_)  # each paired predicted zero's match
     if np_ and nl:
         both = np.concatenate([pp, ll])
         r = max(np.ptp(both.real), np.ptp(both.imag)) / both.size or 1.0
         while fp.size and fl.size:
-            i, j = _grid_pairs(pp[fp], ll[fl], r)
+            i, j = map(np.concatenate, zip(*_grid_pairs(pp[fp], ll[fl], r)))
             i, j = fp[i], fl[j]
             dist = np.abs(pp[i] - ll[j])
-            near = dist <= r
-            i, j, dist = i[near], j[near], dist[near]
-            order = np.lexsort((j, i, dist))
-            for a, b, dab in zip(i[order].tolist(), j[order].tolist(), dist[order].tolist()):
-                if free_p[a] and free_l[b]:
-                    free_p[a] = free_l[b] = False
-                    pairs.append((a, b, dab, float(tol[a])))
-            fp, fl = np.flatnonzero(free_p), np.flatnonzero(free_l)
+            near = np.flatnonzero(dist <= r)
+            order = near[np.lexsort((j[near], i[near], dist[near]))]
+            i, j, dist = i[order], j[order], dist[order]
+            keep = bytearray(i.size)
+            for k, a, b in zip(itertools.count(), i.tolist(), j.tolist()):
+                if not (taken_p[a] or taken_l[b]):
+                    taken_p[a] = taken_l[b] = keep[k] = 1
+            keep = np.frombuffer(keep, dtype=bool)
+            partner[i[keep]], gap[i[keep]] = j[keep], dist[keep]
+            fp, fl = (np.flatnonzero(~np.frombuffer(t, dtype=bool)) for t in (taken_p, taken_l))
             r *= 2.0
-    pairs.sort()
-    violations = [p for p in pairs if p[2] > c_match * p[3]]
-    return MatchReport(
-        pairs=pairs,
-        unmatched_predicted=fp.tolist(),
-        unmatched_located=fl.tolist(),
-        min_located_spacing=located.min_spacing(),
-        violations=violations,
-        c_match=float(c_match),
-    )
-
-
-@dataclass
-class DegeneracyEntry:
-    z: complex
-    multiplicity: int
-    stable_eps_set: tuple[int, ...]
-    mult_ok: bool
-    isolated_phase: int | None
+    i = np.flatnonzero(np.frombuffer(taken_p, dtype=bool))
+    return MatchReport(i, partner[i], gap[i], tol[i], fp, fl, located.min_spacing(), float(c_match))
 
 
 @dataclass
 class DegeneracyReport:
-    entries: list[DegeneracyEntry]
-    violations: list[str]
+    """The audit of a zero set in columns: zero k, at z[k] with multiplicity
+    multiplicity[k], has the almost-stable set {m : stable[m, k]},
+    mult_ok[k] says whether its multiplicity is within the bound, and
+    isolated[k] is the phase that dominates it alone, or -1."""
+
+    z: np.ndarray
+    multiplicity: np.ndarray
+    stable: np.ndarray  # bool, (phases, zeros)
+    mult_ok: np.ndarray
+    isolated: np.ndarray
+
+    @property
+    def violations(self) -> np.ndarray:
+        """The zeros above their multiplicity bound or in a single-phase region."""
+        return np.flatnonzero(~self.mult_ok | (self.isolated >= 0))
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations.size
 
 
 def degeneracy_audit(
@@ -1284,30 +1298,16 @@ def degeneracy_audit(
 
     Every zero must have multiplicity at most |Q|-1 for its almost-stable
     set Q at eps = kappa/L, and must not sit where one phase dominates all
-    others by more than omega_L/(2N).
+    others by more than omega_L/(2N). One log_weights call serves every
+    zero and both checks.
     """
     if omega_L is None:
         omega_L = math.log(fvm.N)
-    eps_q = fvm.kappa / fvm.L
-    eps_single = omega_L / fvm.N
-    entries: list[DegeneracyEntry] = []
-    violations: list[str] = []
-    for w in located.zeros:
-        q_set = tuple(sorted(almost_stable_set(fvm.base, w.z, eps_q)))
-        bound = len(q_set) - 1
-        if region_Q is not None:
-            bound = min(bound, len(tuple(region_Q)) - 1)
-        mult_ok = w.multiplicity <= max(bound, 0)
-        isolated = None
-        if not in_coexistence_strip(fvm.base, w.z, eps_single):
-            isolated = int(np.argmax(np.real(fvm.base.log_weights(w.z))))
-        entries.append(DegeneracyEntry(w.z, w.multiplicity, q_set, mult_ok, isolated))
-        if not mult_ok:
-            violations.append(
-                f"zero {w.z}: multiplicity {w.multiplicity} exceeds |Q|-1 = {bound}"
-            )
-        if isolated is not None:
-            violations.append(
-                f"zero {w.z} lies in the single-phase region of phase {isolated}"
-            )
-    return DegeneracyReport(entries=entries, violations=violations)
+    re_p = np.real(fvm.base.log_weights(located.z))
+    stable = re_p > re_p.max(axis=0) - fvm.kappa / fvm.L  # almost_stable_set's rule
+    bound = stable.sum(axis=0) - 1
+    if region_Q is not None:
+        bound = np.minimum(bound, len(tuple(region_Q)) - 1)
+    isolated = np.where(_in_strip(re_p, omega_L / fvm.N), -1, re_p.argmax(axis=0))
+    mult_ok = located.multiplicity <= np.maximum(bound, 0)
+    return DegeneracyReport(located.z, located.multiplicity, stable, mult_ok, isolated)

@@ -81,16 +81,17 @@ def kernel_counts(monkeypatch):
     every point at which the kernel evaluates exponents (exponents, which
     value_normalized and newton_step call) or them with their derivatives
     (derivatives, which the winding certificate, the axis sampler's rate
-    bound and the alpha-test call), "contours" wound (closed contours and
-    quadtree cells), "splits", the cells of the depths handed to _split,
-    "polished", the
-    points handed to _polish, and "largest_call", the most points in one of
-    those kernel calls."""
+    bound and the alpha-test call), "calls", the calls of those two,
+    "contours" wound (closed contours and quadtree cells), "splits", the
+    cells of the depths handed to _split, "polished", the points handed to
+    _polish, and "largest_call", the most points in one of those kernel
+    calls."""
     counts = Counter()
     for name in ("exponents", "derivatives"):
 
         def counted(self, z, method=getattr(_ExpSum, name)):
             counts["points"] += np.size(z)
+            counts["calls"] += 1
             counts["largest_call"] = max(counts["largest_call"], np.size(z))
             return method(self, z)
 

@@ -61,14 +61,14 @@ def test_cli_find_zeros_and_round_trip(tmp_path, capsys):
     assert rc == 0
     csv_path = out / "zeros_brute_L100d1.csv"
     assert csv_path.exists()
-    back = read_zeros_csv(csv_path)
+    z, multiplicity, residual, method = read_zeros_csv(csv_path)
     m2 = two_phase_model()
     zs = find_zeros_region(finite_volume(m2, 100, 1, tau=1.0), Rectangle(-0.1, 0.1, 0.0, 0.2))
-    assert len(back) == len(zs.zeros) == 6
-    for a, b in zip(back, zs.zeros):
-        assert a.z == b.z  # 17 significant digits round-trip exactly
-        assert a.residual == b.residual
-        assert a.multiplicity == b.multiplicity
+    assert len(z) == len(zs) == 6
+    assert z.tolist() == zs.z.tolist()  # 17 significant digits round-trip exactly
+    assert residual.tolist() == zs.residual.tolist()
+    assert multiplicity.tolist() == zs.multiplicity.tolist()
+    assert method.tolist() == zs.method.tolist()
 
 
 @pytest.mark.parametrize(
@@ -336,9 +336,8 @@ def test_cli_predict_zeros(tmp_path):
         ]
     )
     assert rc == 0
-    back = read_zeros_csv(out / "zeros_two_phase_L100d1.csv")
-    assert len(back) == 6
-    assert all(w.method == "two_phase_eq" for w in back)
+    method = read_zeros_csv(out / "zeros_two_phase_L100d1.csv")[3]
+    assert method.tolist() == ["two_phase_eq"] * 6
 
 
 def test_cli_predict_zeros_ends_at_the_multiple_point(tmp_path):
@@ -350,8 +349,8 @@ def test_cli_predict_zeros_ends_at_the_multiple_point(tmp_path):
     out = tmp_path / "pred"
     argv = ["predict-zeros", mp, "--pair", "1,2", "--L", "2000", "--box=-0.6,0.1,-0.6,0.3"]
     assert main([*argv, "--out-dir", str(out)]) == 0
-    rows = read_zeros_csv(out / "zeros_two_phase_L2000d1.csv")
-    got = sorted((w.z for w in rows), key=lambda z: -z.real)
+    z = read_zeros_csv(out / "zeros_two_phase_L2000d1.csv")[0]
+    got = sorted(z.tolist(), key=lambda z: -z.real)
     want = [shift - math.pi * (2 * j + 1) / (math.sqrt(3) * 2000) for j in range(358)]
     assert len(got) == len(want)
     for g, w in zip(got, want):

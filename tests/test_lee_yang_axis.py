@@ -55,9 +55,9 @@ def test_axis_zeros_equal_the_quadtrees(seed):
     located = find_zeros_region(fvm, BOX)
     assert found.quadtree_located == 0
     assert found.axis_sign_changes == found.box_winding == len(located) == 32
-    assert [w.multiplicity for w in found.zeros.zeros] == [w.multiplicity for w in located.zeros]
-    assert np.abs(found.zeros.points() - located.points()).max() <= 1e-14
-    assert all(w.z.real == 0.0 and w.residual <= 1e-10 for w in found.zeros.zeros)
+    assert found.zeros.multiplicity.tolist() == located.multiplicity.tolist()
+    assert np.abs(found.zeros.z - located.z).max() <= 1e-14
+    assert (found.zeros.z.real == 0.0).all() and (found.zeros.residual <= 1e-10).all()
 
 
 def test_axis_search_evaluates_few_points(kernel_counts):
@@ -135,15 +135,15 @@ def test_axis_locator_keeps_the_axis_roots(fvm, box, located, cap, monkeypatch):
     assert found.quadtree_located == located
     assert found.box_winding == found.zeros.total_multiplicity()
     want = find_zeros_region(fvm, box)
-    assert [w.multiplicity for w in found.zeros.zeros] == [w.multiplicity for w in want.zeros]
+    assert found.zeros.multiplicity.tolist() == want.multiplicity.tolist()
     kept = len(found.zeros) - located
-    assert sum(w.z.real == 0.0 for w in found.zeros.zeros) >= kept
+    assert (found.zeros.z.real == 0.0).sum() >= kept
     # a kept end of a bracket left open lies within its 2 beta <= 1e-10 of
     # the quadtree's zero; every other zero is the quadtree's to 1e-14
-    gap = np.abs(found.zeros.points() - want.points())
+    gap = np.abs(found.zeros.z - want.z)
     ends = gap > 1e-14
     assert ends.sum() == (kept if cap else 0)
-    assert gap.max() <= 1e-10 and (found.zeros.points().real[ends] == 0.0).all()
+    assert gap.max() <= 1e-10 and (found.zeros.z.real[ends] == 0.0).all()
 
 
 def test_twisted_models_meet_the_hypotheses():
@@ -190,6 +190,6 @@ def test_axis_zeros_against_a_50_digit_reference():
             return sum(q * mpmath.exp(fvm.N * (horner(p, w) + eps * horner(u, w)))
                        for q, p, u in terms)
 
-        for w in found.zeros.zeros:
-            root = mpmath.findroot(partition_function, mpmath.mpc(w.z.real, w.z.imag))
-            assert abs(complex(root) - w.z) <= 1e-13
+        for z in found.zeros.z.tolist():
+            root = mpmath.findroot(partition_function, mpmath.mpc(z.real, z.imag))
+            assert abs(complex(root) - z) <= 1e-13

@@ -267,7 +267,7 @@ def test_grid_pairs_taken_in_batches_hold_every_close_pair():
     a = rng.random(_BATCH + 1808) + 1j * rng.random(_BATCH + 1808)
     b = rng.random(1500) + 1j * rng.random(1500)
     r = 0.01
-    i, j = _grid_pairs(a, b, r)
+    i, j = map(np.concatenate, zip(*_grid_pairs(a, b, r)))
     got = set(zip(i.tolist(), j.tolist()))
     assert len(got) == i.size
     want = set()

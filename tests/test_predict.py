@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pfzeros.model as model_mod
 import pfzeros.zeros as zeros_mod
 from pfzeros import (
     DomainError,
@@ -17,7 +18,6 @@ from pfzeros import (
     PhaseSpec,
     Rectangle,
     ValidationError,
-    Zero,
     ZeroSet,
     asymptote_lines,
     covering_check,
@@ -35,6 +35,7 @@ from pfzeros import (
     random_perturbation,
     trace_curve,
 )
+from pfzeros.model import almost_stable_set, in_coexistence_strip
 
 from conftest import OMEGA, three_phase_model, two_phase_model
 from test_zeros import _build, axis_zeros
@@ -70,19 +71,19 @@ def test_volume_functions_reject_nonpositive_L_and_d(m2, m3, L, d):
 def test_predict_two_phase_symmetric(m2):
     curve = m2_curve(m2, 100)
     zs = predict_two_phase(m2, 0, 1, curve, L=100, d=1)
-    got = sorted((z for z in zs.points() if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
+    got = sorted((z for z in zs.z if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
     want = axis_zeros(100)
     assert len(got) == len(want) == 6
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-10
-    assert all(w.method == "two_phase_eq" for w in zs.zeros)
+    assert (zs.method == "two_phase_eq").all()
 
 
 def test_predict_two_phase_degeneracy_shift():
     m = two_phase_model(q1=1, q2=2)
     curve = m2_curve(m, 100)
     zs = predict_two_phase(m, 0, 1, curve, L=100, d=1)
-    got = sorted((z for z in zs.points() if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
+    got = sorted((z for z in zs.z if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
     want = axis_zeros(100, q_ratio=2.0)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -92,14 +93,14 @@ def test_predict_two_phase_degeneracy_shift():
 def test_predict_two_phase_empty_on_small_segment(m2):
     curve = trace_curve(m2, 0, 1, 0j, step=0.005, max_steps=20)  # spans +-0.1
     zs = predict_two_phase(m2, 0, 1, curve, L=10, d=1)
-    assert all(not (0 <= z.imag <= 0.1) for z in zs.points())
+    assert all(not (0 <= z.imag <= 0.1) for z in zs.z)
 
 
 def test_predict_two_phase_sparse_curve_solved(m2):
     # theta advances by 20, more than 6 pi, between these samples
     curve = trace_curve(m2, 0, 1, 0j, step=0.01, max_steps=20)
     zs = predict_two_phase(m2, 0, 1, curve, L=1000, d=1)
-    got = sorted((z for z in zs.points() if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
+    got = sorted((z for z in zs.z if 0 <= z.imag <= 0.2), key=lambda z: z.imag)
     want = axis_zeros(1000)
     assert len(got) == len(want) == 64
     for g, w in zip(got, want):
@@ -110,8 +111,8 @@ def test_predict_two_phase_either_orientation():
     # for the pair (1, 0) theta falls along the (0, 1) samples
     m = two_phase_model(q1=1, q2=2)
     curve = m2_curve(m, 100)
-    fwd = predict_two_phase(m, 0, 1, curve, L=100, d=1).points()
-    bwd = predict_two_phase(m, 1, 0, curve, L=100, d=1).points()
+    fwd = predict_two_phase(m, 0, 1, curve, L=100, d=1).z
+    bwd = predict_two_phase(m, 1, 0, curve, L=100, d=1).z
     assert len(fwd) == len(bwd) > 10
     assert np.abs(fwd - bwd).max() <= 1e-14
 
@@ -130,9 +131,9 @@ def test_predict_two_phase_from_fvm_matches_brute(m2):
     curve = m2_curve(m2, 100)
     predicted = predict_two_phase(fvm, 0, 1, curve)
     located = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
-    pred_in = [z for z in predicted.points() if 0 <= z.imag <= 0.2]
+    pred_in = [z for z in predicted.z if 0 <= z.imag <= 0.2]
     assert len(pred_in) == len(located)
-    for z in located.points():
+    for z in located.z:
         assert min(abs(z - p) for p in pred_in) <= 1e-9
 
 
@@ -232,14 +233,14 @@ def assert_matches_reference(source, got, want, N, tol=1e-10):
     ref = np.array([z for z, _ in want])
     assert len(got) == len(ref)
     nearest = set()
-    for w in got.zeros:
-        hz = _horner(cm, w.z) - _horner(cn, w.z)
+    for z in got.z.tolist():
+        hz = _horner(cm, z) - _horner(cn, z)
         j = round((N * hz.imag / math.pi - 1) / 2)
         c_j = complex(math.log(q[1] / q[0]), math.pi * (2 * j + 1)) / N
         assert abs(N * (hz - c_j)) <= tol
-        dist = np.abs(ref - w.z)
+        dist = np.abs(ref - z)
         k = int(dist.argmin())
-        assert dist[k] <= 2 * tol / (N * abs(_horner(dm, w.z) - _horner(dn, w.z)))
+        assert dist[k] <= 2 * tol / (N * abs(_horner(dm, z) - _horner(dn, z)))
         nearest.add(k)
     assert len(nearest) == len(ref)
 
@@ -284,7 +285,7 @@ def test_predict_two_phase_newton_cap_carries_its_iterate(monkeypatch):
     # with a stop of 0 the rounding floor of N h keeps some zeros unconverged
     model = curved_model()
     curve = curved_curve(model)
-    zs = predict_two_phase(model, 0, 1, curve, L=200, d=1).points()
+    zs = predict_two_phase(model, 0, 1, curve, L=200, d=1).z
     monkeypatch.setattr(zeros_mod, "_TWO_PHASE_TOL", 0.0)
     with pytest.raises(NoConvergenceError, match="in 50 steps") as exc:
         predict_two_phase(model, 0, 1, curve, L=200, d=1)
@@ -348,7 +349,7 @@ def test_predict_multipoint_count_matches_series_winding(m3):
     vals = series_G(10.0 * np.exp(2j * np.pi * s))
     total = np.unwrap(np.angle(vals))
     wind = round(float(total[-1] - total[0]) / (2 * np.pi))
-    count_in_disc = sum(w.multiplicity for w in zs.zeros if abs(w.z - mp.z) * N <= 10.0)
+    count_in_disc = zs.multiplicity[np.abs(zs.z - mp.z) * N <= 10.0].sum()
     assert count_in_disc == wind
     assert wind > 0
 
@@ -358,7 +359,7 @@ def test_predict_multipoint_rotation_symmetry(m3):
     N = 1000
     with pytest.warns(UserWarning, match="rescaled disc is small"):
         zs = predict_multipoint(m3, mp, L=N, d=1, rho_L=8.0 / N)
-    zf = (zs.points() - mp.z) * N
+    zf = (zs.z - mp.z) * N
     for z in zf:
         rotated = z * OMEGA
         if abs(rotated) <= 8.0 - 1e-9:
@@ -387,11 +388,11 @@ def test_predict_multipoint_with_phase_offsets():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         predicted = predict_multipoint(m, mp, L=N, d=1, rho_L=1.2 * rho)
-    loc = [z for z in located.points() if abs(z - mp.z) <= rho]
+    loc = [z for z in located.z if abs(z - mp.z) <= rho]
     assert len(loc) > 0
     bound = 5.0 * N ** (-4.0 / 3.0)
     for z in loc:
-        assert np.min(np.abs(predicted.points() - z)) <= bound
+        assert np.min(np.abs(predicted.z - z)) <= bound
 
 
 def test_predict_multipoint_matches_brute_force(m3):
@@ -405,11 +406,11 @@ def test_predict_multipoint_matches_brute_force(m3):
     located = find_zeros_region(fvm, box)
     with pytest.warns(UserWarning, match="rescaled disc is small"):
         predicted = predict_multipoint(m3, mp, L=N, d=1, rho_L=rho)
-    loc = [z for z in located.points() if abs(z - mp.z) <= rho]
+    loc = [z for z in located.z if abs(z - mp.z) <= rho]
     assert len(loc) > 0
     bound = 5.0 * N ** (-4.0 / 3.0)
     for z in loc:
-        assert np.min(np.abs(predicted.points() - z)) <= bound
+        assert np.min(np.abs(predicted.z - z)) <= bound
 
 
 def test_predict_multipoint_polish_stops_at_a_few_ulps(m3, monkeypatch):
@@ -557,13 +558,12 @@ def test_match_zeros_identical(m2):
 def test_match_zeros_extra_predicted(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
-    extra = _build(
-        list(zs.zeros) + [Zero(0.5 + 0.5j, 1, 0.0, "two_phase_eq")], zs.region, zs.L, zs.d
-    )
+    rows = [*zip(zs.z, zs.multiplicity, zs.residual, zs.method), (0.5 + 0.5j, 1, 0.0, "two_phase_eq")]
+    extra = _build(rows, zs.region, zs.L, zs.d)
     rep = match_zeros(extra, zs, tolerances=1e-10)
     assert len(rep.unmatched_predicted) == 1
-    assert rep.unmatched_located == []
-    assert extra.zeros[rep.unmatched_predicted[0]].z == 0.5 + 0.5j
+    assert rep.unmatched_located.size == 0
+    assert extra.z[rep.unmatched_predicted[0]] == 0.5 + 0.5j
 
 
 def test_match_zeros_empty_predicted(m2):
@@ -571,7 +571,7 @@ def test_match_zeros_empty_predicted(m2):
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
     empty = _build([], zs.region, zs.L, zs.d)
     rep = match_zeros(empty, zs, tolerances=[1.0])
-    assert rep.pairs == []
+    assert rep.i.size == 0
     assert len(rep.unmatched_located) == 6
 
 
@@ -581,7 +581,7 @@ def _cubic_match_zeros(predicted, located, tolerances, c_match=10.0):
     np_, nl = len(predicted), len(located)
     tol = np.asarray(tolerances, dtype=float)
     tol = np.zeros(np_) if np_ == 0 else np.broadcast_to(tol, (np_,))
-    pp, ll = predicted.points(), located.points()
+    pp, ll = predicted.z, located.z
     pairs = []
     if np_ and nl:
         dist = np.abs(pp[:, None] - ll[None, :])
@@ -629,15 +629,26 @@ def test_match_zeros_equals_cubic_reference(pp, ll, tols):
     tolerances = tols[: len(pp)]
     rep = match_zeros(predicted, located, tolerances, c_match=0.5)
     want = _cubic_match_zeros(predicted, located, tolerances, c_match=0.5)
+    pairs = list(zip(*(c.tolist() for c in (rep.i, rep.j, rep.distance, rep.tol))))
     got = (
-        rep.pairs,
-        rep.unmatched_predicted,
-        rep.unmatched_located,
-        rep.violations,
+        pairs,
+        rep.unmatched_predicted.tolist(),
+        rep.unmatched_located.tolist(),
+        [pairs[k] for k in rep.violations],
         rep.min_located_spacing,
     )
     assert got == want
-    assert predicted.min_spacing() == _brute_min_spacing(predicted.points())
+    assert predicted.min_spacing() == _brute_min_spacing(predicted.z)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_min_spacing_block_by_block_equals_brute_force(monkeypatch, batch):
+    # the closest pair may lie in any block of query points, or across two
+    rng = np.random.default_rng(batch)
+    pts = np.concatenate([rng.random(200) + 1j * rng.random(200), [0.3 + 0.3j, 0.3 + 0.3j + 1e-9]])
+    monkeypatch.setattr(model_mod, "_BATCH", batch)
+    for zs in (_raw_zero_set(pts), _raw_zero_set(pts[::-1]), _raw_zero_set(pts[:200])):
+        assert zs.min_spacing() == _brute_min_spacing(zs.z)
 
 
 def test_match_zeros_memory_at_scale():
@@ -652,7 +663,7 @@ def test_match_zeros_memory_at_scale():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.ok and len(rep.pairs) == 3183
+    assert rep.ok and rep.i.size == 3183
     assert peak < 5e6
 
 
@@ -661,12 +672,65 @@ def test_degeneracy_audit_clean(m2):
     zs = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2))
     rep = degeneracy_audit(fvm, zs, region_Q=(0, 1))
     assert rep.ok
-    assert all(e.multiplicity == 1 for e in rep.entries)
+    assert (rep.multiplicity == 1).all()
 
 
 def test_degeneracy_audit_flags_single_phase_zero(m2):
     fvm = finite_volume(m2, L=100, d=1, tau=1.0)
-    fake = _build([Zero(0.5 + 0j, 1, 0.0, "brute_force")], Rectangle(-1, 1, -1, 1), 100, 1)
+    fake = _build([(0.5 + 0j, 1, 0.0, "brute_force")], Rectangle(-1, 1, -1, 1), 100, 1)
     rep = degeneracy_audit(fvm, fake)
     assert not rep.ok
-    assert any("single-phase" in v for v in rep.violations)
+    assert rep.violations.tolist() == [0] and rep.isolated.tolist() == [0]
+
+
+def _per_zero_degeneracy_audit(fvm, located, region_Q=None, omega_L=None):
+    """The audit as it was, one zero at a time: each zero's almost-stable
+    set, multiplicity check and isolated phase (None for none), and the
+    indices of the zeros that violate either."""
+    if omega_L is None:
+        omega_L = math.log(fvm.N)
+    eps_q = fvm.kappa / fvm.L
+    eps_single = omega_L / fvm.N
+    entries, violations = [], []
+    for k, (z, mult) in enumerate(zip(located.z.tolist(), located.multiplicity.tolist())):
+        q_set = tuple(sorted(almost_stable_set(fvm.base, z, eps_q)))
+        bound = len(q_set) - 1
+        if region_Q is not None:
+            bound = min(bound, len(tuple(region_Q)) - 1)
+        mult_ok = mult <= max(bound, 0)
+        isolated = None
+        if not in_coexistence_strip(fvm.base, z, eps_single):
+            isolated = int(np.argmax(np.real(fvm.base.log_weights(z))))
+        entries.append((z, mult, q_set, mult_ok, isolated))
+        if not mult_ok or isolated is not None:
+            violations.append(k)
+    return entries, violations
+
+
+@pytest.mark.parametrize("case", ["two_phase", "three_phase_disc", "scattered", "scattered_in_a_pair_region"])
+def test_degeneracy_audit_equals_the_per_zero_loop(case):
+    if case == "two_phase":
+        fvm = finite_volume(two_phase_model(q1=1, q2=2), L=100, d=1, tau=1.0)
+        zs, args = find_zeros_region(fvm, Rectangle(-0.1, 0.1, 0.0, 0.2)), ((0, 1),)
+    elif case == "three_phase_disc":
+        fvm = finite_volume(three_phase_model(), L=1000, d=1, tau=1.0)
+        zs, args = find_zeros_region(fvm, Rectangle(-0.01, 0.01, -0.01, 0.01)), ((0, 1, 2),)
+    else:
+        # points on and off the phase boundaries, with multiplicities that
+        # break the bound, audited with and without a region
+        fvm = finite_volume(three_phase_model(), L=10, d=1, tau=1.0)
+        rng = np.random.default_rng(3)
+        z = np.concatenate([rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200),
+                            rng.uniform(0, 1, 100) * (-1 + 0j), [0j, 1e-3, 0.5j]])
+        zs = _build(list(zip(z, rng.integers(1, 4, z.size), [0.0] * z.size, ["t"] * z.size)),
+                    fvm.domain, fvm.L, fvm.d)
+        args = (None, 0.3) if case == "scattered" else ((0, 1),)
+    rep = degeneracy_audit(fvm, zs, *args)
+    entries, violations = _per_zero_degeneracy_audit(fvm, zs, *args)
+    stable = [tuple(np.flatnonzero(col).tolist()) for col in rep.stable.T]
+    isolated = [None if k < 0 else k for k in rep.isolated.tolist()]
+    got = list(zip(rep.z.tolist(), rep.multiplicity.tolist(), stable, rep.mult_ok.tolist(), isolated))
+    assert got == entries
+    assert rep.violations.tolist() == violations
+    assert rep.ok == (not violations)
+    assert not case.startswith("scattered") or len(violations) > 100

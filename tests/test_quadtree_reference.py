@@ -297,7 +297,7 @@ def _zeros_of(name):
     """Located zeros in [-0.3, 0.3]^2, for contours drawn through them."""
     if name not in _ZEROS:
         box = Rectangle(-0.3, 0.3, -0.3, 0.3)
-        _ZEROS[name] = find_zeros_region(_FVMS[name], box).points().tolist()
+        _ZEROS[name] = find_zeros_region(_FVMS[name], box).z.tolist()
     return _ZEROS[name]
 
 

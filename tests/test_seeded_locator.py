@@ -33,7 +33,7 @@ CURVE = trace_curve(SPEC, 0, 1, 0j, step=0.01, max_steps=30)
 
 def _predicted(L, d):
     """The two-phase zeros of the bare model along its whole curve."""
-    return predict_two_phase(SPEC, 0, 1, CURVE, L=L, d=d).points()
+    return predict_two_phase(SPEC, 0, 1, CURVE, L=L, d=d).z
 
 
 def _perturbed(L, d, seed, **kwargs):
@@ -60,8 +60,8 @@ def _double_zero():
 
 
 def _same_zeros(a, b):
-    assert [w.multiplicity for w in a.zeros] == [w.multiplicity for w in b.zeros]
-    assert np.abs(a.points() - b.points()).max(initial=0.0) <= 1e-14
+    assert a.multiplicity.tolist() == b.multiplicity.tolist()
+    assert np.abs(a.z - b.z).max(initial=0.0) <= 1e-14
 
 
 # L=10 keeps e^{-tau L} perturbations visible at N = L^d = 1e2, 1e3, 1e4
@@ -74,14 +74,14 @@ def test_seeded_zeros_equal_the_quadtrees(d, seed):
     assert found.quadtree_located == 0
     assert found.box_winding == len(found.zeros) == located.total_multiplicity()
     _same_zeros(found.zeros, located)
-    assert all(w.residual <= 1e-10 for w in found.zeros.zeros)
+    assert (found.zeros.residual <= 1e-10).all()
 
 
 @pytest.mark.parametrize("N", [100, 1000, 10000])
 def test_unperturbed_zeros_sit_at_the_closed_form(N):
     found = find_zeros_seeded(_perturbed(N, 1, None), BOX, _predicted(N, 1))
     assert found.quadtree_located == 0
-    pts = found.zeros.points()
+    pts = found.zeros.z
     assert np.abs(pts - _closed_form(N, len(pts))).max() <= 1e-12
     assert len(pts) == math.floor((0.2 * 2 * N / math.pi - 1) / 2) + 1
 
@@ -144,8 +144,8 @@ def test_polish_reports_a_point_that_ran_out_of_newton_steps(monkeypatch):
     assert alpha[0] > 1.0
     assert _kept(es, box, z, 1.0 / 11)[0].size == 0
     # a quadtree terminal cell still takes it; the circle counts it twice
-    (w,) = find_zeros_region(fvm, box).zeros
-    assert w.multiplicity == 2 and abs(w.z - zero) < 1e-6
+    zs = find_zeros_region(fvm, box)
+    assert zs.multiplicity.tolist() == [2] and abs(zs.z[0] - zero) < 1e-6
 
 
 @pytest.mark.parametrize("dy, count", [(1e-9, 3), (-1e-9, 2)])
@@ -240,11 +240,11 @@ def test_seeded_zeros_against_a_50_digit_reference():
             return sum(q * mpmath.exp(fvm.N * (horner(p, z) + eps * horner(u, z)))
                        for q, p, u in terms)
 
-        for w in found.zeros.zeros[::7]:
+        for z in found.zeros.z[::7].tolist():
             # secant from two starts well inside the zero's basin
-            start = mpmath.mpc(w.z.real, w.z.imag)
+            start = mpmath.mpc(z.real, z.imag)
             root = mpmath.findroot(partition_function, (start, start + 1e-9))
-            assert abs(complex(root) - w.z) <= 1e-13
+            assert abs(complex(root) - z) <= 1e-13
 
 
 def _far_zeros(k):
@@ -261,7 +261,7 @@ def _far_checks(zs):
     # each zero within 1e-10 of its closed form, though the rounding of W
     # leaves some residuals above 1e-10
     assert len(zs) == 51 and (zs.multiplicity == 1).all()
-    assert np.abs(zs.points() - FAR_SEEDS[10:61]).max() <= 1e-10
+    assert np.abs(zs.z - FAR_SEEDS[10:61]).max() <= 1e-10
     assert zs.residual.max() > 1e-10
 
 

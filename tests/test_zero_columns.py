@@ -1,6 +1,7 @@
 """Zero sets kept in columns: the column writers against per-row reference
-writers, ZeroSet.within against a rebuild of the rows it keeps, and the
-per-zero work of the CLI's prediction and comparison."""
+writers, ZeroSet.within against a rebuild of the rows it keeps, ZeroSet
+equality and its row view against the Zero rows, and the per-zero work of
+the CLI's prediction and comparison and of the library calls on its sets."""
 
 import math
 
@@ -9,51 +10,64 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pfzeros import MatchReport, Rectangle, ZeroSearch, ZeroSet
-from pfzeros.cli import ZEROS_HEADER, main, match_report_text, zeros_csv
+from pfzeros import (
+    MatchReport,
+    Rectangle,
+    Zero,
+    ZeroSearch,
+    ZeroSet,
+    degeneracy_audit,
+    finite_volume,
+    match_zeros,
+)
+from pfzeros.cli import ZEROS_HEADER, main, match_report_text, read_zeros_csv, zeros_csv
 from pfzeros.render import emit_svg
 
 from conftest import two_phase_model
 from test_cli import write_model
 
 # ---------------------------------------------------------------------------
-# Per-row reference writers: the writers as they were, one Zero at a time
+# Per-row reference writers: the writers as they were, one row at a time
 
 
 def _g17(x):
     return format(float(x), ".17g")
 
 
+def _rows(zs):
+    """The rows (z, multiplicity, residual, method) of a zero set."""
+    return zip(zs.z.tolist(), zs.multiplicity.tolist(), zs.residual.tolist(), zs.method.tolist())
+
+
 def reference_zeros_csv(zs):
     lines = [ZEROS_HEADER]
-    for w in zs.zeros:
-        lines.append(
-            f"{_g17(w.z.real)},{_g17(w.z.imag)},{w.multiplicity},{_g17(w.residual)},{w.method}"
-        )
+    for z, mult, res, method in _rows(zs):
+        lines.append(f"{_g17(z.real)},{_g17(z.imag)},{mult},{_g17(res)},{method}")
     return "\n".join(lines) + "\n"
 
 
 def reference_match_report_text(rep, predicted, found):
     located = found.zeros
+    pairs = list(zip(rep.i.tolist(), rep.j.tolist(), rep.distance.tolist(), rep.tol.tolist()))
     lines = [
-        f"pairs: {len(rep.pairs)}",
+        f"pairs: {len(pairs)}",
         f"unmatched_predicted: {len(rep.unmatched_predicted)}",
         f"unmatched_located: {len(rep.unmatched_located)}",
         f"min_located_spacing: {_g17(rep.min_located_spacing)}",
-        f"max_distance: {_g17(rep.max_distance)}",
+        f"max_distance: {_g17(max((p[2] for p in pairs), default=0.0))}",
         f"c_match: {_g17(rep.c_match)}",
-        f"violations: {len(rep.violations)}",
+        f"violations: {sum(p[2] > rep.c_match * p[3] for p in pairs)}",
         f"box_winding: {found.box_winding}",
         f"quadtree_located: {found.quadtree_located}",
         "pair_table: predicted_idx,located_idx,distance,delta_L",
     ]
-    for pi, li, dist, tol in rep.pairs:
+    for pi, li, dist, tol in pairs:
         lines.append(f"  {pi},{li},{_g17(dist)},{_g17(tol)}")
-    for i in rep.unmatched_predicted:
-        z = predicted.zeros[i].z
+    for i in rep.unmatched_predicted.tolist():
+        z = predicted.z[i]
         lines.append(f"unmatched_predicted_at: {_g17(z.real)},{_g17(z.imag)}")
-    for i in rep.unmatched_located:
-        z = located.zeros[i].z
+    for i in rep.unmatched_located.tolist():
+        z = located.z[i]
         lines.append(f"unmatched_located_at: {_g17(z.real)},{_g17(z.imag)}")
     return "\n".join(lines) + "\n"
 
@@ -65,12 +79,12 @@ def reference_circles(zero_sets, viewport):
     sx, sy = 580 / viewport.width, 580 / viewport.height
     out = []
     for zs in zero_sets:
-        for w in zs.zeros:
-            if not viewport.contains(w.z):
+        for z, _, _, method in _rows(zs):
+            if not viewport.contains(z):
                 continue
-            x = 30 + (w.z.real - viewport.re_lo) * sx
-            y = 640 - 30 - (w.z.imag - viewport.im_lo) * sy
-            color = _COLORS.get(w.method, "#000")
+            x = 30 + (z.real - viewport.re_lo) * sx
+            y = 640 - 30 - (z.imag - viewport.im_lo) * sy
+            color = _COLORS.get(method, "#000")
             out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="{color}"/>')
     return out
 
@@ -117,16 +131,20 @@ def test_match_report_text_equals_the_per_row_writer(data):
     predicted = _raw_set(data.draw(st.lists(_row, max_size=20)))
     located = _raw_set(data.draw(st.lists(_row, max_size=20)))
     index = st.integers(0, 10**6)
-    pairs = data.draw(st.lists(st.tuples(index, index, _residual, _residual), max_size=20))
+    distance = st.one_of(st.floats(0.0), st.sampled_from([0.0, 5e-324, math.inf]))
+    pairs = data.draw(st.lists(st.tuples(index, index, distance, _residual), max_size=20))
+
+    def unmatched(zs):
+        return np.array(data.draw(st.lists(st.integers(0, len(zs) - 1))) if len(zs) else [], dtype=int)
+
+    cols = zip(*pairs) if pairs else ((),) * 4
+    i, j, dist, tol = (np.array(c, dtype=t) for c, t in zip(cols, (int, int, float, float)))
     rep = MatchReport(
-        pairs=pairs,
-        unmatched_predicted=data.draw(st.lists(st.integers(0, len(predicted) - 1)))
-        if len(predicted) else [],
-        unmatched_located=data.draw(st.lists(st.integers(0, len(located) - 1)))
-        if len(located) else [],
+        i, j, dist, tol,
+        unmatched_predicted=unmatched(predicted),
+        unmatched_located=unmatched(located),
         min_located_spacing=data.draw(_residual),
-        violations=pairs[:1],
-        c_match=10.0,
+        c_match=data.draw(st.sampled_from([0.5, 10.0])),
     )
     found = ZeroSearch(located, box_winding=len(located), quadtree_located=0)
     assert match_report_text(rep, predicted, found) == reference_match_report_text(
@@ -159,6 +177,22 @@ def test_within_equals_a_rebuild_of_the_rows_inside(rows, xs, ys):
     assert np.signbit(got.z.real).tolist() == np.signbit(want.z.real).tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_row, max_size=8), st.data())
+def test_equality_and_the_row_view_agree_with_the_zero_rows(rows, data):
+    # the other set: the same rows, some of them changed or dropped; NaN
+    # residuals compare unequal and -0.0 equals 0.0, as the rows compare
+    other = [data.draw(st.one_of(st.just(r), _row)) for r in rows]
+    other = other[: data.draw(st.integers(len(other) - 1, len(other)))] if other else other
+    a, b = _raw_set(rows), _raw_set(other)
+    # repr tells a NaN, and -0.0 from 0.0, as == does not
+    assert repr(a.zeros) == repr(tuple(Zero(*row) for row in _rows(a)))
+    assert (a == b) == (a.zeros == b.zeros)
+    assert (a == a) == (a.zeros == a.zeros)
+    b.L = 2
+    assert a != b
+
+
 # ---------------------------------------------------------------------------
 # Per-zero work of the CLI
 
@@ -172,7 +206,9 @@ def test_within_equals_a_rebuild_of_the_rows_inside(rows, xs, ys):
     ids=["predict-zeros", "compare"],
 )
 def test_cli_builds_no_zero_objects_and_filters_by_arrays(tmp_path, row_counts, argv):
-    path = write_model(tmp_path, two_phase_model(q1=1, q2=2))
+    spec = two_phase_model(q1=1, q2=2)
+    path = write_model(tmp_path, spec)
+    box = Rectangle(-0.1, 0.1, 0, 0.2)
     contains, written = [], []
     for L in ("1000", "10000"):
         row_counts.clear()
@@ -183,5 +219,11 @@ def test_cli_builds_no_zero_objects_and_filters_by_arrays(tmp_path, row_counts, 
         contains.append(row_counts["contains"])
         csv = next(out.glob("*predicted.csv"), None) or next(out.glob("zeros_*.csv"))
         written.append(len(csv.read_text().splitlines()) - 1)
+        # and the library calls on the written set build none either
+        zs = ZeroSet.build(*read_zeros_csv(csv), box, int(L), 1)
+        assert zs == ZeroSet.build(*read_zeros_csv(csv), box, int(L), 1)
+        assert match_zeros(zs, zs, 1e-12).ok
+        assert degeneracy_audit(finite_volume(spec, int(L), 1, tau=1.0), zs, (0, 1)).ok
+        assert row_counts["zeros"] == 0
     assert written == [64, 637]
     assert contains[0] == contains[1]
