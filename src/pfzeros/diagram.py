@@ -338,15 +338,17 @@ def find_multiple_point(
 
 def _multiple_newton(model: ModelSpec, triple, seeds: np.ndarray) -> list:
     """find_multiple_point from every seed at once, each seed taking the
-    steps it takes alone: per seed its MultiplePoint or the error it raises."""
-    (h1, dh1), (h2, dh2) = (_pair_gap(model, triple[0], k) for k in triple[1:])
+    steps it takes alone: per seed its MultiplePoint or the error it raises.
+    A step evaluates each phase once; the differences are _pair_gap's, bit for bit."""
+    phases = [(model.phases[k].log_weight, model.phases[k].log_weight_deriv) for k in triple]
     z, out = seeds.astype(complex), [None] * seeds.size
     act, done = np.arange(z.size), np.zeros(z.size, dtype=bool)  # the seeds stepping, converged
     for _ in range(STEPS_MULTIPOINT):
         if not act.size:
             break
         w = z[act]
-        f1, f2, g1, g2 = h1(w).real, h2(w).real, dh1(w), dh2(w)
+        (p0, d0), (p1, d1), (p2, d2) = ((p(w), dp(w)) for p, dp in phases)
+        f1, f2, g1, g2 = (p0 - p1).real, (p0 - p2).real, d0 - d1, d0 - d2
         # Jacobian of (f1, f2) in (x, y)
         j11, j12, j21, j22 = g1.real, -g1.imag, g2.real, -g2.imag
         det = j11 * j22 - j12 * j21

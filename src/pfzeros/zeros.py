@@ -41,7 +41,6 @@ from .model import (
     _modulus,
     _neighbours,
     _pair_gap,
-    _polyder,
     _polyval,
     _require_finite,
     _volume,
@@ -54,7 +53,7 @@ METHOD_TWO_PHASE = "two_phase_eq"
 METHOD_MULTIPOINT = "multipoint_eq"
 
 
-# Zeros closer than this are one zero in a ZeroSet.
+# Candidates closer than this are one zero (_kept); ZeroSet sorts on its grid.
 _DEDUP_TOL = 1e-12
 # A located simple zero is proven to lie within this distance of its point.
 _LOCATE_TOL = 1e-10
@@ -97,22 +96,22 @@ class ZeroSet:
 
     @classmethod
     def build(cls, z, multiplicity, residual, method, region, L, d, **search) -> "ZeroSet":
-        """The set of zeros given in columns, a scalar standing for a whole
-        column; of zeros within _DEDUP_TOL the first in order is kept."""
+        """The zeros given in columns, a scalar standing for a whole column,
+        in canonical order. Every row is kept: the locators and predictors
+        give distinct zeros, so a duplicate would show in match_zeros."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         # Sorting on the rounded key first keeps zeros on a common vertical
         # line in order of Im z even when their real parts differ by ulps.
-        order = np.lexsort(
+        rows = np.lexsort(
             (z.imag, z.real, np.round(z.imag / _DEDUP_TOL), np.round(z.real / _DEDUP_TOL))
         )
-        rows = order[_first_come(z[order], _DEDUP_TOL)]
         cols = (np.broadcast_to(np.asarray(c, dtype=t), z.shape)[rows]
                 for c, t in ((multiplicity, int), (residual, float), (method, object)))
         return cls(z[rows], *cols, region, int(L), int(d), _volume(L, d), **search)
 
     def within(self, box: Rectangle) -> "ZeroSet":
-        """The zeros in the closed box, as a set of that region: the rows of a
-        sorted set with no near duplicates are one."""
+        """The zeros in the closed box, as a set of that region, in the same
+        canonical order."""
         inside = box.contains(self.z)
         cols = (self.z, self.multiplicity, self.residual, self.method)
         return ZeroSet(*(c[inside] for c in cols), box, self.L, self.d, self.N)
@@ -228,13 +227,10 @@ class _ExpSum:
         if c.shape[1] == 1:  # D >= 1, as the winding takes g_k'
             c = np.concatenate([c, np.zeros_like(c)], axis=1)
         self.c = c.T.copy()  # coefficients along the first axis
-        dc = np.array([_polyder(tuple(row)) for row in c], dtype=complex)
-        self.dc = dc.T.copy()
         self.scale = float(scale)
-        n, k = self.c.shape
-        self.ders, d = np.zeros((n, n * k), dtype=complex), self.c  # derivatives 0..D
-        for i in range(n):
-            self.ders[: n - i, i * k : (i + 1) * k] = d
+        self.ders, d = [], self.c  # the D+1-i coefficients of each g_k^(i), i = 0..D
+        for _ in range(len(d)):
+            self.ders.append(d)
             d = np.arange(1.0, len(d))[:, None] * d[1:]  # the next derivative
 
     @classmethod
@@ -249,36 +245,30 @@ class _ExpSum:
         rows = [[0j, v] for v in vs]
         return cls(weights, np.array(rows, dtype=complex))
 
-    def exponents(self, z):
-        return _polyval_rows(self.c, z)
-
-    def derivatives(self, z):
-        """g_k^(i)(z) for i = 0..D, shape (D+1, K) + z.shape."""
-        return _polyval_rows(self.ders, z).reshape((len(self.c), len(self.w)) + np.shape(z))
+    def derivatives(self, z, orders: int | None = None):
+        """g_k^(i)(z) for i below orders (every i = 0..D by default), shape
+        (orders, K) + z.shape: the one kernel, each order by Horner's rule."""
+        out = np.empty((len(self.ders[:orders]), len(self.w)) + np.shape(z), dtype=complex)
+        for i, c in enumerate(self.ders[:orders]):
+            out[i] = _polyval_rows(c, z)
+        return out
 
     def value_normalized(self, z):
         """scale * sum_k w_k exp(g_k(z) - max_j Re g_j(z)), overflow-free."""
-        z = np.asarray(z)
-        e = _normalized(self.exponents(z))
-        e *= self._weights(z)
-        return self.scale * _add_terms(e)
-
-    def newton_step(self, z):
-        """(value, derivative) at z with the shared normalization cancelled;
-        their quotient is the Newton step. Elementwise for an array z."""
-        z = np.asarray(z)
-        e = _normalized(self.exponents(z))
-        w = self._weights(z)
-        return _add_terms(w * e), _add_terms(w * _polyval_rows(self.dc, z) * e)
-
-    def _weights(self, z):
-        return self.w.reshape(self.w.shape + (1,) * z.ndim)
+        return self.scale * _normalized_sum(self, self.derivatives(z, 1))[0]
 
 
-def _normalized(g):
-    """exp(g_k - max_j Re g_j) of the exponents g, computed in place."""
-    g -= np.max(g.real, axis=0)
-    return np.exp(g, out=g)
+def _normalized_sum(es: _ExpSum, d):
+    """(V, V', terms) from the derivatives d at some points, overwriting d[0]:
+    V = sum_k w_k e_k, e_k = exp(g_k - max_j Re g_j), its terms w_k e_k, and
+    V' = sum_k w_k g_k' e_k where d holds order 1 (else None). Every V is
+    formed here, in one term order, as numpy may round w e and e w apart."""
+    w = es.w.reshape(es.w.shape + (1,) * (d.ndim - 2))
+    d[0] -= np.max(d[0].real, axis=0)
+    e = np.exp(d[0], out=d[0])
+    terms = w * e
+    dv = _add_terms(w * d[1] * e) if len(d) > 1 else None
+    return _add_terms(terms), dv, terms
 
 
 def _add_terms(terms):
@@ -515,7 +505,7 @@ def _polish(es: _ExpSum, starts):
     for _ in range(_POLISH_STEPS):
         if not act.size:
             break
-        num, den = _chunked(es.newton_step, z[act])
+        num, den = _chunked(lambda p: _normalized_sum(es, es.derivatives(p, 2))[:2], z[act])
         flat = den == 0
         for i in act[flat].tolist():
             why[i] = "vanishing derivative during polishing"
@@ -771,10 +761,10 @@ def xi_normalized(fvm: FiniteVolumeModel, z):
     """Synthetic error term Xi(z) * zeta_L(z)^{-N}, zeta_L(z) the
     finite-volume maximum as in eval_logZ_normalized; Xi is the dominant sum
     times xi_strength * N * e^{-tau L}. Elementwise for an array z."""
-    es = _ExpSum.from_fvm(fvm)
-    es.scale = fvm.xi_strength * fvm.N * fvm.perturbation_scale()
-    out = es.value_normalized(z)
-    return complex(out) if np.ndim(z) == 0 else out
+    es, z = _ExpSum.from_fvm(fvm), np.asarray(z)
+    v = _normalized_sum(es, es.derivatives(z, 1))[0]
+    out = fvm.xi_strength * fvm.N * fvm.perturbation_scale() * v
+    return complex(out) if z.ndim == 0 else out
 
 
 def find_zeros_region(fvm: FiniteVolumeModel, box: Rectangle) -> ZeroSet:
@@ -905,10 +895,7 @@ def _alpha_beta(es: _ExpSum, z: np.ndarray, r: float):
     """
     d = es.derivatives(z)
     t = sum(np.abs(d[i]) * (r**i / math.factorial(i)) for i in range(1, len(d)))
-    w = es._weights(z)
-    e = _normalized(d[0])
-    terms = e * w  # as value_normalized takes them
-    v, dv = _add_terms(terms), _add_terms(w * d[1] * e)
+    v, dv, terms = _normalized_sum(es, d)
     a = np.abs(terms)
     size = _polyval_rows(np.abs(es.c), np.abs(z)).real
     slack = 2.0**-51 * _add_terms(a * (size + len(es.w)))

@@ -78,24 +78,23 @@ def mly():
 @pytest.fixture
 def kernel_counts(monkeypatch):
     """A Counter of the work the zero locators do from here on: "points",
-    every point at which the kernel evaluates exponents (exponents, which
-    value_normalized and newton_step call) or them with their derivatives
-    (derivatives, which the winding certificate, the axis sampler's rate
-    bound and the alpha-test call), "calls", the calls of those two,
-    "contours" wound (closed contours and quadtree cells), "splits", the
-    cells of the depths handed to _split, "polished", the points handed to
-    _polish, and "largest_call", the most points in one of those kernel
-    calls."""
+    every point at which the kernel evaluates the exponents and their
+    derivatives (derivatives, the one kernel entry, which Newton, the
+    winding certificate, the axis sampler and the alpha-test call), "calls",
+    its calls, "contours" wound (closed contours and quadtree cells),
+    "splits", the cells of the depths handed to _split, "polished", the
+    points handed to _polish, and "largest_call", the most points in one
+    kernel call."""
     counts = Counter()
-    for name in ("exponents", "derivatives"):
+    derivatives = _ExpSum.derivatives
 
-        def counted(self, z, method=getattr(_ExpSum, name)):
-            counts["points"] += np.size(z)
-            counts["calls"] += 1
-            counts["largest_call"] = max(counts["largest_call"], np.size(z))
-            return method(self, z)
+    def counted(self, z, orders=None):
+        counts["points"] += np.size(z)
+        counts["calls"] += 1
+        counts["largest_call"] = max(counts["largest_call"], np.size(z))
+        return derivatives(self, z, orders)
 
-        monkeypatch.setattr(_ExpSum, name, counted)
+    monkeypatch.setattr(_ExpSum, "derivatives", counted)
     windings = zeros_mod._windings
 
     def counted_windings(totals):
@@ -118,6 +117,31 @@ def kernel_counts(monkeypatch):
 
     monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
     return counts
+
+
+@pytest.fixture
+def polish_passes(monkeypatch):
+    """The number of points in each kernel pass that _polish makes from here
+    on: one per Newton step of the points still stepping, per _BATCH of
+    them. The alpha-test's passes, through the same kernel, are not counted."""
+    passes, polishing = [], []
+    polish, derivatives = zeros_mod._polish, _ExpSum.derivatives
+
+    def counted_polish(es, starts):
+        polishing.append(True)
+        try:
+            return polish(es, starts)
+        finally:
+            polishing.pop()
+
+    def counted(self, z, orders=None):
+        if polishing:
+            passes.append(np.size(z))
+        return derivatives(self, z, orders)
+
+    monkeypatch.setattr(zeros_mod, "_polish", counted_polish)
+    monkeypatch.setattr(_ExpSum, "derivatives", counted)
+    return passes
 
 
 @pytest.fixture

@@ -39,7 +39,6 @@ from pfzeros.zeros import (
     _modulus,
     _neighbours,
     _polish,
-    _polyval_rows,
 )
 
 from conftest import lee_yang_model, three_phase_model, two_phase_model
@@ -92,7 +91,7 @@ def _initial_nodes(es: _ExpSum, mp, length: float) -> np.ndarray:
     hide between neighboring samples.
     """
     probe = mp(np.linspace(0.0, 1.0, 129))
-    rate = float(np.abs(_polyval_rows(es.dc, probe)).max())  # the old es.deriv_bound
+    rate = float(np.abs(es.derivatives(probe)[1]).max())  # the old es.deriv_bound
     k = len(es.w)
     n0 = int(min(max(65.0, (2 * k + 1) * length * rate / 1.2), 2.0e6))
     return np.linspace(0.0, 1.0, n0 + 1)
