@@ -2,9 +2,10 @@
 emission (CSV, structured text, optional SVG) funneled through here. Each
 subcommand is declared once, in _COMMANDS, with the options its workflow reads.
 
-Numbers are serialized with 17 significant digits so every artifact
-round-trips to the exact double. Reruns with the same config and seed are
-byte-identical.
+Numbers in the CSV and text artifacts are serialized with 17 significant
+digits, so they round-trip to the exact double; SVG coordinates are pixels
+with 2 decimals. Tables are formatted by render.table_blocks. Reruns
+with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ def _write(path: Path, text: str) -> Path:
 
 
 def zeros_csv(zs: zeros.ZeroSet) -> str:
-    cols = (zs.z.real, zs.z.imag, zs.multiplicity, zs.residual, zs.method)
-    rows = map("%.17g,%.17g,%d,%.17g,%s\n".__mod__, zip(*(c.tolist() for c in cols)))
-    return "".join([ZEROS_HEADER, "\n", *rows])
+    cols = [(zs.z.real, "%.17g"), (zs.z.imag, "%.17g"), (zs.multiplicity, "%d"), (zs.residual, "%.17g"),
+            (zs.method, "%s")]
+    # the empty last line ends the text with a newline without copying it
+    return "\n".join([ZEROS_HEADER, *render.table_blocks(cols), ""])
 
 
 def read_zeros_csv(path):
@@ -64,8 +66,9 @@ def read_zeros_csv(path):
 
 
 def curve_csv(curve: diagram.CoexistenceCurve) -> str:
-    rows = ((s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag) for s in curve.samples)
-    return "".join(["t,re_z,im_z,re_vm,im_vm,re_vn,im_vn\n", *(",".join(map(_g17, r)) + "\n" for r in rows)])
+    rows = [(s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag) for s in curve.samples]
+    cols = [(c, "%.17g") for c in np.array(rows, dtype=float).reshape(-1, 7).T]
+    return "\n".join(["t,re_z,im_z,re_vm,im_vm,re_vn,im_vn", *render.table_blocks(cols), ""])
 
 
 def density_csv(rows) -> str:
@@ -96,13 +99,13 @@ def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch
         *_search_lines(found),
         "pair_table: predicted_idx,located_idx,distance,delta_L",
     ]
-    cols = (rep.i, rep.j, rep.distance, rep.tol)
-    lines += map("  %d,%d,%.17g,%.17g".__mod__, zip(*(c.tolist() for c in cols)))
+    lines += render.table_blocks([(rep.i, "  %d"), (rep.j, "%d"), (rep.distance, "%.17g"), (rep.tol, "%.17g")])
     for side, zs, at in (("predicted", predicted, rep.unmatched_predicted),
                          ("located", found.zeros, rep.unmatched_located)):
-        row = f"unmatched_{side}_at: %.17g,%.17g"
-        lines += [row % (z.real, z.imag) for z in zs.z[at].tolist()]
-    return "\n".join(lines) + "\n"
+        z = zs.z[at]
+        lines += render.table_blocks([(z.real, f"unmatched_{side}_at: %.17g"), (z.imag, "%.17g")])
+    lines.append("")
+    return "\n".join(lines)
 
 
 def diagram_text(pd: diagram.PhaseDiagram) -> str:
@@ -148,7 +151,8 @@ def covering_text(rep: analysis.CoveringReport) -> str:
 
 
 def uncovered_csv(rep: analysis.CoveringReport) -> str:
-    return "".join(["re_z,im_z\n", *(f"{_g17(z.real)},{_g17(z.imag)}\n" for z in rep.uncovered)])
+    z = np.array(rep.uncovered, dtype=complex).reshape(-1)
+    return "\n".join(["re_z,im_z", *render.table_blocks([(z.real, "%.17g"), (z.imag, "%.17g")]), ""])
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +252,12 @@ def _compare(spec, args, out):
     curve = _curve_for_pair(spec, m, n, box)
     predicted_all = zeros.predict_two_phase(spec, m, n, curve, L=fvm.L, d=fvm.d)
     predicted = predicted_all.within(box)
-    # the unfiltered prediction also seeds zeros just inside the box whose
-    # predictions fall just outside it
-    found = zeros.find_zeros_seeded(fvm, box, predicted_all.z)
+    # the predictions within two zero spacings 2 pi/(N |h'|) of the box also
+    # seed the zeros just inside it whose predictions fall just outside
+    _, dh = model._pair_gap(spec, m, n)
+    spacing = 2 * math.pi / (fvm.N * np.min(np.abs(dh(predicted_all.z)), initial=math.inf))
+    seeds = predicted_all.z[box.contains(predicted_all.z, pad=2 * spacing)]
+    found = zeros.find_zeros_seeded(fvm, box, seeds)
     located = found.zeros
     gamma = args.gamma_scale * math.log(fvm.N) / fvm.N
     tol = zeros.delta_L(spec, predicted.z, fvm.L, fvm.d, gamma, fvm.tau, fvm.kappa, (m, n))

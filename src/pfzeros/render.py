@@ -1,4 +1,5 @@
-"""Static SVG rendering of phase diagrams and zero sets."""
+"""Static SVG rendering of phase diagrams and zero sets, and the text of
+the tables that the artifact writers emit."""
 
 from __future__ import annotations
 
@@ -15,6 +16,41 @@ _ZERO_COLORS = {
 }
 
 
+def column_text(values, fmt: str) -> list[str]:
+    """fmt % v for every v of a numeric column, or of an object column of text.
+
+    Each distinct value is formatted once, so a column that repeats its
+    values (a zero table on a straight phase boundary repeats Re z in every
+    row) costs a sort instead of one format per row. Numbers are told apart
+    by their bit patterns, so -0.0 and 0.0, and NaNs of different payloads,
+    are each formatted as fmt formats them.
+    """
+    values = np.asarray(values)
+    if values.dtype == object:
+        column = values.tolist()
+        text = {v: fmt % v for v in set(column)}
+        return list(map(text.__getitem__, column))
+    bits, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+    text = np.array(list(map(fmt.__mod__, bits.view(values.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+# Rows per block of table_blocks: only one block's column text is held
+# besides the finished blocks, so a table of 6e5 rows peaks at about twice
+# its text rather than at its text plus every column's.
+_BLOCK_ROWS = 1 << 16
+
+
+def table_blocks(columns, sep: str = ",") -> list[str]:
+    """The rows of a table in blocks of text, each row its fields joined by
+    sep and each block its rows joined by newlines; columns are (values,
+    fmt) pairs formatted by column_text. Joined by newlines, the blocks are
+    the table's lines."""
+    n = len(columns[0][0])
+    return ["\n".join(map(sep.join, zip(*(column_text(v[lo:lo + _BLOCK_ROWS], f) for v, f in columns))))
+            for lo in range(0, n, _BLOCK_ROWS)]
+
+
 def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> str:
     """Render curves, multiple points and zeros in the viewport.
 
@@ -26,7 +62,8 @@ def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> st
 
     def m(z):
         """(x, y) of z, elementwise for an array z."""
-        return pad + (z.real - viewport.re_lo) * sx, height - pad - (z.imag - viewport.im_lo) * sy
+        with np.errstate(all="ignore"):  # inf and NaN as a float's arithmetic gives them
+            return pad + (z.real - viewport.re_lo) * sx, height - pad - (z.imag - viewport.im_lo) * sy
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -57,10 +94,10 @@ def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> st
     if diagram is not None:
         for k, curve in enumerate(diagram.curves):
             color = _CURVE_COLORS[k % len(_CURVE_COLORS)]
-            pts = [m(s.z) for s in curve.samples]
-            if len(pts) < 2:
+            if len(curve.samples) < 2:
                 continue
-            d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pts)
+            x, y = m(curve.points())
+            d = "M " + " L ".join(map(" ".join, zip(column_text(x, "%.2f"), column_text(y, "%.2f"))))
             parts.append(
                 f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
@@ -71,13 +108,11 @@ def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> st
                 'fill="none" stroke="#000" stroke-width="1.5"/>'
             )
 
-    circle = '<circle cx="%.2f" cy="%.2f" r="2.2" fill="%s"/>'
     for zs in zero_sets:
         inside = viewport.contains(zs.z)
-        with np.errstate(all="ignore"):  # inf and NaN as a float's arithmetic gives them
-            x, y = m(zs.z[inside])
-        color = [_ZERO_COLORS.get(s, "#000") for s in zs.method[inside].tolist()]
-        parts += map(circle.__mod__, zip(x.tolist(), y.tolist(), color))
+        x, y = m(zs.z[inside])
+        color = np.array([_ZERO_COLORS.get(s, "#000") for s in zs.method[inside].tolist()], dtype=object)
+        parts += table_blocks([(x, '<circle cx="%.2f"'), (y, 'cy="%.2f"'), (color, 'r="2.2" fill="%s"/>')], " ")
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]
+    return "\n".join(parts)

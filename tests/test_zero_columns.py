@@ -1,5 +1,6 @@
 """Zero sets kept in columns: the column writers against per-row reference
-writers, ZeroSet.within against a rebuild of the rows it keeps, ZeroSet
+writers, on drawn columns that repeat their values and on the CLI's own
+artifacts; ZeroSet.within against a rebuild of the rows it keeps, ZeroSet
 equality and its row view against the Zero rows, and the per-zero work of
 the CLI's prediction and comparison and of the library calls on its sets."""
 
@@ -16,14 +17,33 @@ from pfzeros import (
     Zero,
     ZeroSearch,
     ZeroSet,
+    cli,
     degeneracy_audit,
     finite_volume,
     match_zeros,
+    render,
 )
-from pfzeros.cli import ZEROS_HEADER, main, match_report_text, read_zeros_csv, zeros_csv
+from pfzeros.analysis import CoveringReport
+from pfzeros.cli import (
+    ZEROS_HEADER,
+    curve_csv,
+    main,
+    match_report_text,
+    read_zeros_csv,
+    uncovered_csv,
+    zeros_csv,
+)
+from pfzeros.diagram import (
+    TERM_DOMAIN,
+    CoexistenceCurve,
+    CurveSample,
+    MultiplePoint,
+    PhaseDiagram,
+    Termination,
+)
 from pfzeros.render import emit_svg
 
-from conftest import two_phase_model
+from conftest import three_phase_model, two_phase_model
 from test_cli import write_model
 
 # ---------------------------------------------------------------------------
@@ -72,21 +92,74 @@ def reference_match_report_text(rep, predicted, found):
     return "\n".join(lines) + "\n"
 
 
+def reference_curve_csv(curve):
+    rows = ((s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag) for s in curve.samples)
+    return "".join(["t,re_z,im_z,re_vm,im_vm,re_vn,im_vn\n", *(",".join(map(_g17, r)) + "\n" for r in rows)])
+
+
+def reference_uncovered_csv(rep):
+    return "".join(["re_z,im_z\n", *(f"{_g17(z.real)},{_g17(z.imag)}\n" for z in rep.uncovered)])
+
+
+_CURVE_COLORS = ("#1f77b4", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#17becf")
 _COLORS = {"brute_force": "#d62728", "two_phase_eq": "#ff7f0e", "multipoint_eq": "#bcbd22"}
 
 
-def reference_circles(zero_sets, viewport):
-    sx, sy = 580 / viewport.width, 580 / viewport.height
-    out = []
+def reference_emit_svg(diagram, zero_sets, viewport):
+    width = height = 640
+    pad = 30
+    sx, sy = (width - 2 * pad) / viewport.width, (height - 2 * pad) / viewport.height
+
+    def m(z):
+        return pad + (z.real - viewport.re_lo) * sx, height - pad - (z.imag - viewport.im_lo) * sy
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+        'fill="none" stroke="#444" stroke-width="1"/>',
+    ]
+    if viewport.re_lo < 0 < viewport.re_hi:
+        x0, _ = m(0j)
+        parts.append(
+            f'<line x1="{x0:.2f}" y1="{pad}" x2="{x0:.2f}" y2="{height - pad}" '
+            'stroke="#ccc" stroke-width="1"/>'
+        )
+    if viewport.im_lo < 0 < viewport.im_hi:
+        _, y0 = m(0j)
+        parts.append(
+            f'<line x1="{pad}" y1="{y0:.2f}" x2="{width - pad}" y2="{y0:.2f}" '
+            'stroke="#ccc" stroke-width="1"/>'
+        )
+    parts.append(
+        f'<text x="{pad}" y="{height - 8}" font-size="11" fill="#333">'
+        f"re in [{viewport.re_lo:g}, {viewport.re_hi:g}], "
+        f"im in [{viewport.im_lo:g}, {viewport.im_hi:g}]</text>"
+    )
+    if diagram is not None:
+        for k, curve in enumerate(diagram.curves):
+            color = _CURVE_COLORS[k % len(_CURVE_COLORS)]
+            pts = [m(s.z) for s in curve.samples]
+            if len(pts) < 2:
+                continue
+            d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pts)
+            parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        for mp in diagram.multiple_points:
+            x, y = m(mp.z)
+            parts.append(
+                f'<rect x="{x - 4:.2f}" y="{y - 4:.2f}" width="8" height="8" '
+                'fill="none" stroke="#000" stroke-width="1.5"/>'
+            )
     for zs in zero_sets:
         for z, _, _, method in _rows(zs):
             if not viewport.contains(z):
                 continue
-            x = 30 + (z.real - viewport.re_lo) * sx
-            y = 640 - 30 - (z.imag - viewport.im_lo) * sy
+            x, y = m(z)
             color = _COLORS.get(method, "#000")
-            out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="{color}"/>')
-    return out
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +171,19 @@ _coord = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_
 _residual = st.one_of(st.floats(), st.sampled_from(_EDGES + [math.nan, math.inf, -math.inf]))
 _method = st.sampled_from(["brute_force", "two_phase_eq", "multipoint_eq", "other"])
 _row = st.tuples(st.builds(complex, _coord, _coord), st.integers(1, 4), _residual, _method)
+# a small pool of values, so that a column drawn from it repeats its values
+# and its signed zeros, NaN and infinities, as the columns of a zero table on
+# a straight phase boundary repeat Re z and the residuals
+_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.25, -1.0986122886681098]
+_pooled = st.sampled_from(_POOL)
+_pooled_row = st.tuples(st.builds(complex, _pooled, _pooled), st.integers(1, 2), _pooled, _method)
+
+
+def _zero_rows(max_size):
+    """The rows of a zero set: drawn freely, or every column from the pool."""
+    return st.one_of(st.lists(_row, max_size=max_size), st.lists(_pooled_row, max_size=max_size))
+
+
 _VIEWPORTS = [Rectangle(-1, 1, -1, 1), Rectangle(-1e300, 1e300, -1e300, 1e300),
               Rectangle(-0.0, 1e-300, 0.0, 5e-324)]
 
@@ -114,25 +200,49 @@ def _raw_set(rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_row, max_size=30), st.lists(_row, max_size=30), st.sampled_from(_VIEWPORTS))
+@given(_zero_rows(30), _zero_rows(30), st.sampled_from(_VIEWPORTS))
 def test_column_writers_equal_the_per_row_writers(rows_p, rows_l, viewport):
     predicted, located = _raw_set(rows_p), _raw_set(rows_l)
     for zs in (predicted, located):
         assert zeros_csv(zs) == reference_zeros_csv(zs)
-    svg = emit_svg(None, [predicted, located], viewport).splitlines()
-    assert [line for line in svg if line.startswith("<circle")] == reference_circles(
-        [predicted, located], viewport
+    assert emit_svg(None, [predicted, located], viewport) == reference_emit_svg(
+        None, [predicted, located], viewport
     )
+
+
+_point = st.one_of(st.builds(complex, _coord, _coord), st.builds(complex, _pooled, _pooled))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(st.one_of(_coord, _pooled), _point, _point, _point), max_size=12),
+             max_size=3),
+    st.lists(_point, max_size=2),
+    st.lists(_point, max_size=12),
+    st.sampled_from(_VIEWPORTS),
+)
+def test_curve_and_uncovered_writers_equal_the_per_row_writers(curves, mps, uncovered, viewport):
+    ends = Termination(TERM_DOMAIN), Termination(TERM_DOMAIN)
+    curves = [CoexistenceCurve((0, 1), [CurveSample(*s) for s in c], *ends) for c in curves]
+    for c in curves:
+        assert curve_csv(c) == reference_curve_csv(c)
+    pd = PhaseDiagram(curves, [MultiplePoint(z, (0, 1, 2), {}) for z in mps], math.nan)
+    assert emit_svg(pd, [], viewport) == reference_emit_svg(pd, [], viewport)
+    rep = CoveringReport(len(uncovered), len(uncovered), uncovered, 0.0, 0.0)
+    assert uncovered_csv(rep) == reference_uncovered_csv(rep)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_match_report_text_equals_the_per_row_writer(data):
-    predicted = _raw_set(data.draw(st.lists(_row, max_size=20)))
-    located = _raw_set(data.draw(st.lists(_row, max_size=20)))
+    predicted = _raw_set(data.draw(_zero_rows(20)))
+    located = _raw_set(data.draw(_zero_rows(20)))
     index = st.integers(0, 10**6)
     distance = st.one_of(st.floats(0.0), st.sampled_from([0.0, 5e-324, math.inf]))
-    pairs = data.draw(st.lists(st.tuples(index, index, distance, _residual), max_size=20))
+    # or every column from a pool; distances are not negative
+    few, near = st.integers(0, 3), st.sampled_from([0.0, 5e-324, 0.25, math.inf])
+    pairs = data.draw(st.one_of(st.lists(st.tuples(index, index, distance, _residual), max_size=20),
+                                st.lists(st.tuples(few, few, near, _pooled), max_size=20)))
 
     def unmatched(zs):
         return np.array(data.draw(st.lists(st.integers(0, len(zs) - 1))) if len(zs) else [], dtype=int)
@@ -227,3 +337,39 @@ def test_cli_builds_no_zero_objects_and_filters_by_arrays(tmp_path, row_counts, 
         assert row_counts["zeros"] == 0
     assert written == [64, 637]
     assert contains[0] == contains[1]
+
+
+_BOX = "--box=-0.1,0.1,0,0.2"
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        (two_phase_model(q1=1, q2=2), ["predict-zeros", "--pair", "0,1", "--L", "50000", _BOX]),
+        (two_phase_model(q1=1, q2=2),
+         ["compare", "--pair", "0,1", "--L", "10000", _BOX, "--perturb-seed", "7", "--emit-svg"]),
+        (two_phase_model(q1=1, q2=2), ["trace-diagram", "--emit-svg"]),
+        (three_phase_model(),
+         ["covering", "--L", "100", "--grid", "201", "--rho-scale", "0.1", "--omega-scale", "0.1"]),
+    ],
+    ids=["predict-zeros", "compare", "trace-diagram", "covering"],
+)
+def test_cli_writes_the_bytes_of_the_per_row_writers(tmp_path, monkeypatch, model, argv):
+    path = write_model(tmp_path, model)
+
+    def written(out):
+        assert main([argv[0], path, *argv[1:], "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    # blocks of 100 rows, so that the tables here span several
+    monkeypatch.setattr(render, "_BLOCK_ROWS", 100)
+    columns = written(tmp_path / "columns")
+    # every artifact has rows: the covering's uncovered points among them
+    assert all(text.count(b"\n") > 2 for text in columns.values())
+    for name, reference in [("zeros_csv", reference_zeros_csv),
+                            ("match_report_text", reference_match_report_text),
+                            ("curve_csv", reference_curve_csv),
+                            ("uncovered_csv", reference_uncovered_csv)]:
+        monkeypatch.setattr(cli, name, reference)
+    monkeypatch.setattr(render, "emit_svg", reference_emit_svg)
+    assert columns == written(tmp_path / "rows")
