@@ -66,7 +66,8 @@ def read_zeros_csv(path):
 
 
 def curve_csv(curve: diagram.CoexistenceCurve) -> str:
-    rows = [(s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag) for s in curve.samples]
+    rows = [(s.t, s.z.real, s.z.imag, s.v_m.real, s.v_m.imag, s.v_n.real, s.v_n.imag)
+            for s in curve.samples]
     cols = [(c, "%.17g") for c in np.array(rows, dtype=float).reshape(-1, 7).T]
     return "\n".join(["t,re_z,im_z,re_vm,im_vm,re_vn,im_vn", *render.table_blocks(cols), ""])
 
@@ -99,7 +100,8 @@ def match_report_text(rep: zeros.MatchReport, predicted, found: zeros.ZeroSearch
         *_search_lines(found),
         "pair_table: predicted_idx,located_idx,distance,delta_L",
     ]
-    lines += render.table_blocks([(rep.i, "  %d"), (rep.j, "%d"), (rep.distance, "%.17g"), (rep.tol, "%.17g")])
+    pairs = [(rep.i, "  %d"), (rep.j, "%d"), (rep.distance, "%.17g"), (rep.tol, "%.17g")]
+    lines += render.table_blocks(pairs)
     for side, zs, at in (("predicted", predicted, rep.unmatched_predicted),
                          ("located", found.zeros, rep.unmatched_located)):
         z = zs.z[at]

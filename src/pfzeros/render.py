@@ -46,9 +46,11 @@ def table_blocks(columns, sep: str = ",") -> list[str]:
     sep and each block its rows joined by newlines; columns are (values,
     fmt) pairs formatted by column_text. Joined by newlines, the blocks are
     the table's lines."""
-    n = len(columns[0][0])
-    return ["\n".join(map(sep.join, zip(*(column_text(v[lo:lo + _BLOCK_ROWS], f) for v, f in columns))))
-            for lo in range(0, n, _BLOCK_ROWS)]
+    blocks = []
+    for lo in range(0, len(columns[0][0]), _BLOCK_ROWS):
+        text = (column_text(values[lo:lo + _BLOCK_ROWS], fmt) for values, fmt in columns)
+        blocks.append("\n".join(map(sep.join, zip(*text))))
+    return blocks
 
 
 def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> str:
@@ -112,7 +114,8 @@ def emit_svg(diagram: PhaseDiagram | None, zero_sets, viewport: Rectangle) -> st
         inside = viewport.contains(zs.z)
         x, y = m(zs.z[inside])
         color = np.array([_ZERO_COLORS.get(s, "#000") for s in zs.method[inside].tolist()], dtype=object)
-        parts += table_blocks([(x, '<circle cx="%.2f"'), (y, 'cy="%.2f"'), (color, 'r="2.2" fill="%s"/>')], " ")
+        circles = [(x, '<circle cx="%.2f"'), (y, 'cy="%.2f"'), (color, 'r="2.2" fill="%s"/>')]
+        parts += table_blocks(circles, " ")
 
     parts += ["</svg>", ""]
     return "\n".join(parts)
